@@ -256,5 +256,19 @@ rm -rf "$oplog_tmp"
 step "benches compile (offline)"
 cargo bench --offline --no-run
 
+step "end-to-end benchmark: tests plus a one-second traced pass per workload"
+# The end-to-end benchmark (e2e_bench/, a workspace of its own) checks
+# its outputs as it runs — traced_equals_untraced, not_worse_than_see,
+# repeatable, parsed_log_hash among them — and exits 1 naming any check
+# that fails. Running its tests and a short traced pass of each named
+# workload here makes those checks gate every change to the crates it
+# builds against, not only benchmark runs.
+cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
+for workload in cold_sweep oplog_replay fleet daemon; do
+    echo "-- $workload --"
+    cargo run --release --offline --quiet --manifest-path e2e_bench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 > /dev/null
+done
+
 echo
 echo "all checks passed"

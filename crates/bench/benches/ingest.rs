@@ -5,8 +5,8 @@
 //! through `fit_oplog_streamed` is bit-identical to materializing the
 //! trace and running `fit_workloads` — so the only thing allowed to
 //! differ is wall-clock, and this suite records it
-//! (`results/BENCH_ingest.json`). The parse benches time the strict
-//! TSV reader, whose chunk fan-out also scales with the pool.
+//! (`results/BENCH_ingest.json`). The parse bench times the strict
+//! TSV reader, which is serial, so it runs at one thread only.
 //!
 //! Thread counts are pinned by setting `WASLA_THREADS` around each
 //! case (the bench main is single-threaded, so the writes cannot race
@@ -110,13 +110,11 @@ fn bench_materialized(c: &mut Harness) {
 fn bench_parse(c: &mut Harness) {
     let text = sample_log().to_tsv();
     let mut group = c.benchmark_group("oplog_parse_strict");
-    for t in THREAD_COUNTS {
-        with_threads(t, || {
-            group.bench_function(format!("threads{t}"), |b| {
-                b.iter(|| black_box(OpLog::parse_tsv(&text).expect("log parses")))
-            });
+    with_threads(1, || {
+        group.bench_function("threads1", |b| {
+            b.iter(|| black_box(OpLog::parse_tsv(&text).expect("log parses")))
         });
-    }
+    });
     group.finish();
 }
 

@@ -194,11 +194,49 @@ fn bench_nlp_gradient_sweep(c: &mut Harness) {
     }
 }
 
+/// One full re-evaluation — the engine's rebuild path, which every
+/// line-search trial point of the PG solver takes — alternating two
+/// dense layouts that differ in every coordinate, so each call
+/// recomputes all `N·M` competing sums and `µ` cells.
+fn bench_eval_rebuild(c: &mut Harness) {
+    let mut group = c.benchmark_group("eval_rebuild");
+    for (n, m) in [(40usize, 4usize), (128, 16)] {
+        let problem = sweep_problem(n, m);
+        let mut rng = SimRng::new(19);
+        let mut dense = || -> Vec<f64> {
+            let mut x: Vec<f64> = (0..n * m).map(|_| rng.uniform_range(0.05, 1.0)).collect();
+            for row in x.chunks_mut(m) {
+                let s: f64 = row.iter().sum();
+                row.iter_mut().for_each(|v| *v /= s);
+            }
+            x
+        };
+        let points = [dense(), dense()];
+        let mut engine = EvalEngine::new(&problem);
+        engine.set_point(&points[1]);
+        let before = engine.stats;
+        black_box(engine.lse_objective(&points[0], SWEEP_TEMP));
+        let per_call = engine.stats.since(&before);
+        let mut flip = 0;
+        group.bench_function(format!("n{n}_m{m}"), |b| {
+            for (name, value) in per_call.entries() {
+                b.counter(name, value as f64);
+            }
+            b.iter(|| {
+                flip ^= 1;
+                black_box(engine.lse_objective(black_box(&points[flip]), SWEEP_TEMP))
+            })
+        });
+    }
+    group.finish();
+}
+
 wasla_bench::bench_main!(
     "solver",
     bench_simplex_projection,
     bench_lse,
     bench_projected_gradient,
     bench_anneal,
-    bench_nlp_gradient_sweep
+    bench_nlp_gradient_sweep,
+    bench_eval_rebuild
 );

@@ -7,11 +7,21 @@
 //!
 //! * `w[i][j]` — the Figure 7 layout-model memo
 //!   `apply(specᵢ, xᵢⱼ)`, keyed by the committed fraction;
-//! * one competing-rate tree per `(i, j)` — the canonical pairwise sum
-//!   of `(Rᵢₖ)·f_kj` over `k ≠ i` (see [`crate::eval::kernel`]), whose
-//!   root is the numerator of `χᵢⱼ`;
+//! * the competing sum of every `(i, j)` — the canonical pairwise sum
+//!   of `(Rᵢₖ)·f_kj` over `k ≠ i` (see [`crate::eval::kernel`]), the
+//!   numerator of `χᵢⱼ` — always current in `roots`;
+//! * per column `j`, on demand, the heap-layout trees behind those
+//!   sums, which single-coordinate commits and probes walk;
 //! * `µ[i][j]` and the per-target folds `µⱼ`;
 //! * capacity column sums `Σᵢ sᵢ·xᵢⱼ` for the AugLag constraints.
+//!
+//! A full rebuild computes each root by the same pairwise reduction in
+//! a reused `P`-slot buffer and writes no tree: most rebuilds (the
+//! line search's trial points) are never followed by a commit or probe
+//! before the next rebuild. A column's trees are materialized only
+//! when a commit or probe first touches that column after a rebuild.
+//! Both paths reduce the same leaves in the same shape, so every root
+//! has the same bits whichever path produced it (DESIGN.md §10).
 //!
 //! A *probe* asks for `µⱼ` with `xᵢⱼ := v` without committing: only
 //! the trees of column `j` whose leaf `i` actually changes (bitwise)
@@ -59,11 +69,21 @@ pub struct EvalEngine<'a> {
     x: Vec<f64>,
     /// Layout-model memos for the committed fractions, row-major n×m.
     w: Vec<PerTargetWorkload>,
+    /// Competing sums, column-major: `roots[j*n + i]` is the pairwise
+    /// sum of tree `(i, j)` at the committed point, always current.
+    roots: Vec<f64>,
     /// Heap-layout competing-sum trees: tree `(i, j)` occupies
     /// `[(j*n + i)*2p, (j*n + i + 1)*2p)`; node 1 is the root, leaves
     /// sit at `p..p+n`, and leaf `i` (the self slot) plus the padding
-    /// leaves stay `+0.0`.
+    /// leaves stay `+0.0`. Column `j`'s trees are valid only while
+    /// `live[j]` holds.
     trees: Vec<f64>,
+    /// Per column: are its trees materialized at the committed point?
+    live: Vec<bool>,
+    /// Reduction scratch for one competing sum (`p` slots).
+    sum_buf: Vec<f64>,
+    /// One gathered column of the committed point (`n` slots).
+    col_buf: Vec<f64>,
     /// Committed `µᵢⱼ` cells, row-major n×m.
     mu: Vec<f64>,
     /// Committed per-target utilizations `µⱼ` (left fold of `mu` in
@@ -132,7 +152,11 @@ impl<'a> EvalEngine<'a> {
             sizes: problem.workloads.sizes.iter().map(|&s| s as f64).collect(),
             x: vec![0.0; n * m],
             w: zero_w,
+            roots: vec![0.0; n * m],
             trees: vec![0.0; m * n * 2 * p],
+            live: vec![false; m],
+            sum_buf: vec![0.0; p],
+            col_buf: vec![0.0; n],
             mu: vec![0.0; n * m],
             mu_col: vec![0.0; m],
             cap_used: vec![0.0; m],
@@ -180,8 +204,10 @@ impl<'a> EvalEngine<'a> {
     // objective/gradient closures and must not allocate (ci/check.sh
     // greps this region for allocation idioms).
 
-    /// Recomputes every cache from scratch at `x`. Summation shapes
-    /// match the canonical kernel exactly.
+    /// Recomputes every cache from scratch at `x`, except the trees:
+    /// each competing sum is reduced in the `p`-slot scratch buffer in
+    /// the canonical shape, and every column's trees are left stale
+    /// until [`Self::materialize`] needs them.
     fn rebuild(&mut self, x: &[f64]) {
         self.stats.full_rebuilds += 1;
         let (n, m, p) = (self.n, self.m, self.p);
@@ -192,25 +218,32 @@ impl<'a> EvalEngine<'a> {
                 self.w[i * m + j] = layout_model::apply(&specs[i], x[i * m + j], self.stripe);
             }
         }
+        let buf = &mut self.sum_buf;
         for j in 0..m {
-            for i in 0..n {
-                let base = (j * n + i) * 2 * p;
-                for l in 0..p {
-                    self.trees[base + p + l] = if l >= n || l == i {
-                        0.0
-                    } else {
-                        let f = x[l * m + j];
-                        if f <= EPS {
-                            0.0
-                        } else {
-                            self.rw_overlap[i * n + l] * f
-                        }
-                    };
-                }
-                for v in (1..p).rev() {
-                    self.trees[base + v] = self.trees[base + 2 * v] + self.trees[base + 2 * v + 1];
-                }
+            for l in 0..n {
+                self.col_buf[l] = x[l * m + j];
             }
+            for i in 0..n {
+                let row = &self.rw_overlap[i * n..(i + 1) * n];
+                for l in 0..n {
+                    let f = self.col_buf[l];
+                    let term = row[l] * f;
+                    buf[l] = if f <= EPS { 0.0 } else { term };
+                }
+                buf[i] = 0.0;
+                buf[n..p].fill(0.0);
+                // Level by level: slot l of the half-width level is
+                // heap node (width + l), the sum of its two children.
+                let mut width = p;
+                while width > 1 {
+                    width /= 2;
+                    for l in 0..width {
+                        buf[l] = buf[2 * l] + buf[2 * l + 1];
+                    }
+                }
+                self.roots[j * n + i] = buf[0];
+            }
+            self.live[j] = false;
         }
         for i in 0..n {
             for j in 0..m {
@@ -222,11 +255,44 @@ impl<'a> EvalEngine<'a> {
         }
     }
 
-    /// `µᵢⱼ` from the committed fraction, memo, and tree root.
+    /// Builds column `j`'s heap trees at the committed point, unless
+    /// they are already current. Their roots equal the cached `roots`
+    /// bitwise: same leaves, same reduction shape.
+    fn materialize(&mut self, j: usize) {
+        if self.live[j] {
+            return;
+        }
+        let (n, m, p) = (self.n, self.m, self.p);
+        for i in 0..n {
+            let base = (j * n + i) * 2 * p;
+            for l in 0..p {
+                self.trees[base + p + l] = if l >= n || l == i {
+                    0.0
+                } else {
+                    let f = self.x[l * m + j];
+                    if f <= EPS {
+                        0.0
+                    } else {
+                        self.rw_overlap[i * n + l] * f
+                    }
+                };
+            }
+            for v in (1..p).rev() {
+                self.trees[base + v] = self.trees[base + 2 * v] + self.trees[base + 2 * v + 1];
+            }
+            debug_assert_eq!(
+                self.trees[base + 1].to_bits(),
+                self.roots[j * n + i].to_bits()
+            );
+        }
+        self.live[j] = true;
+    }
+
+    /// `µᵢⱼ` from the committed fraction, memo, and competing sum.
     fn mu_committed(&mut self, i: usize, j: usize) -> f64 {
         let f = self.x[i * self.m + j];
         let w = self.w[i * self.m + j];
-        let competing = self.trees[(j * self.n + i) * 2 * self.p + 1];
+        let competing = self.roots[j * self.n + i];
         self.mu_value(j, f, &w, competing)
     }
 
@@ -293,6 +359,9 @@ impl<'a> EvalEngine<'a> {
     /// committed point; see DESIGN.md §10).
     fn commit_coord(&mut self, i: usize, j: usize, v: f64) {
         self.stats.coord_commits += 1;
+        // The trees must reflect the point *before* this commit, so
+        // the leaf comparison below sees the change.
+        self.materialize(j);
         let (n, m, p) = (self.n, self.m, self.p);
         self.w[i * m + j] = layout_model::apply(&self.problem.workloads.specs[i], v, self.stripe);
         self.x[i * m + j] = v;
@@ -319,6 +388,7 @@ impl<'a> EvalEngine<'a> {
                 self.stats.term_updates += 1;
                 node = parent;
             }
+            self.roots[j * n + k] = self.trees[base + 1];
             self.mu[k * m + j] = self.mu_committed(k, j);
         }
         // Object i's own cell: its tree excludes leaf i, so the cached
@@ -336,6 +406,7 @@ impl<'a> EvalEngine<'a> {
         if v.to_bits() == self.x[i * m + j].to_bits() {
             return self.mu_col[j];
         }
+        self.materialize(j);
         let mut sum = 0.0;
         for k in 0..n {
             let mu_kj = if k == i {
@@ -346,7 +417,7 @@ impl<'a> EvalEngine<'a> {
                     0.0
                 } else {
                     let w = layout_model::apply(&self.problem.workloads.specs[i], v, self.stripe);
-                    let competing = self.trees[(j * n + i) * 2 * p + 1];
+                    let competing = self.roots[j * n + i];
                     self.mu_value(j, v, &w, competing)
                 }
             } else {
@@ -579,12 +650,12 @@ impl<'a> EvalEngine<'a> {
         self.stats.grad_analytic_passes += 1;
         self.refill_wcol();
         softmax_weights(&self.wcol, temp, &mut self.smax);
-        let (n, m, p) = (self.n, self.m, self.p);
+        let (n, m) = (self.n, self.m);
         for j in 0..m {
             let sw_j = self.smax[j] * self.obj_w[j];
             for k in 0..n {
                 let f = self.x[k * m + j];
-                let competing = self.trees[(j * n + k) * 2 * p + 1];
+                let competing = self.roots[j * n + k];
                 let cg = grad::cell_grad(
                     &*self.problem.models[j],
                     &self.problem.workloads.specs[k],
@@ -798,16 +869,120 @@ mod tests {
         x1[7] = 0.42;
         a.set_point(&x1);
         b.rebuild(&x1);
+        assert!(a.live[7 % 4], "the committed column was materialized");
+        for j in 0..4 {
+            a.materialize(j);
+            b.materialize(j);
+        }
         for (u, v) in a.mu.iter().zip(&b.mu) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
         for (u, v) in a.mu_col.iter().zip(&b.mu_col) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
+        for (u, v) in a.roots.iter().zip(&b.roots) {
+            assert_eq!(u.to_bits(), v.to_bits());
+        }
         for (u, v) in a.trees.iter().zip(&b.trees) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
         assert!(a.stats.coord_commits >= 1);
+    }
+
+    /// One fraction from a mix that exercises every gate: exact zeros,
+    /// fractions at or below `EPS`, and ordinary values.
+    fn gated_fraction(rng: &mut wasla_simlib::SimRng) -> f64 {
+        match rng.next_u64() % 4 {
+            0 => 0.0,
+            1 => EPS * rng.uniform(),
+            2 => EPS,
+            _ => rng.uniform(),
+        }
+    }
+
+    /// Asserts every committed cache of `e` against the from-scratch
+    /// oracles at `x`: µ cells and columns against the estimator, each
+    /// competing sum against `kernel::competing_sum`, materialized tree
+    /// roots against those sums, and `grad_at` against `ScratchEval`.
+    fn assert_committed_exact(e: &mut EvalEngine<'_>, x: &[f64], ctx: &str) {
+        use crate::eval::kernel::{competing_sum, RateTransform};
+        use crate::eval::ScratchEval;
+        let p = e.problem;
+        let (n, m) = (e.n, e.m);
+        let est = UtilizationEstimator::new(p);
+        let layout = Layout::from_flat(x, n, m);
+        let specs = &p.workloads.specs;
+        for j in 0..m {
+            for i in 0..n {
+                let want = competing_sum(
+                    n,
+                    i,
+                    RateTransform::Average,
+                    &|k| specs[k].total_rate(),
+                    &|k| x[k * m + j],
+                    &|k| specs[i].overlaps[k],
+                );
+                let root = e.roots[j * n + i];
+                assert_eq!(root.to_bits(), want.to_bits(), "{ctx}: root ({i},{j})");
+                if e.live[j] {
+                    let tree_root = e.trees[(j * n + i) * 2 * e.p + 1];
+                    assert_eq!(tree_root.to_bits(), want.to_bits(), "{ctx}: tree ({i},{j})");
+                }
+                let cell = est.object_target_utilization(&layout, i, j);
+                assert_eq!(
+                    e.mu[i * m + j].to_bits(),
+                    cell.to_bits(),
+                    "{ctx}: µ ({i},{j})"
+                );
+            }
+            let col = est.target_utilization(&layout, j);
+            assert_eq!(e.mu_col[j].to_bits(), col.to_bits(), "{ctx}: µ_{j}");
+        }
+        let mut g_engine = vec![0.0; n * m];
+        let mut g_scratch = vec![0.0; n * m];
+        e.grad_at(x, 0.05, &mut g_engine);
+        ScratchEval::new(p).grad_at(x, 0.05, &mut g_scratch);
+        for (c, (a, b)) in g_engine.iter().zip(&g_scratch).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: grad[{c}]");
+        }
+    }
+
+    #[test]
+    fn lazy_trees_match_oracles_through_interleaved_steps() {
+        let mut rng = wasla_simlib::SimRng::new(0x1a27);
+        for n in [1, 3, 5, 8, 17] {
+            let m = 1 + n % 4;
+            let p = problem(n, m);
+            let est = UtilizationEstimator::new(&p);
+            let mut e = EvalEngine::new(&p);
+            let mut x = vec![0.0; n * m];
+            for step in 0..6 {
+                let ctx = format!("n={n} step={step}");
+                // Rebuild at a fresh point: every tree goes stale.
+                for v in x.iter_mut() {
+                    *v = gated_fraction(&mut rng);
+                }
+                e.rebuild(&x);
+                assert!(e.live.iter().all(|&l| !l), "{ctx}: rebuild wrote trees");
+                assert_committed_exact(&mut e, &x, &format!("{ctx} rebuild"));
+                // Probe, commit, probe again — each on a random cell.
+                for phase in ["probe", "commit", "probe"] {
+                    let (i, j) = (rng.next_u64() as usize % n, rng.next_u64() as usize % m);
+                    let v = gated_fraction(&mut rng);
+                    let mut xv = x.clone();
+                    xv[i * m + j] = v;
+                    if phase == "probe" {
+                        let got = e.probe_coord(i, j, v);
+                        let want = est.target_utilization(&Layout::from_flat(&xv, n, m), j);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{ctx}: probe ({i},{j})={v}");
+                    } else if v.to_bits() != x[i * m + j].to_bits() {
+                        e.commit_coord(i, j, v);
+                        x = xv;
+                    }
+                    assert_committed_exact(&mut e, &x, &format!("{ctx} {phase}"));
+                }
+            }
+        }
     }
 
     #[test]

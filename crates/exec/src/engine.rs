@@ -76,14 +76,19 @@ impl Default for RunConfig {
     }
 }
 
-/// Typed failures of the execution engine's slot bookkeeping.
+/// Typed failures of the execution engine.
 ///
-/// These replace the old `expect(...)` panics on the step/query slab
-/// accessors: a storage completion carrying a bogus tag (corrupted or
-/// fault-injected) now surfaces as an error the caller can handle
-/// instead of aborting the process.
+/// The slot variants replace the old `expect(...)` panics on the
+/// step/query slab accessors: a storage completion carrying a bogus tag
+/// (corrupted or fault-injected) now surfaces as an error the caller
+/// can handle instead of aborting the process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineError {
+    /// The run has no stop condition: no OLAP workload ends it, and
+    /// neither [`RunConfig::max_time`] nor [`RunConfig::txn_cap`]
+    /// bounds its OLTP terminals, which would otherwise run (and grow
+    /// the captured trace) until memory runs out.
+    Unbounded,
     /// A completion or phase transition referenced a step slot with no
     /// live step.
     DeadStep {
@@ -101,6 +106,10 @@ pub enum EngineError {
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            EngineError::Unbounded => write!(
+                f,
+                "engine error: OLTP-only run with neither max_time nor txn_cap never stops"
+            ),
             EngineError::DeadStep { slot } => {
                 write!(f, "engine error: no live step in slot {slot}")
             }
@@ -337,6 +346,9 @@ impl<'a> Engine<'a> {
     /// default) the event list is empty and the run is bit-identical
     /// to [`Engine::run`].
     pub fn run_observed(mut self) -> Result<RunOutcome, EngineError> {
+        if !self.has_olap && self.config.max_time.is_none() && self.config.txn_cap.is_none() {
+            return Err(EngineError::Unbounded);
+        }
         let mut device_events = Vec::new();
         if let Some(plan) = fault::plan() {
             for target in 0..self.storage.target_count() {

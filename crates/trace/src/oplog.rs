@@ -3,8 +3,8 @@
 //! The advisor is driven entirely by traces, but [`fit_workloads`]
 //! wants the whole trace materialized in memory — a scaling wall for
 //! production-length captures. This module adds a compact
-//! line-oriented *op-log* format plus a chunked reader whose per-object
-//! sufficient statistics are **mergeable**, so fits stream through
+//! line-oriented *op-log* format, a single-pass reader, and per-object
+//! sufficient statistics that are **mergeable**, so fits stream through
 //! [`wasla_simlib::par`] chunk by chunk and still come out bit-identical
 //! to the materialized path at any `WASLA_THREADS` setting.
 //!
@@ -54,10 +54,9 @@ use wasla_workload::WorkloadSet;
 /// First line of every op-log file.
 pub const FORMAT_HEADER: &str = "#wasla-oplog v1";
 
-/// Records per chunk for the streaming reader and the streamed fit.
-/// Chunk boundaries depend only on this constant — never on the thread
-/// count — so the streamed result is reproducible at any
-/// `WASLA_THREADS`.
+/// Records per chunk for the streamed fit. Chunk boundaries depend
+/// only on this constant — never on the thread count — so the streamed
+/// result is reproducible at any `WASLA_THREADS`.
 pub const DEFAULT_CHUNK: usize = 4096;
 
 /// Longest well-formed line (a full record is ≈100 bytes); anything
@@ -402,10 +401,9 @@ impl OpLog {
         }
     }
 
-    /// Strict chunked reader: parses a TSV op-log, fanning record
-    /// chunks over [`par`]. Chunk boundaries are fixed by
-    /// [`DEFAULT_CHUNK`], so the result (and any error) is independent
-    /// of the thread count.
+    /// Strict reader: parses a TSV op-log, failing on the first
+    /// malformed line with its typed error. Single-threaded and
+    /// allocation-free per line (see [`OpLog::parse_tsv_lossy`]).
     pub fn parse_tsv(text: &str) -> Result<OpLog, OpLogError> {
         let (log, salvage) = Self::parse_tsv_lossy(text)?;
         match salvage.first_error {
@@ -414,51 +412,53 @@ impl OpLog {
         }
     }
 
-    /// Lossy chunked reader: salvages the longest valid record prefix
-    /// of a damaged op-log and reports what was dropped and why.
+    /// Lossy reader: salvages the longest valid record prefix of a
+    /// damaged op-log and reports what was dropped and why.
     ///
     /// A clean log parses fully with a zero-drop salvage. A log whose
     /// *first* record line is already damaged (or whose header is
     /// missing) has no salvageable prefix, so the typed error
     /// propagates — mirroring [`crate::fit_workloads_lossy`].
+    ///
+    /// One forward cursor walks the text, splitting lines exactly as
+    /// [`str::lines`] does and parsing each regular record's fields in
+    /// place. Any line the fast path does not accept is handed to the
+    /// field-splitting reference parser, which decides the line's fate
+    /// and its typed error, so results never depend on which path ran.
     pub fn parse_tsv_lossy(text: &str) -> Result<(OpLog, OpLogSalvage), OpLogError> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(header) if header == FORMAT_HEADER => {}
-            _ => return Err(OpLogError::MissingHeader),
+        let (header, mut pos) = next_line(text, 0);
+        if header != FORMAT_HEADER {
+            return Err(OpLogError::MissingHeader);
         }
-        let body: Vec<&str> = lines.collect();
 
-        // Fan fixed-size line chunks over the pool. Each chunk parses
-        // up to its first bad line; reassembly below stitches prefixes
-        // back together in order.
-        let chunks: Vec<(usize, &[&str])> = body
-            .chunks(DEFAULT_CHUNK)
-            .enumerate()
-            .map(|(c, chunk)| (c * DEFAULT_CHUNK, chunk))
-            .collect();
-        let parsed: Vec<(Vec<OpRecord>, Option<OpLogError>)> =
-            par::par_map(&chunks, |&(base, chunk)| parse_chunk(base, chunk));
-
-        let mut log = OpLog::new();
+        // Captured records average ~50 bytes a line.
+        let mut log = OpLog {
+            records: Vec::with_capacity(text.len() / 48),
+        };
         let mut first_error = None;
-        'outer: for (records, err) in parsed {
-            for rec in records {
-                // Cross-chunk (and cross-record) monotonicity: issue
-                // times never go backwards. Intra-record ordering was
-                // already checked during field parsing.
-                if log.records.last().map_or(false, |l| rec.issue < l.issue) {
-                    first_error = Some(OpLogError::NonMonotone {
-                        // +2: 1-based lines and the header line.
-                        line: log.records.len() + 2,
-                    });
-                    break 'outer;
+        let mut line = 1;
+        while pos < text.len() {
+            line += 1;
+            let (rec, next) = match parse_record_fast(text, pos) {
+                Some((rec, next)) => (Ok(rec), next),
+                None => {
+                    let (raw, next) = next_line(text, pos);
+                    (parse_line(line, raw), next)
                 }
-                log.records.push(rec);
-            }
-            if let Some(err) = err {
-                first_error = Some(err);
-                break;
+            };
+            pos = next;
+            match rec {
+                // Issue times never go backwards; the intra-record
+                // ordering was already checked during field parsing.
+                Ok(rec) if log.records.last().is_some_and(|l| rec.issue < l.issue) => {
+                    first_error = Some(OpLogError::NonMonotone { line });
+                    break;
+                }
+                Ok(rec) => log.records.push(rec),
+                Err(err) => {
+                    first_error = Some(err);
+                    break;
+                }
             }
         }
 
@@ -469,39 +469,128 @@ impl OpLog {
                 return Err(err);
             }
         }
+        // The damaged line plus every line after it was dropped.
+        let dropped = match first_error {
+            Some(_) => 1 + count_lines(&text[pos..]),
+            None => 0,
+        };
         Ok((
             log,
             OpLogSalvage {
                 kept,
-                dropped: body.len() - kept,
+                dropped,
                 first_error,
             },
         ))
     }
 }
 
-/// Parses one chunk of record lines, stopping at the first malformed
-/// line. `base` is the chunk's 0-based offset into the record body.
-fn parse_chunk(base: usize, chunk: &[&str]) -> (Vec<OpRecord>, Option<OpLogError>) {
-    let mut records = Vec::with_capacity(chunk.len());
-    let mut prev_issue: Option<SimTime> = None;
-    for (k, raw) in chunk.iter().enumerate() {
-        // 1-based line number counting the header line.
-        let line = base + k + 2;
-        match parse_line(line, raw) {
-            Ok(rec) => {
-                if prev_issue.map_or(false, |p| rec.issue < p) {
-                    return (records, Some(OpLogError::NonMonotone { line }));
-                }
-                prev_issue = Some(rec.issue);
-                records.push(rec);
-            }
-            Err(err) => return (records, Some(err)),
+/// The line starting at byte `start` and the byte offset just past its
+/// terminator, with [`str::lines`] semantics: a line ends at `\n`, one
+/// `\r` before that `\n` is stripped, and a final unterminated line
+/// keeps any trailing `\r`. At the end of text the line is empty.
+fn next_line(text: &str, start: usize) -> (&str, usize) {
+    let rest = &text[start..];
+    match rest.find('\n') {
+        Some(nl) => {
+            let raw = &rest[..nl];
+            (raw.strip_suffix('\r').unwrap_or(raw), start + nl + 1)
         }
+        None => (rest, text.len()),
     }
-    (records, None)
 }
 
+/// Number of lines [`str::lines`] yields for `text`.
+fn count_lines(text: &str) -> usize {
+    let newlines = text.bytes().filter(|&b| b == b'\n').count();
+    newlines + usize::from(!text.is_empty() && !text.ends_with('\n'))
+}
+
+/// Parses a regular record line in place: `R`/`W`, three unsigned
+/// decimal integers without sign, and two times, each field ended by a
+/// tab and the line by `\n`, `\r\n` or the end of text. Returns the
+/// record and the offset of the next line, or `None` for any line that
+/// is not regular in this narrow sense — the caller then defers to
+/// [`parse_line`]. Every line accepted here is accepted by
+/// [`parse_line`] with the same record: the integers are the same
+/// decimal values, and times go through the same [`parse_time`] over
+/// the same substrings.
+fn parse_record_fast(text: &str, start: usize) -> Option<(OpRecord, usize)> {
+    let bytes = text.as_bytes();
+    let kind = match bytes.get(start..start + 2)? {
+        b"R\t" => IoKind::Read,
+        b"W\t" => IoKind::Write,
+        _ => return None,
+    };
+    let mut pos = start + 2;
+    let stream = u32::try_from(parse_digits(bytes, &mut pos)?).ok()?;
+    let offset = parse_digits(bytes, &mut pos)?;
+    let len = parse_digits(bytes, &mut pos)?;
+
+    let issue_start = pos;
+    loop {
+        match *bytes.get(pos)? {
+            b'\t' => break,
+            b'\n' => return None,
+            _ => pos += 1,
+        }
+    }
+    let issue_end = pos;
+    pos += 1;
+    let complete_start = pos;
+    while pos < bytes.len() && bytes[pos] != b'\n' && bytes[pos] != b'\t' {
+        pos += 1;
+    }
+    let (complete_end, next) = match bytes.get(pos) {
+        None => (pos, pos),
+        Some(b'\n') if bytes[pos - 1] == b'\r' => (pos - 1, pos + 1),
+        Some(b'\n') => (pos, pos + 1),
+        Some(_) => return None, // a seventh field
+    };
+    if complete_end - start > MAX_LINE_BYTES {
+        return None;
+    }
+    // The line number only labels errors, and any error here falls
+    // back to `parse_line`, which reports it with the right one.
+    let issue = parse_time(0, "issue", &text[issue_start..issue_end]).ok()?;
+    let complete = parse_time(0, "complete", &text[complete_start..complete_end]).ok()?;
+    if complete < issue {
+        return None;
+    }
+    Some((
+        OpRecord {
+            kind,
+            stream,
+            offset,
+            len,
+            issue,
+            complete,
+        },
+        next,
+    ))
+}
+
+/// Reads a non-empty run of ASCII digits ending in a tab at `*pos` as
+/// a `u64`, leaving `*pos` past the tab. `None` on an empty field, any
+/// other byte, or overflow.
+fn parse_digits(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    let start = *pos;
+    let mut value = 0u64;
+    loop {
+        let b = *bytes.get(*pos)?;
+        *pos += 1;
+        match b {
+            b'0'..=b'9' => {
+                value = value.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+            }
+            b'\t' if *pos - 1 > start => return Some(value),
+            _ => return None,
+        }
+    }
+}
+
+/// The reference line parser: splits `raw` on tabs and parses each
+/// field with std, reporting the first failure as a typed error.
 fn parse_line(line: usize, raw: &str) -> Result<OpRecord, OpLogError> {
     if raw.len() > MAX_LINE_BYTES {
         return Err(OpLogError::Overlong {
@@ -1037,6 +1126,270 @@ mod tests {
         ];
         for (text, want) in cases {
             assert_eq!(OpLog::parse_tsv(&text).unwrap_err(), want, "text={text:?}");
+        }
+    }
+
+    /// What one reader input must produce: either a salvaged prefix
+    /// (`kept`, `dropped`, the error that ended it) or, when no record
+    /// line survives, the typed error itself.
+    #[derive(Debug, PartialEq)]
+    enum Want {
+        Salvage(usize, usize, Option<OpLogError>),
+        Fails(OpLogError),
+    }
+
+    /// Pins the reader's contract edge by edge: line splitting (CRLF,
+    /// bare `\r`, empty lines, missing final newline), integer and time
+    /// field syntax, the line-length limit, time monotonicity across a
+    /// chunk boundary, and the salvage accounting. The strict reader
+    /// must fail exactly when the lossy one records an error.
+    #[test]
+    fn reader_contract_table() {
+        const R1: &str = "R\t0\t0\t8192\t0\t0.1";
+        const R2: &str = "W\t1\t4096\t512\t0.5\t0.7";
+        let h = |body: &str| format!("{FORMAT_HEADER}\n{body}");
+        let bad = |line: usize, field: &'static str| OpLogError::BadField { line, field };
+        // A valid record padded to exactly `len` bytes with leading
+        // zeros in the offset field.
+        let padded = |len: usize| {
+            let short = "R\t0\t\t8192\t0\t0.1".len();
+            format!("R\t0\t{}\t8192\t0\t0.1", "0".repeat(len - short))
+        };
+        let mut regress = String::new();
+        for k in 0..4100u64 {
+            let t = if k == 4096 { 0.0 } else { k as f64 * 1e-3 };
+            let t = json::format_f64(t);
+            regress.push_str(&format!("R\t0\t{k}\t8192\t{t}\t{t}\n"));
+        }
+        let cases: Vec<(&str, String, Want)> = vec![
+            (
+                "crlf",
+                format!("{FORMAT_HEADER}\r\n{R1}\r\n{R2}\r\n"),
+                Want::Salvage(2, 0, None),
+            ),
+            (
+                "bare cr at eof",
+                h(&format!("{R1}\n{R2}\r")),
+                Want::Salvage(1, 1, Some(bad(3, "complete"))),
+            ),
+            (
+                "bare cr after header",
+                format!("{FORMAT_HEADER}\r"),
+                Want::Fails(OpLogError::MissingHeader),
+            ),
+            (
+                "plus-signed integers",
+                h("R\t+3\t+0\t+8192\t0\t0.1\n"),
+                Want::Salvage(1, 0, None),
+            ),
+            (
+                "u32 max stream",
+                h("R\t4294967295\t0\t8192\t0\t0.1\n"),
+                Want::Salvage(1, 0, None),
+            ),
+            (
+                "u32 overflow",
+                h(&format!("{R1}\nR\t4294967296\t0\t8192\t1\t1.1\n")),
+                Want::Salvage(1, 1, Some(bad(3, "stream"))),
+            ),
+            (
+                "u64 overflow offset",
+                h("R\t0\t18446744073709551616\t8192\t0\t0.1\n"),
+                Want::Fails(bad(2, "offset")),
+            ),
+            (
+                "u64 overflow len",
+                h(&format!("{R1}\nR\t0\t0\t18446744073709551616\t1\t1.1\n")),
+                Want::Salvage(1, 1, Some(bad(3, "len"))),
+            ),
+            (
+                "u64 max offset",
+                h("R\t0\t18446744073709551615\t8192\t0\t0.1\n"),
+                Want::Salvage(1, 0, None),
+            ),
+            (
+                "empty line mid-file",
+                h(&format!("{R1}\n\n{R2}\n")),
+                Want::Salvage(1, 2, Some(OpLogError::Truncated { line: 3, fields: 1 })),
+            ),
+            (
+                "empty first line",
+                h(&format!("\n{R1}\n")),
+                Want::Fails(OpLogError::Truncated { line: 2, fields: 1 }),
+            ),
+            (
+                "trailing tab",
+                h(&format!("{R1}\t\n")),
+                Want::Fails(OpLogError::Truncated { line: 2, fields: 7 }),
+            ),
+            (
+                "160-byte line",
+                h(&format!("{}\n", padded(160))),
+                Want::Salvage(1, 0, None),
+            ),
+            (
+                "161-byte line",
+                h(&format!("{}\n", padded(161))),
+                Want::Fails(OpLogError::Overlong { line: 2, len: 161 }),
+            ),
+            (
+                "161-byte line after a record",
+                h(&format!("{R1}\n{}\n{R2}\n", padded(161))),
+                Want::Salvage(1, 2, Some(OpLogError::Overlong { line: 3, len: 161 })),
+            ),
+            (
+                "nan issue",
+                h("R\t0\t0\t8192\tnan\t0.1\n"),
+                Want::Fails(bad(2, "issue")),
+            ),
+            (
+                "inf complete",
+                h("R\t0\t0\t8192\t0\tinf\n"),
+                Want::Fails(bad(2, "complete")),
+            ),
+            (
+                "negative issue",
+                h("R\t0\t0\t8192\t-1\t0.1\n"),
+                Want::Fails(bad(2, "issue")),
+            ),
+            (
+                "exponent-form times",
+                h("R\t0\t0\t8192\t1e-3\t2.5E-1\n"),
+                Want::Salvage(1, 0, None),
+            ),
+            (
+                "complete before issue",
+                h("R\t0\t0\t8192\t5\t1\n"),
+                Want::Fails(OpLogError::NonMonotone { line: 2 }),
+            ),
+            (
+                "unknown op",
+                h(&format!("{R1}\nX\t1\t2\t3\t4\t5\n{R2}\n\n{R2}")),
+                Want::Salvage(1, 4, Some(OpLogError::UnknownOp { line: 3 })),
+            ),
+            (
+                "equal issue times",
+                h(&format!("{R1}\n{R1}\n")),
+                Want::Salvage(2, 0, None),
+            ),
+            (
+                "regression within a chunk",
+                h(&format!("{R2}\n{R1}\n")),
+                Want::Salvage(1, 1, Some(OpLogError::NonMonotone { line: 3 })),
+            ),
+            (
+                "regression across a 4096-line boundary",
+                h(&regress),
+                Want::Salvage(4096, 4, Some(OpLogError::NonMonotone { line: 4098 })),
+            ),
+            (
+                "header only",
+                format!("{FORMAT_HEADER}\n"),
+                Want::Salvage(0, 0, None),
+            ),
+            (
+                "header without newline",
+                FORMAT_HEADER.to_string(),
+                Want::Salvage(0, 0, None),
+            ),
+            (
+                "empty text",
+                String::new(),
+                Want::Fails(OpLogError::MissingHeader),
+            ),
+            (
+                "missing final newline",
+                h(&format!("{R1}\n{R2}")),
+                Want::Salvage(2, 0, None),
+            ),
+        ];
+        for (name, text, want) in cases {
+            let got = match OpLog::parse_tsv_lossy(&text) {
+                Ok((log, s)) => {
+                    assert_eq!(log.len(), s.kept, "{name}: log length vs kept");
+                    Want::Salvage(s.kept, s.dropped, s.first_error)
+                }
+                Err(e) => Want::Fails(e),
+            };
+            assert_eq!(got, want, "{name}");
+            let strict = OpLog::parse_tsv(&text).map(|log| log.len());
+            match want {
+                Want::Salvage(kept, _, None) => assert_eq!(strict, Ok(kept), "{name}"),
+                Want::Salvage(_, _, Some(e)) | Want::Fails(e) => {
+                    assert_eq!(strict, Err(e), "{name}")
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reader_field_values_are_exact() {
+        let log = OpLog::parse_tsv(&format!(
+            "{FORMAT_HEADER}\r\nW\t+3\t007\t18446744073709551615\t1e-3\t2.5E-1\r\n\
+             R\t4294967295\t0\t0\t0.25\t0.25"
+        ))
+        .unwrap();
+        let want = [
+            OpRecord {
+                kind: IoKind::Write,
+                stream: 3,
+                offset: 7,
+                len: u64::MAX,
+                issue: SimTime::from_secs(1e-3),
+                complete: SimTime::from_secs(0.25),
+            },
+            OpRecord {
+                kind: IoKind::Read,
+                stream: u32::MAX,
+                offset: 0,
+                len: 0,
+                issue: SimTime::from_secs(0.25),
+                complete: SimTime::from_secs(0.25),
+            },
+        ];
+        assert_eq!(log.records(), &want);
+    }
+
+    /// A record drawn from the full field ranges: any stream id and
+    /// byte range, and times spread over many decades so the shortest
+    /// round-trip formatter emits both plain and exponent forms.
+    fn wide_log(seed: u64, n: usize) -> OpLog {
+        let mut rng = wasla_simlib::SimRng::new(seed);
+        let mut log = OpLog::new();
+        let mut t = 0.0f64;
+        for _ in 0..n {
+            t += match rng.next_u64() % 4 {
+                0 => 0.0,
+                1 => 10f64.powf(rng.uniform_range(-12.0, -3.0)),
+                2 => rng.uniform(),
+                _ => 10f64.powf(rng.uniform_range(0.0, 18.0)),
+            };
+            let service = 10f64.powf(rng.uniform_range(-9.0, 1.0));
+            log.push(OpRecord {
+                kind: if rng.chance(0.5) {
+                    IoKind::Read
+                } else {
+                    IoKind::Write
+                },
+                stream: rng.next_u64() as u32 >> (rng.next_u64() % 32),
+                offset: rng.next_u64() >> (rng.next_u64() % 64),
+                len: rng.next_u64() >> (rng.next_u64() % 64),
+                issue: SimTime::from_secs(t),
+                complete: SimTime::from_secs(t + service),
+            });
+        }
+        log
+    }
+
+    wasla_simlib::proptest! {
+        /// `to_tsv` → `parse_tsv` → `to_tsv` is the identity on bytes
+        /// over the whole field range.
+        #[test]
+        fn tsv_round_trip_over_wide_fields(seed in 0u64..1_000_000, n in 0usize..300) {
+            let text = wide_log(seed, n).to_tsv();
+            let back = OpLog::parse_tsv(&text).expect("serialized log parses");
+            wasla_simlib::prop_assert_eq!(back.len(), n);
+            wasla_simlib::prop_assert_eq!(back.to_tsv(), text);
         }
     }
 

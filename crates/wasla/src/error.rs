@@ -143,11 +143,12 @@ impl ToJson for WaslaError {
             WaslaError::Advisor(e) => json::variant("Advisor", e.to_json()),
             WaslaError::Placement(e) => json::variant("Placement", e.to_json()),
             WaslaError::Engine(e) => {
-                let (name, slot) = match e {
-                    EngineError::DeadStep { slot } => ("DeadStep", *slot),
-                    EngineError::DeadQuery { slot } => ("DeadQuery", *slot),
+                let inner = match e {
+                    EngineError::Unbounded => json::variant("Unbounded", Json::Null),
+                    EngineError::DeadStep { slot } => json::variant("DeadStep", slot.to_json()),
+                    EngineError::DeadQuery { slot } => json::variant("DeadQuery", slot.to_json()),
                 };
-                json::variant("Engine", json::variant(name, slot.to_json()))
+                json::variant("Engine", inner)
             }
             WaslaError::Fault { attempts, detail } => json::variant(
                 "Fault",
@@ -186,11 +187,12 @@ impl FromJson for WaslaError {
             ("Advisor", payload) => AdvisorError::from_json(payload).map(WaslaError::Advisor),
             ("Placement", payload) => PlacementError::from_json(payload).map(WaslaError::Placement),
             ("Engine", payload) => {
-                let (kind, slot) = json::untag(payload)?;
-                let slot = usize::from_json(slot)?;
+                let (kind, inner) = json::untag(payload)?;
+                let slot = || usize::from_json(inner);
                 match kind {
-                    "DeadStep" => Ok(WaslaError::Engine(EngineError::DeadStep { slot })),
-                    "DeadQuery" => Ok(WaslaError::Engine(EngineError::DeadQuery { slot })),
+                    "Unbounded" => Ok(WaslaError::Engine(EngineError::Unbounded)),
+                    "DeadStep" => Ok(WaslaError::Engine(EngineError::DeadStep { slot: slot()? })),
+                    "DeadQuery" => Ok(WaslaError::Engine(EngineError::DeadQuery { slot: slot()? })),
                     other => Err(JsonError::new(format!(
                         "unknown EngineError variant: {other:?}"
                     ))),
@@ -298,6 +300,7 @@ mod tests {
             WaslaError::Placement(PlacementError::ShapeMismatch),
             WaslaError::Engine(EngineError::DeadStep { slot: 5 }),
             WaslaError::Engine(EngineError::DeadQuery { slot: 0 }),
+            WaslaError::Engine(EngineError::Unbounded),
             WaslaError::Fault {
                 attempts: 2,
                 detail: "injected request fault".into(),
@@ -353,6 +356,7 @@ mod tests {
             WaslaError::Advisor(AdvisorError::InvalidProblem("x".into())).exit_code(),
             1
         );
+        assert_eq!(WaslaError::Engine(EngineError::Unbounded).exit_code(), 1);
     }
 
     #[test]

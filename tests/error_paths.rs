@@ -3,8 +3,10 @@
 //!
 //! Each case drives `pipeline::advise` (the cold path, which is a
 //! fresh [`wasla::AdvisorSession`]) with a scenario broken in a
-//! different stage: an empty catalog breaks problem validation, a
-//! zero-capacity target breaks SEE placement inside the trace stage,
+//! different stage: an empty catalog breaks problem validation, an
+//! OLTP-only trace run with no stop condition is refused by the
+//! execution engine, a zero-capacity target breaks SEE placement
+//! inside the trace stage,
 //! and unsatisfiable admin constraints dead-end the regularizer. The
 //! last case opens a [`wasla::Service`] on a cache directory whose
 //! damage cannot be quarantined — the one persistence failure that is
@@ -14,7 +16,7 @@
 //! flags are [`WaslaError::Usage`] (exit 2).
 
 use wasla::core::{AdminConstraint, AdvisorError};
-use wasla::exec::PlacementError;
+use wasla::exec::{EngineError, PlacementError};
 use wasla::persist;
 use wasla::pipeline::{self, AdviseConfig, Scenario};
 use wasla::storage::{DeviceSpec, DiskParams, TargetConfig};
@@ -36,6 +38,21 @@ fn empty_catalog_is_a_typed_error() {
         matches!(err, WaslaError::Advisor(AdvisorError::InvalidProblem(_))),
         "empty catalog should fail problem validation, got {err:?}"
     );
+    assert_eq!(err.exit_code(), 1);
+}
+
+#[test]
+fn unbounded_oltp_run_is_a_typed_error() {
+    // OLTP terminals alone never finish; with neither `max_time` nor
+    // `txn_cap` the trace run must refuse to start, not grow forever.
+    let err = pipeline::advise(
+        &Scenario::oltp_disks(0.01),
+        &[SqlWorkload::oltp()],
+        &AdviseConfig::fast(),
+    )
+    .err()
+    .expect("advise should fail");
+    assert_eq!(err, WaslaError::Engine(EngineError::Unbounded));
     assert_eq!(err.exit_code(), 1);
 }
 
