@@ -83,8 +83,7 @@ step "hot-loop allocation ratchet (solver closures stay allocation-free)"
 # and fails on allocation idioms creeping back in — and on a file
 # losing its markers, so the fence can't be deleted to dodge the grep.
 hot_files="crates/core/src/optimizer.rs crates/core/src/eval/engine.rs \
-crates/core/src/eval/scratch.rs crates/core/src/eval/grad.rs \
-crates/solver/src/pg.rs crates/solver/src/auglag.rs"
+crates/core/src/eval/grad.rs crates/solver/src/pg.rs crates/solver/src/auglag.rs"
 alloc_failed=0
 for f in $hot_files; do
     begins=$(grep -c 'hot-closure-begin' "$f" || true)
@@ -102,6 +101,16 @@ for f in $hot_files; do
 done
 if [ "$alloc_failed" -ne 0 ]; then
     echo "hoist the allocation into a reusable scratch buffer (see crates/core/src/eval/)" >&2
+    exit 1
+fi
+
+step "oracle ratchet (one evaluator, one gradient on the production surface)"
+# Production runs one evaluator (EvalEngine), one gradient (grad_at)
+# and one re-plan entry point (readvise_incremental); the equivalence
+# oracles live in tests. Fail if a retired oracle path reappears.
+if grep -RnwE 'EvalPath|GradPath|ScratchEval|DeltaOracle|EngineOracle|parse_grad_path' crates/*/src; then
+    echo "error: a retired oracle path reappeared under crates/*/src (see matches above)" >&2
+    echo "keep equivalence oracles in tests; production has one evaluator and one gradient" >&2
     exit 1
 fi
 
@@ -168,9 +177,7 @@ step "fault matrix (offline)"
 # `gradient_equivalence` rides it because its claims are relational:
 # analytic-vs-FD agreement and the zero-probe counters compare two
 # computations over the *same* (possibly degraded) models, so they
-# must hold whatever the fault plan did to calibration (the multistart
-# quality-parity test self-skips — solver-budget faults legitimately
-# truncate the two descents at different points).
+# must hold whatever the fault plan did to calibration.
 # `synth_stress` rides the matrix for the fleet-scale robustness
 # contract: generator determinism is fault-blind, and the stress run's
 # totality/thread-independence claims are made under an explicit inner
@@ -190,6 +197,18 @@ for fault_seed in 7 11 23 42 99 1337 2024 31337; do
     WASLA_FAULTS=$fault_seed target/release/repro stress \
         --tenants 48 --batch 16 --queue-cap 12 --brownout 8 > /dev/null
 done
+
+step "strict CLI flags (unknown flags are usage errors)"
+# Subcommands accept only their declared flags: the retired `--grad`
+# must exit 2 (usage) before any file is read, never run silently.
+grad_exit=0
+target/release/wasla-advisor advise --workloads w.json --targets t.json --grad fd \
+    2> /dev/null || grad_exit=$?
+if [ "$grad_exit" -ne 2 ]; then
+    echo "error: 'advise ... --grad fd' exited $grad_exit, expected usage error 2" >&2
+    exit 1
+fi
+echo "advise --grad fd is a usage error (exit 2)"
 
 step "op-log replay-validation gate (streamed == materialized)"
 # The streaming contract (DESIGN.md §12): chunked ingestion of a

@@ -1,11 +1,6 @@
-//! Micro-benchmarks for the pluggable layout objective.
-//!
-//! The refactor routed the solver's hot loop through
-//! `LayoutObjective` weights; the pre-refactor raw min-max entry
-//! points (`lse_objective`/`lse_gradient`) are still exported, so
-//! every run measures both paths on the same problems and
-//! `ci/bench_diff.sh` gates the MinMax trait path at ≤ 1.05× raw
-//! in-run (immune to machine drift, like the engine-vs-scratch gate).
+//! Micro-benchmarks for the pluggable layout objective: the solver's
+//! analytic gradient and complete solves under every
+//! `LayoutObjective`, on the same tiered problems.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -82,34 +77,21 @@ fn tiered_problem(n: usize, m: usize) -> LayoutProblem {
 
 const SIZES: [(usize, usize); 2] = [(32, 4), (128, 4)];
 const TEMP: f64 = 0.05;
-const FD: f64 = 1e-4;
 
-/// The solver's hot loop: the raw min-max LSE gradient vs the
-/// weighted trait-path gradient under every objective, same problem,
-/// same run. `objective_gradient/minmax_*` vs `objective_gradient/raw_*`
-/// is the ≤ 1.05× refactor gate.
+/// The solver's hot loop: the weighted analytic LSE gradient under
+/// every objective, same problem, same run.
 fn bench_objective_gradient(c: &mut Harness) {
     let mut group = c.benchmark_group("objective_gradient");
     for (n, m) in SIZES {
         let problem = tiered_problem(n, m);
         let x = vec![1.0 / m as f64; n * m];
         let mut g = vec![0.0; n * m];
-        {
-            let mut engine = EvalEngine::new(&problem);
-            engine.set_point(&x);
-            group.bench_function(format!("raw_n{n}_m{m}"), |b| {
-                b.iter(|| {
-                    engine.lse_gradient(black_box(&x), TEMP, FD, &mut g);
-                    black_box(g[0])
-                })
-            });
-        }
         for kind in ObjectiveKind::ALL {
             let mut engine = EvalEngine::with_objective(&problem, kind);
             engine.set_point(&x);
             group.bench_function(format!("{}_n{n}_m{m}", kind.name()), |b| {
                 b.iter(|| {
-                    engine.lse_score_gradient(black_box(&x), TEMP, FD, &mut g);
+                    engine.grad_at(black_box(&x), TEMP, &mut g);
                     black_box(g[0])
                 })
             });

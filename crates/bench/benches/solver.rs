@@ -1,14 +1,11 @@
 //! Micro-benchmarks for the NLP toolkit.
 
 use std::hint::black_box;
-use std::sync::Arc;
-use wasla::core::{EvalEngine, LayoutProblem, ScratchEval};
-use wasla::model::CostModel;
+use wasla::core::EvalEngine;
 use wasla::simlib::SimRng;
 use wasla::solver::{anneal, lse_max, minimize, project_simplex, AnnealOptions, PgOptions};
-use wasla::storage::IoKind;
-use wasla::workload::{ObjectKind, WorkloadSet, WorkloadSpec};
 use wasla_bench::harness::{BatchSize, Harness};
+use wasla_bench::sweep::sweep_problem;
 
 fn bench_simplex_projection(c: &mut Harness) {
     let mut group = c.benchmark_group("simplex_projection");
@@ -86,113 +83,7 @@ fn bench_anneal(c: &mut Harness) {
     });
 }
 
-/// Analytic cost model for the gradient sweep: contention-sensitive
-/// and cheap, so the benchmark measures evaluation machinery rather
-/// than model arithmetic.
-struct SweepModel;
-impl CostModel for SweepModel {
-    fn request_cost(&self, kind: IoKind, size: f64, run: f64, chi: f64) -> f64 {
-        let base = match kind {
-            IoKind::Read => 0.004,
-            IoKind::Write => 0.003,
-        };
-        base / run.max(1.0) + 0.002 * chi + size / 60e6 + 0.0002
-    }
-}
-
-/// Block-sparse overlap structure: objects contend only within groups
-/// of 8, the regime where the incremental engine's cached-µ reuse pays
-/// off (each FD partial touches O(group) cells, not O(N)).
-fn sweep_problem(n: usize, m: usize) -> LayoutProblem {
-    const GROUP: usize = 8;
-    let specs = (0..n)
-        .map(|i| WorkloadSpec {
-            read_size: 65536.0,
-            write_size: 8192.0,
-            read_rate: 20.0 + i as f64,
-            write_rate: 2.0,
-            run_count: 1.0 + (i % 7) as f64 * 9.0,
-            overlaps: (0..n)
-                .map(|k| {
-                    if i != k && i / GROUP == k / GROUP {
-                        0.5
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-        })
-        .collect();
-    LayoutProblem {
-        workloads: WorkloadSet {
-            names: (0..n).map(|i| format!("o{i}")).collect(),
-            sizes: (0..n).map(|i| 1000 + 37 * i as u64).collect(),
-            specs,
-        },
-        kinds: vec![ObjectKind::Table; n],
-        capacities: vec![1 << 24; m],
-        target_names: (0..m).map(|j| format!("t{j}")).collect(),
-        models: (0..m).map(|_| Arc::new(SweepModel) as _).collect(),
-        stripe_size: 1024.0 * 1024.0,
-        constraints: vec![],
-    }
-}
-
-const SWEEP_SIZES: [(usize, usize); 6] = [(8, 4), (8, 16), (32, 4), (32, 16), (128, 4), (128, 16)];
 const SWEEP_TEMP: f64 = 0.05;
-const SWEEP_FD: f64 = 1e-4;
-
-/// N×M scaling sweep over the full LSE gradient (the solver's hot
-/// loop): the incremental `EvalEngine` vs the from-scratch
-/// `ScratchEval` path on the same problems, with `EvalStats` work
-/// counters from one instrumented call attached to each result.
-fn bench_nlp_gradient_sweep(c: &mut Harness) {
-    {
-        let mut group = c.benchmark_group("nlp_gradient_engine");
-        for (n, m) in SWEEP_SIZES {
-            let problem = sweep_problem(n, m);
-            let x = vec![1.0 / m as f64; n * m];
-            let mut engine = EvalEngine::new(&problem);
-            engine.set_point(&x);
-            let mut g = vec![0.0; n * m];
-            let before = engine.stats;
-            engine.lse_gradient(&x, SWEEP_TEMP, SWEEP_FD, &mut g);
-            let per_call = engine.stats.since(&before);
-            group.bench_function(format!("n{n}_m{m}"), |b| {
-                for (name, value) in per_call.entries() {
-                    b.counter(name, value as f64);
-                }
-                b.iter(|| {
-                    engine.lse_gradient(black_box(&x), SWEEP_TEMP, SWEEP_FD, &mut g);
-                    black_box(g[0])
-                })
-            });
-        }
-        group.finish();
-    }
-    {
-        let mut group = c.benchmark_group("nlp_gradient_scratch");
-        for (n, m) in SWEEP_SIZES {
-            let problem = sweep_problem(n, m);
-            let x = vec![1.0 / m as f64; n * m];
-            let mut scratch = ScratchEval::new(&problem);
-            let mut g = vec![0.0; n * m];
-            let before = scratch.stats;
-            scratch.lse_gradient(&x, SWEEP_TEMP, SWEEP_FD, &mut g);
-            let per_call = scratch.stats.since(&before);
-            group.bench_function(format!("n{n}_m{m}"), |b| {
-                for (name, value) in per_call.entries() {
-                    b.counter(name, value as f64);
-                }
-                b.iter(|| {
-                    scratch.lse_gradient(black_box(&x), SWEEP_TEMP, SWEEP_FD, &mut g);
-                    black_box(g[0])
-                })
-            });
-        }
-        group.finish();
-    }
-}
 
 /// One full re-evaluation — the engine's rebuild path, which every
 /// line-search trial point of the PG solver takes — alternating two
@@ -215,7 +106,7 @@ fn bench_eval_rebuild(c: &mut Harness) {
         let mut engine = EvalEngine::new(&problem);
         engine.set_point(&points[1]);
         let before = engine.stats;
-        black_box(engine.lse_objective(&points[0], SWEEP_TEMP));
+        black_box(engine.lse_score(&points[0], SWEEP_TEMP));
         let per_call = engine.stats.since(&before);
         let mut flip = 0;
         group.bench_function(format!("n{n}_m{m}"), |b| {
@@ -224,7 +115,7 @@ fn bench_eval_rebuild(c: &mut Harness) {
             }
             b.iter(|| {
                 flip ^= 1;
-                black_box(engine.lse_objective(black_box(&points[flip]), SWEEP_TEMP))
+                black_box(engine.lse_score(black_box(&points[flip]), SWEEP_TEMP))
             })
         });
     }
@@ -237,6 +128,5 @@ wasla_bench::bench_main!(
     bench_lse,
     bench_projected_gradient,
     bench_anneal,
-    bench_nlp_gradient_sweep,
     bench_eval_rebuild
 );

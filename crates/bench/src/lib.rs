@@ -36,6 +36,7 @@ pub mod layouts;
 pub mod models;
 pub mod runs;
 pub mod scaling;
+pub mod sweep;
 pub mod validation;
 
 pub use common::{ExpConfig, ExperimentResult, Row};

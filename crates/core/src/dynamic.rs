@@ -17,17 +17,22 @@
 //!   charging rule of competitive online reorganization — benefit must
 //!   pay for data moved). Unspent budget carries forward between
 //!   rounds via [`MigrationPlan::budget_left`].
-//! * [`readvise`] keeps the one-shot behavior: re-optimize warm-started
-//!   from the deployed layout and migrate wholesale only when the win
-//!   clears a threshold. [`readvise_around_failures`] is the
-//!   infinite-budget special case of the planner: evacuation moves off
-//!   failed targets are *forced* and bypass the budget entirely.
+//! * [`readvise_incremental`] is the one re-plan entry point: a
+//!   warm-started re-solve, then a budgeted [`MigrationPlan`] toward
+//!   the solution. Evacuation is the same call over
+//!   [`problem_without`] under [`MigrationBudget::unbounded`]: moves
+//!   off failed targets come back *forced* and bypass the budget.
+//! * [`readvise`] keeps the one-shot behavior the dynamic-growth
+//!   experiment reports: re-optimize warm-started from the deployed
+//!   layout and migrate wholesale only when the win clears a
+//!   threshold — reporting the new layout's predicted utilization even
+//!   when it declines to migrate.
 
 use crate::advisor::{recommend, AdvisorError, AdvisorOptions};
 use crate::estimator::UtilizationEstimator;
 use crate::eval::EvalEngine;
 use crate::problem::{AdminConstraint, Layout, LayoutProblem};
-use wasla_simlib::{impl_json_struct, par};
+use wasla_simlib::impl_json_struct;
 
 /// Outcome of one re-advising round.
 #[derive(Clone, Debug, PartialEq)]
@@ -523,39 +528,6 @@ pub fn readvise(
     })
 }
 
-/// Plans an evacuation: re-advises with every failed target forbidden
-/// and zero-capacity, under an unbounded budget — the infinite-budget
-/// special case of [`readvise_incremental`]. Moves off a failed target
-/// come back marked forced.
-///
-/// Fails fast with a typed [`AdvisorError::InvalidProblem`] when
-/// *every* target is failed: there is nowhere left to evacuate to, and
-/// silently building the all-zero-capacity problem would dead-end the
-/// solver instead of naming the real cause.
-pub fn evacuation_plan(
-    problem: &LayoutProblem,
-    deployed: &Layout,
-    failed_targets: &[usize],
-    advisor_options: &AdvisorOptions,
-    options: &DynamicOptions,
-) -> Result<MigrationPlan, AdvisorError> {
-    let m = problem.m();
-    let live = (0..m).filter(|j| !failed_targets.contains(j)).count();
-    if live == 0 {
-        return Err(AdvisorError::InvalidProblem(format!(
-            "all {m} targets failed; nowhere to evacuate"
-        )));
-    }
-    let constrained = problem_without(problem, failed_targets);
-    readvise_incremental(
-        &constrained,
-        deployed,
-        advisor_options,
-        options,
-        &MigrationBudget::unbounded(),
-    )
-}
-
 /// The given problem with every failed target forbidden for every
 /// object and its capacity zeroed. Callers that track failures across
 /// planning rounds (the daemon control loop) apply this before drift
@@ -575,52 +547,6 @@ pub fn problem_without(problem: &LayoutProblem, failed_targets: &[usize]) -> Lay
         }
     }
     constrained
-}
-
-/// Re-advises around failed (or administratively drained) targets.
-///
-/// Each failed target is forbidden for *every* object via
-/// [`AdminConstraint::Forbid`], then the problem is re-planned from the
-/// deployed layout with an unbounded budget (see [`evacuation_plan`]).
-/// Because a failed target can no longer hold data, any object with
-/// mass there produces a *forced* move — migration happens regardless
-/// of the improvement threshold.
-pub fn readvise_around_failures(
-    problem: &LayoutProblem,
-    deployed: &Layout,
-    failed_targets: &[usize],
-    advisor_options: &AdvisorOptions,
-    options: &DynamicOptions,
-) -> Result<ReadviseOutcome, AdvisorError> {
-    let plan = evacuation_plan(problem, deployed, failed_targets, advisor_options, options)?;
-    Ok(ReadviseOutcome {
-        migrate: !plan.moves.is_empty(),
-        migration_bytes: plan.total_bytes(),
-        deferred_migration_bytes: plan.deferred_bytes,
-        current_max_utilization: plan.current_max_utilization,
-        new_max_utilization: plan.new_max_utilization,
-        layout: plan.layout,
-    })
-}
-
-/// Re-advises several candidate what-if problems against the same
-/// deployed layout, concurrently on the [`par`] pool.
-///
-/// This is the planning counterpart of [`readvise`]: given projected
-/// growth or drift scenarios (each a [`LayoutProblem`] at the
-/// projected sizes/workloads), evaluate what the advisor would do for
-/// every one of them. The scenarios are independent, so they map
-/// across the pool; results come back in scenario order and are
-/// identical to calling [`readvise`] in a loop at any thread count.
-pub fn readvise_batch(
-    problems: &[LayoutProblem],
-    deployed: &Layout,
-    advisor_options: &AdvisorOptions,
-    options: &DynamicOptions,
-) -> Vec<Result<ReadviseOutcome, AdvisorError>> {
-    par::par_map(problems, |problem| {
-        readvise(problem, deployed, advisor_options, options)
-    })
 }
 
 #[cfg(test)]
@@ -768,26 +694,73 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batch_matches_serial_readvise() {
-        let deployed = Layout::from_rows(vec![vec![1.0, 0.0], vec![1.0, 0.0]]);
-        let opts = AdvisorOptions {
+    /// The evacuation path the daemon runs: re-plan over the problem
+    /// without the failed targets, under an unbounded budget.
+    fn evacuate(
+        p: &LayoutProblem,
+        deployed: &Layout,
+        failed: &[usize],
+        options: &DynamicOptions,
+    ) -> Result<MigrationPlan, AdvisorError> {
+        let advisor = AdvisorOptions {
             regularize: true,
             ..AdvisorOptions::default()
         };
-        let dyn_opts = DynamicOptions::default();
-        let problems = vec![
-            problem(vec![1 << 20, 1 << 20], vec![80.0, 80.0]),
-            problem(vec![700 << 20, 700 << 20], vec![10.0, 10.0]),
-            problem(vec![1 << 20, 1 << 20], vec![50.0, 50.0]),
-        ];
-        let batch = readvise_batch(&problems, &deployed, &opts, &dyn_opts);
-        let serial: Vec<_> = problems
-            .iter()
-            .map(|p| readvise(p, &deployed, &opts, &dyn_opts))
-            .collect();
-        assert_eq!(batch.len(), serial.len());
-        assert_eq!(format!("{batch:?}"), format!("{serial:?}"));
+        readvise_incremental(
+            &problem_without(p, failed),
+            deployed,
+            &advisor,
+            options,
+            &MigrationBudget::unbounded(),
+        )
+    }
+
+    #[test]
+    fn all_targets_failed_is_a_typed_error() {
+        let p = problem(vec![1 << 20, 1 << 20], vec![50.0, 50.0]);
+        let deployed = Layout::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]);
+        let err = evacuate(&p, &deployed, &[0, 1], &DynamicOptions::default())
+            .expect_err("an all-failed fleet cannot be re-advised");
+        assert!(
+            matches!(err, AdvisorError::InvalidProblem(ref msg) if msg.contains("capacity")),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn evacuation_moves_are_forced_and_uncharged() {
+        let p = problem(vec![1 << 20, 1 << 20], vec![50.0, 50.0]);
+        // Everything deployed on target 0, which then fails.
+        let deployed = Layout::from_rows(vec![vec![1.0, 0.0], vec![1.0, 0.0]]);
+        let plan = evacuate(
+            &p,
+            &deployed,
+            &[0],
+            &DynamicOptions {
+                migrate_threshold: 10.0, // impossible threshold: failure must still force it
+            },
+        )
+        .unwrap();
+        assert!(
+            !plan.moves.is_empty(),
+            "a failed target must force migration"
+        );
+        assert!(
+            plan.moves.iter().all(|m| m.forced),
+            "evacuations are forced"
+        );
+        assert!(plan.forced_bytes > 0);
+        assert_eq!(plan.admitted_bytes, 0, "evacuations are never charged");
+        for mv in &plan.moves {
+            assert!(mv.to[0] < 1e-3, "move must leave the failed target");
+        }
+        for i in 0..2 {
+            assert!(
+                plan.layout.get(i, 0) < 1e-3,
+                "object {i} still has mass {} on the failed target",
+                plan.layout.get(i, 0)
+            );
+        }
     }
 
     #[test]
@@ -795,10 +768,9 @@ mod tests {
         let p = problem(vec![1 << 20, 1 << 20], vec![50.0, 50.0]);
         // Everything deployed on target 0, which then fails.
         let deployed = Layout::from_rows(vec![vec![1.0, 0.0], vec![1.0, 0.0]]);
-        let out = readvise_around_failures(
-            &p,
+        let out = readvise(
+            &problem_without(&p, &[0]),
             &deployed,
-            &[0],
             &AdvisorOptions {
                 regularize: true,
                 ..AdvisorOptions::default()
@@ -817,54 +789,6 @@ mod tests {
             );
         }
         assert!(out.migration_bytes > 0);
-    }
-
-    #[test]
-    fn all_targets_failed_is_a_typed_error() {
-        let p = problem(vec![1 << 20, 1 << 20], vec![50.0, 50.0]);
-        let deployed = Layout::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let err = readvise_around_failures(
-            &p,
-            &deployed,
-            &[0, 1],
-            &AdvisorOptions::default(),
-            &DynamicOptions::default(),
-        )
-        .err()
-        .expect("an all-failed fleet cannot be re-advised");
-        assert!(
-            matches!(err, AdvisorError::InvalidProblem(ref msg) if msg.contains("failed")),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn evacuation_moves_are_forced_and_uncharged() {
-        let p = problem(vec![1 << 20, 1 << 20], vec![50.0, 50.0]);
-        let deployed = Layout::from_rows(vec![vec![1.0, 0.0], vec![1.0, 0.0]]);
-        let plan = evacuation_plan(
-            &p,
-            &deployed,
-            &[0],
-            &AdvisorOptions {
-                regularize: true,
-                ..AdvisorOptions::default()
-            },
-            &DynamicOptions {
-                migrate_threshold: 10.0,
-            },
-        )
-        .unwrap();
-        assert!(!plan.moves.is_empty());
-        assert!(
-            plan.moves.iter().all(|m| m.forced),
-            "evacuations are forced"
-        );
-        assert!(plan.forced_bytes > 0);
-        assert_eq!(plan.admitted_bytes, 0, "evacuations are never charged");
-        for mv in &plan.moves {
-            assert!(mv.to[0] < 1e-3, "move must leave the failed target");
-        }
     }
 
     #[test]

@@ -12,10 +12,18 @@
 //!
 //! The target's total utilization `µⱼ = Σᵢ µᵢⱼ` is what the layout
 //! optimizer's min-max objective consumes.
+//!
+//! The estimator is also the from-scratch reference for the
+//! incremental [`crate::eval::EvalEngine`]: the engine's utilizations,
+//! scores and analytic gradient ([`UtilizationEstimator::lse_score_gradient`])
+//! must equal the estimator's bit for bit (DESIGN.md §10, §15).
 
+use crate::eval::grad::{self, CellGrad, CrossAdjacency};
 use crate::eval::kernel::{self, RateTransform};
+use crate::eval::EvalStats;
 use crate::layout_model;
 use crate::problem::{Layout, LayoutProblem, EPS};
+use wasla_solver::softmax_weights;
 use wasla_storage::IoKind;
 
 /// Computes predicted target utilizations for candidate layouts.
@@ -146,6 +154,53 @@ impl<'a> UtilizationEstimator<'a> {
         (0..self.problem.m())
             .map(|j| self.object_target_utilization(layout, i, j))
             .sum()
+    }
+
+    /// The analytic gradient of the smoothed score
+    /// `lse_max(w·µ(L), temp)` with respect to every fraction `Lᵢⱼ`,
+    /// row-major N×M, computed from scratch: the reference that
+    /// `EvalEngine::grad_at` matches bit for bit. Each cell's slopes
+    /// come from [`grad::cell_grad`] over this estimator's canonical
+    /// competing sums, and cross terms accumulate through the same
+    /// [`CrossAdjacency`] rows in the same order (DESIGN.md §15).
+    /// `weights` are the objective's per-target penalty weights.
+    pub fn lse_score_gradient(&self, layout: &Layout, weights: &[f64], temp: f64) -> Vec<f64> {
+        let (n, m) = (self.problem.n(), self.problem.m());
+        let specs = &self.problem.workloads.specs;
+        let weighted: Vec<f64> = self
+            .utilizations(layout)
+            .iter()
+            .zip(weights)
+            .map(|(&mu, &w)| w * mu)
+            .collect();
+        let mut smax = Vec::with_capacity(m);
+        softmax_weights(&weighted, temp, &mut smax);
+        let cross = CrossAdjacency::build(specs);
+        let mut stats = EvalStats::default();
+        let mut g = vec![0.0; n * m];
+        for j in 0..m {
+            let cells: Vec<CellGrad> = (0..n)
+                .map(|k| {
+                    grad::cell_grad(
+                        &*self.problem.models[j],
+                        &specs[k],
+                        layout.get(k, j),
+                        self.competing(layout, k, j),
+                        self.problem.stripe_size,
+                        &mut stats,
+                    )
+                })
+                .collect();
+            let sw_j = smax[j] * weights[j];
+            for i in 0..n {
+                let mut cross_sum = 0.0;
+                for &(k, rw) in cross.row(i) {
+                    cross_sum += cells[k as usize].csens * rw;
+                }
+                g[i * m + j] = sw_j * (cells[i].du_own + cross_sum);
+            }
+        }
+        g
     }
 }
 

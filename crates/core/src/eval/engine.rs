@@ -1,4 +1,5 @@
-//! The incremental evaluation engine.
+//! The incremental evaluation engine — the one evaluator production
+//! code runs.
 //!
 //! [`EvalEngine`] holds one *committed point* `x` (the flat layout
 //! vector) together with every derived quantity the NLP objective
@@ -27,22 +28,28 @@
 //! the trees of column `j` whose leaf `i` actually changes (bitwise)
 //! are walked root-ward, and every other `µₖⱼ` cell is served from
 //! cache — exact, because identical inputs into deterministic cost
-//! models yield identical outputs. That makes a structured-FD partial
-//! O(N + d·(log N + model)) where `d` is object `i`'s overlap degree,
-//! instead of the O(N²) of two from-scratch single-target evaluations.
+//! models yield identical outputs. That makes a probe — the
+//! regularizer's candidate rows and the re-layout planner's per-object
+//! wins — O(N + d·(log N + model)) where `d` is object `i`'s overlap
+//! degree, instead of the O(N²) of a from-scratch single-target
+//! evaluation.
+//!
+//! The solver's gradient is analytic ([`EvalEngine::grad_at`]), one
+//! chain-rule pass over the cached state with zero probes.
+//! [`crate::estimator::UtilizationEstimator`] is the from-scratch
+//! reference every cached value and the gradient are tested against,
+//! bit for bit.
 //!
 //! Memory: the trees take `N·M · 2·P` f64s (`P = N` rounded up to a
 //! power of two) — about 4 MiB at N=128, M=16 — the price of exact
 //! O(log N) leaf replacement.
-
-use std::cell::RefCell;
 
 use crate::eval::grad::{self, CrossAdjacency};
 use crate::eval::objective::ObjectiveKind;
 use crate::eval::stats::EvalStats;
 use crate::layout_model::{self, PerTargetWorkload};
 use crate::problem::{Layout, LayoutProblem, EPS};
-use wasla_solver::{lse_max, softmax_weights, DeltaOracle};
+use wasla_solver::{lse_max, softmax_weights};
 use wasla_storage::IoKind;
 
 /// When the committed point and an incoming point differ in more than
@@ -91,10 +98,8 @@ pub struct EvalEngine<'a> {
     mu_col: Vec<f64>,
     /// Committed capacity column sums `Σᵢ sᵢ·xᵢⱼ`.
     cap_used: Vec<f64>,
-    /// Softmax scratch for the structured gradient.
+    /// Softmax scratch for the analytic gradient.
     smax: Vec<f64>,
-    /// Scratch column for LSE/max over a probed utilization vector.
-    mu_probe: Vec<f64>,
     /// Scratch flat point for [`EvalEngine::set_layout`].
     xbuf: Vec<f64>,
     /// The objective this engine scores for.
@@ -105,7 +110,8 @@ pub struct EvalEngine<'a> {
     /// Scratch column for the weighted utilization vector `wⱼ·µⱼ`.
     wcol: Vec<f64>,
     /// Sparse transposed overlap rows for the analytic cross terms
-    /// (layout-independent; shared shape with `ScratchEval`).
+    /// (layout-independent; the estimator's reference gradient builds
+    /// the same rows).
     cross: CrossAdjacency,
     /// Scratch per-object own-term derivatives for one column.
     grad_du: Vec<f64>,
@@ -161,7 +167,6 @@ impl<'a> EvalEngine<'a> {
             mu_col: vec![0.0; m],
             cap_used: vec![0.0; m],
             smax: Vec::with_capacity(m),
-            mu_probe: vec![0.0; m],
             xbuf: vec![0.0; n * m],
             objective,
             obj_w: objective.weights(problem),
@@ -180,24 +185,9 @@ impl<'a> EvalEngine<'a> {
         engine
     }
 
-    /// Number of objects.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of targets.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
     /// The objective this engine scores for.
     pub fn objective(&self) -> ObjectiveKind {
         self.objective
-    }
-
-    /// The objective's per-target penalty weights.
-    pub fn objective_weights(&self) -> &[f64] {
-        &self.obj_w
     }
 
     // hot-closure-begin: everything below runs inside solver
@@ -397,8 +387,8 @@ impl<'a> EvalEngine<'a> {
         self.refold_column(j);
     }
 
-    /// `µⱼ` with `xᵢⱼ := v`, *without* committing — the structured-FD
-    /// probe. O(N) scan over cached cells, plus an O(log N) root-path
+    /// `µⱼ` with `xᵢⱼ := v`, *without* committing — the
+    /// single-coordinate probe. O(N) scan over cached cells, plus an O(log N) root-path
     /// refold and two model calls per tree whose leaf actually changes.
     pub fn probe_coord(&mut self, i: usize, j: usize, v: f64) -> f64 {
         self.stats.column_probes += 1;
@@ -492,14 +482,6 @@ impl<'a> EvalEngine<'a> {
         }
     }
 
-    /// Commits `x` and returns the smoothed objective
-    /// `lse_max(µ, temp)` over the cached utilization vector.
-    pub fn lse_objective(&mut self, x: &[f64], temp: f64) -> f64 {
-        self.set_point(x);
-        self.stats.objective_evals += 1;
-        lse_max(&self.mu_col, temp)
-    }
-
     /// Commits `x` and returns the raw objective `max_j µⱼ`.
     pub fn max_utilization_at(&mut self, x: &[f64]) -> f64 {
         self.set_point(x);
@@ -531,52 +513,9 @@ impl<'a> EvalEngine<'a> {
         self.cap_used[j]
     }
 
-    /// The structured finite-difference gradient of the smoothed
-    /// objective at `x`: each partial is two O(N) column probes
-    /// weighted by the softmax of the committed utilizations —
-    /// arithmetic identical to the pre-engine closure in
-    /// `optimizer::solve_with`, minus the per-call allocations.
-    pub fn lse_gradient(&mut self, x: &[f64], temp: f64, fd: f64, g: &mut [f64]) {
-        self.set_point(x);
-        self.stats.gradient_evals += 1;
-        softmax_weights(&self.mu_col, temp, &mut self.smax);
-        for i in 0..self.n {
-            for j in 0..self.m {
-                let orig = self.x[i * self.m + j];
-                let up_step = fd;
-                let dn_step = fd.min(orig);
-                self.stats.fd_partials += 1;
-                self.stats.grad_fd_probes += 2;
-                let up = self.probe_coord(i, j, orig + up_step);
-                let dn = self.probe_coord(i, j, orig - dn_step);
-                g[i * self.m + j] = self.smax[j] * (up - dn) / (up_step + dn_step);
-            }
-        }
-    }
-
-    /// The smoothed objective with `x` committed and one coordinate
-    /// perturbed — the [`DeltaOracle`] entry point for engines that
-    /// difference a black-box objective themselves.
-    pub fn lse_objective_probe(&mut self, i: usize, j: usize, v: f64, temp: f64) -> f64 {
-        let mu_j = self.probe_coord(i, j, v);
-        self.mu_probe.copy_from_slice(&self.mu_col);
-        self.mu_probe[j] = mu_j;
-        lse_max(&self.mu_probe, temp)
-    }
-
-    /// The raw objective with one coordinate perturbed.
-    pub fn max_utilization_probe(&mut self, i: usize, j: usize, v: f64) -> f64 {
-        let mu_j = self.probe_coord(i, j, v);
-        let mut best = 0.0f64;
-        for jj in 0..self.m {
-            best = best.max(if jj == j { mu_j } else { self.mu_col[jj] });
-        }
-        best
-    }
-
     // --- objective-weighted scoring -------------------------------
     //
-    // The `score*` family mirrors the raw `max_utilization*` family
+    // The `score*` family mirrors the raw max-utilization readers
     // with every µⱼ scaled by the objective's penalty weight wⱼ. The
     // weights are layout-independent, so every probe/commit law above
     // carries over; under the default MinMax objective wⱼ = 1.0 and
@@ -615,35 +554,14 @@ impl<'a> EvalEngine<'a> {
             .fold(0.0, |acc, (&mu, &w)| acc.max(w * mu))
     }
 
-    /// The structured finite-difference gradient of the smoothed
-    /// score: softmax over the *weighted* utilizations, each partial
-    /// scaled by its target's weight (chain rule through `wⱼ·µⱼ`).
-    pub fn lse_score_gradient(&mut self, x: &[f64], temp: f64, fd: f64, g: &mut [f64]) {
-        self.set_point(x);
-        self.stats.gradient_evals += 1;
-        self.refill_wcol();
-        softmax_weights(&self.wcol, temp, &mut self.smax);
-        for i in 0..self.n {
-            for j in 0..self.m {
-                let orig = self.x[i * self.m + j];
-                let up_step = fd;
-                let dn_step = fd.min(orig);
-                self.stats.fd_partials += 1;
-                self.stats.grad_fd_probes += 2;
-                let up = self.probe_coord(i, j, orig + up_step);
-                let dn = self.probe_coord(i, j, orig - dn_step);
-                g[i * self.m + j] = self.smax[j] * self.obj_w[j] * (up - dn) / (up_step + dn_step);
-            }
-        }
-    }
-
     /// The analytic gradient of the smoothed score at `x`: exact
     /// partials of `lse_max(w·µ, temp)` by the chain rule through the
     /// cost model's per-cell slopes ([`grad::cell_grad`]) — zero
     /// objective probes, O(N·M + nnz(overlap)·M) work. Matches the
-    /// from-scratch `ScratchEval::grad_at` bit-for-bit: both read the
-    /// canonical competing sums and accumulate cross terms through the
-    /// same [`CrossAdjacency`] rows. See DESIGN.md §15.
+    /// from-scratch reference `UtilizationEstimator::lse_score_gradient`
+    /// bit-for-bit: both read the canonical competing sums and
+    /// accumulate cross terms through the same [`CrossAdjacency`]
+    /// rows. See DESIGN.md §15.
     pub fn grad_at(&mut self, x: &[f64], temp: f64, g: &mut [f64]) {
         self.set_point(x);
         self.stats.gradient_evals += 1;
@@ -677,28 +595,6 @@ impl<'a> EvalEngine<'a> {
         }
     }
 
-    /// The smoothed score with one coordinate perturbed — the
-    /// [`DeltaOracle`] entry point under a penalty objective.
-    pub fn lse_score_probe(&mut self, i: usize, j: usize, v: f64, temp: f64) -> f64 {
-        let mu_j = self.probe_coord(i, j, v);
-        for jj in 0..self.m {
-            self.mu_probe[jj] = self.obj_w[jj] * self.mu_col[jj];
-        }
-        self.mu_probe[j] = self.obj_w[j] * mu_j;
-        lse_max(&self.mu_probe, temp)
-    }
-
-    /// The raw score with one coordinate perturbed.
-    pub fn score_probe(&mut self, i: usize, j: usize, v: f64) -> f64 {
-        let mu_j = self.probe_coord(i, j, v);
-        let mut best = 0.0f64;
-        for jj in 0..self.m {
-            let mu = if jj == j { mu_j } else { self.mu_col[jj] };
-            best = best.max(self.obj_w[jj] * mu);
-        }
-        best
-    }
-
     /// `max_j wⱼ·µⱼ` with row `i` replaced by `row`, without
     /// committing (the regularizer's candidate score).
     pub fn probe_row_score(&mut self, i: usize, row: &[f64]) -> f64 {
@@ -726,45 +622,6 @@ impl<'a> EvalEngine<'a> {
         }
         self.set_point(&xb);
         self.xbuf = xb;
-    }
-}
-
-/// Which objective shape an [`EngineOracle`] answers for. The penalty
-/// weights come from the engine itself; under the default `MinMax`
-/// objective they are 1.0 and both shapes reduce to the raw
-/// utilization objectives.
-#[derive(Clone, Copy, Debug)]
-pub enum OracleObjective {
-    /// `lse_max(w·µ, temp)` — the smoothed temperature stages.
-    Lse(f64),
-    /// `max_j wⱼ·µⱼ` — the raw min-max score.
-    MinMax,
-}
-
-/// [`DeltaOracle`] adapter over a shared [`EvalEngine`]: answers
-/// "objective at `x` with `x[c] := v`" through a column probe instead
-/// of a full re-evaluation, bit-identically.
-pub struct EngineOracle<'e, 'p> {
-    engine: &'e RefCell<EvalEngine<'p>>,
-    objective: OracleObjective,
-}
-
-impl<'e, 'p> EngineOracle<'e, 'p> {
-    /// Wraps a shared engine for one objective.
-    pub fn new(engine: &'e RefCell<EvalEngine<'p>>, objective: OracleObjective) -> Self {
-        EngineOracle { engine, objective }
-    }
-}
-
-impl DeltaOracle for EngineOracle<'_, '_> {
-    fn objective_at(&self, x: &[f64], c: usize, v: f64) -> f64 {
-        let mut e = self.engine.borrow_mut();
-        e.set_point(x);
-        let (i, j) = (c / e.m(), c % e.m());
-        match self.objective {
-            OracleObjective::Lse(temp) => e.lse_score_probe(i, j, v, temp),
-            OracleObjective::MinMax => e.score_probe(i, j, v),
-        }
     }
 }
 
@@ -903,10 +760,10 @@ mod tests {
     /// Asserts every committed cache of `e` against the from-scratch
     /// oracles at `x`: µ cells and columns against the estimator, each
     /// competing sum against `kernel::competing_sum`, materialized tree
-    /// roots against those sums, and `grad_at` against `ScratchEval`.
+    /// roots against those sums, and `grad_at` against the estimator's
+    /// reference gradient.
     fn assert_committed_exact(e: &mut EvalEngine<'_>, x: &[f64], ctx: &str) {
         use crate::eval::kernel::{competing_sum, RateTransform};
-        use crate::eval::ScratchEval;
         let p = e.problem;
         let (n, m) = (e.n, e.m);
         let est = UtilizationEstimator::new(p);
@@ -938,13 +795,7 @@ mod tests {
             let col = est.target_utilization(&layout, j);
             assert_eq!(e.mu_col[j].to_bits(), col.to_bits(), "{ctx}: µ_{j}");
         }
-        let mut g_engine = vec![0.0; n * m];
-        let mut g_scratch = vec![0.0; n * m];
-        e.grad_at(x, 0.05, &mut g_engine);
-        ScratchEval::new(p).grad_at(x, 0.05, &mut g_scratch);
-        for (c, (a, b)) in g_engine.iter().zip(&g_scratch).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: grad[{c}]");
-        }
+        assert_grad_matches_reference(e, x, ctx);
     }
 
     #[test]
@@ -1047,19 +898,72 @@ mod tests {
     }
 
     #[test]
-    fn delta_oracle_matches_full_objective() {
-        let p = problem(5, 3);
-        let engine = RefCell::new(EvalEngine::new(&p));
-        let x = flat(5, 3, 41);
-        let oracle = EngineOracle::new(&engine, OracleObjective::Lse(0.05));
-        let got = oracle.objective_at(&x, 4, 0.7);
-        let mut xm = x.clone();
-        xm[4] = 0.7;
-        let wanted = {
-            let est = UtilizationEstimator::new(&p);
-            let mus = est.utilizations(&Layout::from_flat(&xm, 5, 3));
-            lse_max(&mus, 0.05)
-        };
-        assert_eq!(got.to_bits(), wanted.to_bits());
+    fn scores_match_estimator_bitwise() {
+        let p = problem(6, 4);
+        let est = UtilizationEstimator::new(&p);
+        let x = flat(6, 4, 77);
+        let layout = Layout::from_flat(&x, 6, 4);
+        let mus = est.utilizations(&layout);
+        let mut engine = EvalEngine::new(&p);
+        let temp = 0.05;
+        assert_eq!(
+            engine.lse_score(&x, temp).to_bits(),
+            lse_max(&mus, temp).to_bits()
+        );
+        assert_eq!(
+            engine.max_utilization_at(&x).to_bits(),
+            est.max_utilization(&layout).to_bits()
+        );
+        assert_eq!(
+            engine.score_at(&x).to_bits(),
+            est.max_utilization(&layout).to_bits()
+        );
+    }
+
+    /// Asserts `e.grad_at(x)` is finite and equals the estimator's
+    /// from-scratch reference gradient bit for bit.
+    fn assert_grad_matches_reference(e: &mut EvalEngine<'_>, x: &[f64], ctx: &str) {
+        let (n, m) = (e.n, e.m);
+        let mut g = vec![0.0; n * m];
+        e.grad_at(x, 0.05, &mut g);
+        let weights = e.objective().weights(e.problem);
+        let reference = UtilizationEstimator::new(e.problem).lse_score_gradient(
+            &Layout::from_flat(x, n, m),
+            &weights,
+            0.05,
+        );
+        for (c, (a, b)) in g.iter().zip(&reference).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: grad[{c}] {a} vs {b}");
+            assert!(a.is_finite(), "{ctx}: grad[{c}] = {a}");
+        }
+    }
+
+    #[test]
+    fn analytic_gradient_matches_estimator_bitwise_and_probes_nothing() {
+        for (n, m, seed) in [(6usize, 4usize, 77u64), (9, 3, 5), (5, 5, 1234)] {
+            let p = problem(n, m);
+            let mut engine = EvalEngine::new(&p);
+            let ctx = format!("n={n} m={m} seed={seed}");
+            assert_grad_matches_reference(&mut engine, &flat(n, m, seed), &ctx);
+            // The analytic pass must not have spent any probes.
+            assert_eq!(engine.stats.column_probes, 0);
+            assert_eq!(engine.stats.grad_analytic_passes, 1);
+            assert_eq!(engine.stats.gradient_evals, 1);
+        }
+    }
+
+    #[test]
+    fn analytic_gradient_handles_sparse_and_gated_layouts() {
+        // Rows with zero cells (gated), a fully-empty column, and a
+        // saturated cell — the subgradient pins must agree bitwise
+        // with the reference on kinks too.
+        let p = problem(4, 3);
+        let x = vec![
+            1.0, 0.0, 0.0, //
+            0.0, 1.0, 0.0, //
+            0.5, 0.5, 0.0, //
+            0.0, 0.0, 1.0,
+        ];
+        assert_grad_matches_reference(&mut EvalEngine::new(&p), &x, "sparse");
     }
 }

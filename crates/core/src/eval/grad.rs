@@ -16,11 +16,11 @@
 //!   `∂µₖⱼ/∂C_kj = (λₖⱼᴿ·Cᵣ' + λₖⱼᵂ·C_w')/λₖⱼ`.
 //!
 //! [`cell_grad`] computes both factors for one cell; the engine and
-//! the from-scratch path call it with bit-identical inputs (committed
-//! fractions, canonical-kernel competing sums) and accumulate the
-//! cross terms through one shared [`CrossAdjacency`], so the two
-//! evaluation paths produce bit-identical analytic gradients — the
-//! same contract the FD paths already satisfy.
+//! the estimator's from-scratch reference gradient call it with
+//! bit-identical inputs (committed fractions, canonical-kernel
+//! competing sums) and accumulate the cross terms through one shared
+//! [`CrossAdjacency`] shape, so the two produce bit-identical analytic
+//! gradients — the same contract their utilizations satisfy.
 //!
 //! Subgradient pinning (kinks are measure-zero but tests land on
 //! them): gated cells (`f ≤ EPS`) evaluate the own term as the
@@ -96,9 +96,9 @@ pub fn cell_grad(
 /// Sparse transposed overlap structure for the cross-term
 /// accumulation: row `i` lists every `(k, R_ki)` with
 /// `R_ki = rateᵢ·Oₖ[i] ≠ 0` — the rate at which raising `xᵢⱼ` feeds
-/// object `k`'s competing sum. Built once per problem; both
-/// evaluation paths iterate the same rows in the same order, which is
-/// what makes their analytic gradients bit-identical.
+/// object `k`'s competing sum. Built once per problem; the engine and
+/// the estimator's reference gradient iterate the same rows in the
+/// same order, which is what makes their gradients bit-identical.
 #[derive(Clone, Debug)]
 pub struct CrossAdjacency {
     /// CSR row offsets, length `n + 1`.

@@ -5,17 +5,16 @@ use wasla_simlib::impl_json_struct;
 /// What one solve actually computed. Counters are cumulative over the
 /// engine's lifetime; [`NlpOutcome`](crate::optimizer::NlpOutcome)
 /// carries the totals of the winning solve and benches report them
-/// per-call, which is how the "O(N) work per FD partial" claim is
-/// asserted instead of inferred from wall-clock.
+/// per-call, which is how the "O(degree) work per probe" and "zero
+/// probes per gradient" claims are asserted instead of inferred from
+/// wall-clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EvalStats {
     /// Full objective evaluations (LSE, min-max, or utilization-vector
     /// requests at a committed point).
     pub objective_evals: u64,
-    /// Structured-gradient evaluations.
+    /// Gradient evaluations.
     pub gradient_evals: u64,
-    /// Finite-difference partials (each is two column probes).
-    pub fd_partials: u64,
     /// Single-column perturbation probes.
     pub column_probes: u64,
     /// `CostModel::request_cost` invocations.
@@ -29,9 +28,6 @@ pub struct EvalStats {
     pub full_rebuilds: u64,
     /// Incremental single-coordinate commits.
     pub coord_commits: u64,
-    /// Objective probes spent on finite-difference gradients (each FD
-    /// partial is two). Zero for a purely analytic solve.
-    pub grad_fd_probes: u64,
     /// Whole-gradient analytic passes (`grad_at`), each covering all
     /// N·M partials with zero probes.
     pub grad_analytic_passes: u64,
@@ -40,32 +36,28 @@ pub struct EvalStats {
 impl_json_struct!(EvalStats {
     objective_evals,
     gradient_evals,
-    fd_partials,
     column_probes,
     cost_model_calls,
     mu_reuses,
     term_updates,
     full_rebuilds,
     coord_commits,
-    grad_fd_probes,
     grad_analytic_passes,
 });
 
 impl EvalStats {
     /// Counter names and values, in declaration order, for bench
     /// reports.
-    pub fn entries(&self) -> [(&'static str, u64); 11] {
+    pub fn entries(&self) -> [(&'static str, u64); 9] {
         [
             ("objective_evals", self.objective_evals),
             ("gradient_evals", self.gradient_evals),
-            ("fd_partials", self.fd_partials),
             ("column_probes", self.column_probes),
             ("cost_model_calls", self.cost_model_calls),
             ("mu_reuses", self.mu_reuses),
             ("term_updates", self.term_updates),
             ("full_rebuilds", self.full_rebuilds),
             ("coord_commits", self.coord_commits),
-            ("grad_fd_probes", self.grad_fd_probes),
             ("grad_analytic_passes", self.grad_analytic_passes),
         ]
     }
@@ -75,7 +67,6 @@ impl EvalStats {
         EvalStats {
             objective_evals: self.objective_evals.saturating_sub(earlier.objective_evals),
             gradient_evals: self.gradient_evals.saturating_sub(earlier.gradient_evals),
-            fd_partials: self.fd_partials.saturating_sub(earlier.fd_partials),
             column_probes: self.column_probes.saturating_sub(earlier.column_probes),
             cost_model_calls: self
                 .cost_model_calls
@@ -84,7 +75,6 @@ impl EvalStats {
             term_updates: self.term_updates.saturating_sub(earlier.term_updates),
             full_rebuilds: self.full_rebuilds.saturating_sub(earlier.full_rebuilds),
             coord_commits: self.coord_commits.saturating_sub(earlier.coord_commits),
-            grad_fd_probes: self.grad_fd_probes.saturating_sub(earlier.grad_fd_probes),
             grad_analytic_passes: self
                 .grad_analytic_passes
                 .saturating_sub(earlier.grad_analytic_passes),

@@ -52,13 +52,10 @@ pub use advisor::{
 };
 pub use autoadmin::{autoadmin_layout, AutoAdminOptions};
 pub use estimator::UtilizationEstimator;
-pub use eval::{
-    max_of, weighted_max, EvalEngine, EvalStats, LayoutObjective, ObjectiveKind, ScratchEval,
-};
+pub use eval::{max_of, weighted_max, EvalEngine, EvalStats, LayoutObjective, ObjectiveKind};
 pub use initial::{initial_layout, InitialLayoutError};
 pub use optimizer::{
-    solve_multistart, solve_nlp, solve_with, EvalPath, GradPath, NlpOutcome, SolveMethod,
-    SolverOptions,
+    solve_multistart, solve_nlp, solve_with, NlpOutcome, SolveMethod, SolverOptions,
 };
 pub use problem::{AdminConstraint, Layout, LayoutProblem};
 pub use regularize::{regularize, regularize_with, RegularizeError};

@@ -1,15 +1,15 @@
 //! Property tests for the incremental evaluation engine: incremental
-//! updates must be **bit-identical** to the from-scratch
-//! `UtilizationEstimator` across random perturbation sequences (the
-//! ISSUE's hard requirement — exact `f64` equality, not tolerances).
+//! updates, scores and the analytic gradient must be **bit-identical**
+//! to the from-scratch `UtilizationEstimator` across random
+//! perturbation sequences (exact `f64` equality, not tolerances).
 
 use std::sync::Arc;
 use wasla_core::{
-    weighted_max, EvalEngine, Layout, LayoutProblem, ObjectiveKind, ScratchEval,
-    UtilizationEstimator,
+    weighted_max, EvalEngine, Layout, LayoutProblem, ObjectiveKind, UtilizationEstimator,
 };
 use wasla_model::CostModel;
 use wasla_simlib::proptest::prelude::*;
+use wasla_solver::lse_max;
 use wasla_storage::{IoKind, Tier};
 use wasla_workload::{ObjectKind, WorkloadSet, WorkloadSpec};
 
@@ -175,12 +175,13 @@ proptest! {
         }
     }
 
-    /// For every objective, the incremental engine and the
-    /// from-scratch evaluator agree bit-for-bit on the weighted score,
-    /// its LSE smoothing, and the LSE gradient — and the score is
-    /// exactly `weighted_max` over the estimator's utilizations.
+    /// For every objective, the incremental engine agrees bit-for-bit
+    /// with the estimator on the weighted score (exactly
+    /// `weighted_max` over the estimator's utilizations), its LSE
+    /// smoothing, and the analytic LSE gradient (the estimator's
+    /// reference gradient).
     #[test]
-    fn weighted_scores_match_scratch_for_all_objectives(
+    fn weighted_scores_match_estimator_for_all_objectives(
         problem in problem_strategy(),
         noise in proptest::collection::vec(0.005f64..1.0, 64),
         perturbations in proptest::collection::vec((0usize..64, 0.0f64..1.1), 1..8),
@@ -191,37 +192,37 @@ proptest! {
         for kind in ObjectiveKind::ALL {
             let weights = kind.weights(&problem);
             let mut engine = EvalEngine::with_objective(&problem, kind);
-            let mut scratch = ScratchEval::with_objective(&problem, kind);
             let mut x = normalized_x(n, m, &noise);
             for &(raw_c, v) in &perturbations {
                 let c = raw_c % (n * m);
                 x[c] = v;
                 let layout = Layout::from_flat(&x, n, m);
-                let want = weighted_max(&est.utilizations(&layout), &weights);
+                let mus = est.utilizations(&layout);
+                let want = weighted_max(&mus, &weights);
                 prop_assert_eq!(engine.score_at(&x).to_bits(), want.to_bits(),
                     "engine score mismatch under {}", kind.name());
-                prop_assert_eq!(scratch.score_at(&x).to_bits(), want.to_bits(),
-                    "scratch score mismatch under {}", kind.name());
+                let weighted: Vec<f64> = mus.iter().zip(&weights).map(|(&u, &w)| w * u).collect();
                 prop_assert_eq!(
                     engine.lse_score(&x, 0.05).to_bits(),
-                    scratch.lse_score(&x, 0.05).to_bits(),
+                    lse_max(&weighted, 0.05).to_bits(),
                     "lse score mismatch under {}", kind.name());
                 let mut ge = vec![0.0; n * m];
-                let mut gs = vec![0.0; n * m];
-                engine.lse_score_gradient(&x, 0.05, 1e-4, &mut ge);
-                scratch.lse_score_gradient(&x, 0.05, 1e-4, &mut gs);
-                for (a, b) in ge.iter().zip(&gs) {
+                engine.grad_at(&x, 0.05, &mut ge);
+                let reference = est.lse_score_gradient(&layout, &weights, 0.05);
+                for (a, b) in ge.iter().zip(&reference) {
                     prop_assert_eq!(a.to_bits(), b.to_bits(),
-                        "lse gradient mismatch under {}: {} vs {}", kind.name(), a, b);
+                        "gradient mismatch under {}: {} vs {}", kind.name(), a, b);
                 }
             }
         }
     }
 }
 
-/// On an overlap-sparse problem the per-partial work must be O(degree),
-/// not O(N): the `EvalStats` counters prove each finite-difference
-/// partial touches only the cells whose competing sums actually change.
+/// On an overlap-sparse problem the per-probe work must be O(degree),
+/// not O(N): the `EvalStats` counters prove each single-coordinate
+/// probe — the regularizer's and the re-layout planner's production
+/// primitive — touches only the cells whose competing sums actually
+/// change.
 #[test]
 fn stats_confirm_sparse_partials_are_cheap() {
     const N: usize = 64;
@@ -241,14 +242,20 @@ fn stats_confirm_sparse_partials_are_cheap() {
     let x = vec![1.0 / M as f64; N * M];
     engine.set_point(&x);
 
+    // One up and one down probe per coordinate: the shape of a
+    // structured partial over the whole layout.
     let before = engine.stats;
-    let mut g = vec![0.0; N * M];
-    engine.lse_gradient(&x, 0.05, 1e-4, &mut g);
+    let h = 1e-4;
+    for i in 0..N {
+        for j in 0..M {
+            let orig = x[i * M + j];
+            engine.probe_coord(i, j, orig + h);
+            engine.probe_coord(i, j, orig - h.min(orig));
+        }
+    }
     let d = engine.stats.since(&before);
 
-    assert_eq!(d.gradient_evals, 1);
-    assert_eq!(d.fd_partials, (N * M) as u64);
-    assert_eq!(d.column_probes, 2 * d.fd_partials);
+    assert_eq!(d.column_probes, 2 * (N * M) as u64);
     // Each probe re-derives at most the perturbed object's own cell
     // plus its GROUP-1 overlap partners: ≤ 2·GROUP model calls per
     // probe, independent of N.
@@ -265,6 +272,7 @@ fn stats_confirm_sparse_partials_are_cheap() {
         d.mu_reuses,
         d.column_probes * (N - GROUP) as u64
     );
-    // No full rebuilds inside the gradient: probes never commit.
+    // No full rebuilds or commits: probes never commit.
     assert_eq!(d.full_rebuilds, 0);
+    assert_eq!(d.coord_commits, 0);
 }

@@ -35,7 +35,7 @@ pub mod solver;
 pub use anneal::{anneal, AnnealOptions};
 pub use auglag::{minimize_constrained, AugLagOptions, Constraint};
 pub use multistart::{multistart, MultistartError};
-pub use pg::{fd_gradient, fd_gradient_delta, minimize, DeltaOracle, PgOptions, PgResult};
+pub use pg::{fd_gradient, minimize, PgOptions, PgResult};
 pub use simplex::{project_scaled_simplex, project_simplex};
 pub use smoothing::{lse_max, softmax_weights};
 pub use solver::{

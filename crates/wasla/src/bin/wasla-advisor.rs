@@ -8,18 +8,18 @@
 //! wasla-advisor fit --oplog oplog.tsv --objects objects.json [--materialized]
 //! wasla-advisor advise --workloads w.json --targets t.json [--models m.json,...]
 //!                      [--objective minmax|provision-cost|wear-blend]
-//!                      [--grad analytic|fd] [--tier-spec tiers.json]
+//!                      [--tier-spec tiers.json]
 //!                      [--regular] [--pin OBJ=TARGET]... [--forbid OBJ=TARGET]...
 //!                      [--out layout.json]
 //! wasla-advisor capture [--scenario tpch|tpcc] [--scale S] [--max-time T] --out-dir DIR
 //! wasla-advisor replay  --oplog oplog.tsv [--scenario tpch|tpcc] [--scale S]
-//!                       [--objective NAME] [--grad NAME] [--coarse] [--cache-dir DIR]
+//!                       [--objective NAME] [--coarse] [--cache-dir DIR]
 //! wasla-advisor serve   --oplog oplog.tsv --budget BYTES_PER_TICK
 //!                       [--pane-s S] [--panes N] [--threshold X] [--alpha A]
-//!                       [--fail TICK:TARGET]... [--grad NAME] [--cache-dir DIR] [--json]
+//!                       [--fail TICK:TARGET]... [--cache-dir DIR] [--json]
 //! wasla-advisor stress [--tenants N] [--targets M] [--batch B] [--seed S]
 //!                      [--queue-cap N] [--brownout N] [--max-attempts K] ...
-//! wasla-advisor demo  [--scale 0.05] [--objective NAME] [--grad NAME] [--cache-dir DIR]
+//! wasla-advisor demo  [--scale 0.05] [--objective NAME] [--cache-dir DIR]
 //! ```
 //!
 //! * `calibrate` builds a tabulated cost model for a device type and
@@ -33,10 +33,7 @@
 //!   target by its tier's $/IOPS; `wear-blend` penalizes write traffic
 //!   on wear-limited tiers) and `--tier-spec` overrides the per-target
 //!   tier descriptors from a JSON array of `Tier` objects (one per
-//!   target, in target order). `--grad` selects how the NLP solver's
-//!   gradients are computed: `analytic` (default) differentiates the
-//!   cost model exactly in one pass; `fd` is the original structured
-//!   finite-difference scheme, kept as the equivalence oracle.
+//!   target, in target order).
 //! * `capture` runs a built-in scenario under the SEE baseline with
 //!   op-log capture on and writes `oplog.tsv` (the compact
 //!   line-oriented record format) plus `objects.json` to `--out-dir`.
@@ -63,17 +60,20 @@
 //!   a quarantine that cannot be written maps to the I/O exit code.
 //!
 //! Every failure surfaces as a [`WaslaError`] with a stable exit
-//! code:
+//! code. Each subcommand accepts only the flags listed above: an
+//! unknown flag, a flag missing its value, or a malformed number is a
+//! usage error, never silently ignored.
 //!
 //! | exit | class | examples |
 //! |------|-------|----------|
-//! | `2`  | usage | unknown subcommand or flag value, unknown `--objective` or `--grad` name, `--tier-spec`/`--models` length mismatch |
+//! | `2`  | usage | unknown subcommand or flag, missing or malformed flag value, unknown `--objective` name, `--tier-spec`/`--models` length mismatch |
 //! | `3`  | file I/O | unreadable trace/workload/model file, unwritable `--out` |
 //! | `4`  | malformed JSON | corrupt model/workload/tier files |
 //! | `5`  | overloaded | a batch request shed by admission control (`--queue-cap`) |
 //! | `1`  | pipeline | infeasible problems, unmodelable targets, bad traces |
 
 use std::sync::Arc;
+use wasla::cli::Flags;
 use wasla::core::report::{render_layout, render_stages};
 use wasla::core::{recommend, AdminConstraint, AdvisorOptions, LayoutProblem};
 use wasla::error::WaslaError;
@@ -89,19 +89,19 @@ const USAGE: &str = "usage:
   wasla-advisor fit --trace FILE --objects FILE [--window-s S] [--out FILE]
   wasla-advisor fit --oplog FILE --objects FILE [--materialized] [--window-s S] [--out FILE]
   wasla-advisor advise --workloads FILE --targets FILE [--models FILE,...] \
-[--objective minmax|provision-cost|wear-blend] [--grad analytic|fd] [--tier-spec FILE] \
+[--objective minmax|provision-cost|wear-blend] [--tier-spec FILE] \
 [--regular] [--pin OBJ=T]... [--forbid OBJ=T]... [--out FILE]
   wasla-advisor capture [--scenario tpch|tpcc] [--scale S] [--max-time T] --out-dir DIR
   wasla-advisor replay --oplog FILE [--scenario tpch|tpcc] [--scale S] \
-[--objective NAME] [--grad NAME] [--coarse] [--cache-dir DIR]
+[--objective NAME] [--coarse] [--cache-dir DIR]
   wasla-advisor serve --oplog FILE --budget BYTES_PER_TICK [--scenario tpch|tpcc] \
 [--scale S] [--pane-s S] [--panes N] [--threshold X] [--alpha A] [--carry-cap N] \
-[--fail TICK:TARGET]... [--objective NAME] [--grad NAME] [--coarse] [--cache-dir DIR] [--json]
+[--fail TICK:TARGET]... [--objective NAME] [--coarse] [--cache-dir DIR] [--json]
   wasla-advisor stress [--tenants N] [--targets M] [--batch B] [--seed S] [--zipf T] \
 [--objects-min N] [--objects-max N] [--size-mib-min X] [--size-mib-max X] \
 [--write-frac F] [--burstiness F] [--interactive-share F] [--batch-share F] \
 [--queue-cap N] [--brownout N] [--max-attempts K] [--backoff-base N] [--backoff-cap N]
-  wasla-advisor demo [--scale S] [--objective NAME] [--grad NAME] [--cache-dir DIR]";
+  wasla-advisor demo [--scale S] [--objective NAME] [--cache-dir DIR]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -126,45 +126,12 @@ fn main() {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn require_flag<'a>(args: &'a [String], name: &str) -> Result<&'a str, WaslaError> {
-    flag_value(args, name).ok_or_else(|| WaslaError::Usage(format!("missing {name} FILE")))
-}
-
-fn flag_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == name)
-        .filter_map(|(i, _)| args.get(i + 1))
-        .map(String::as_str)
-        .collect()
-}
-
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
 /// The layout objective named by `--objective`, defaulting to the
 /// paper's min-max. Unknown names are usage errors (exit code 2).
-fn objective_from_flags(args: &[String]) -> Result<wasla::core::ObjectiveKind, WaslaError> {
-    match flag_value(args, "--objective") {
+fn objective_from_flags(f: &Flags<'_>) -> Result<wasla::core::ObjectiveKind, WaslaError> {
+    match f.value("--objective") {
         Some(name) => pipeline::parse_objective(name),
         None => Ok(wasla::core::ObjectiveKind::MinMax),
-    }
-}
-
-/// The gradient path named by `--grad`, defaulting to the analytic
-/// chain rule. Unknown names are usage errors (exit code 2).
-fn grad_from_flags(args: &[String]) -> Result<wasla::core::GradPath, WaslaError> {
-    match flag_value(args, "--grad") {
-        Some(name) => pipeline::parse_grad_path(name),
-        None => Ok(wasla::core::GradPath::default()),
     }
 }
 
@@ -194,16 +161,20 @@ struct ObjectEntry {
 wasla::simlib::impl_json_struct!(ObjectEntry { name, size });
 
 fn fit(args: &[String]) -> Result<(), WaslaError> {
-    let objects_path = require_flag(args, "--objects")?;
+    let f = Flags::parse(
+        args,
+        "fit",
+        "--trace --oplog --objects --window-s --out",
+        "--materialized",
+    )?;
+    let mut fit_config = wasla::trace::FitConfig::default();
+    f.number_into("--window-s", &mut fit_config.window_s)?;
+    let objects_path = f.require("--objects")?;
     let objects: Vec<ObjectEntry> =
         load_json(objects_path, "objects ([{\"name\":..., \"size\":...}])")?;
     let names: Vec<String> = objects.iter().map(|o| o.name.clone()).collect();
     let sizes: Vec<u64> = objects.iter().map(|o| o.size).collect();
-    let mut fit_config = wasla::trace::FitConfig::default();
-    if let Some(w) = flag_value(args, "--window-s").and_then(|v| v.parse().ok()) {
-        fit_config.window_s = w;
-    }
-    let (set, records) = match (flag_value(args, "--trace"), flag_value(args, "--oplog")) {
+    let (set, records) = match (f.value("--trace"), f.value("--oplog")) {
         (Some(trace_path), None) => {
             let trace: wasla::storage::Trace = load_json(trace_path, "Trace")?;
             let set = wasla::trace::fit_workloads(&trace, &names, &sizes, &fit_config)?;
@@ -213,7 +184,7 @@ fn fit(args: &[String]) -> Result<(), WaslaError> {
             let log = wasla::trace::oplog::OpLog::parse_tsv(&read_file(oplog_path)?)?;
             // The streamed path is the default; --materialized is the
             // cross-check (both produce bit-identical fits).
-            let set = if has_flag(args, "--materialized") {
+            let set = if f.has("--materialized") {
                 wasla::trace::fit_workloads(&log.to_trace(), &names, &sizes, &fit_config)?
             } else {
                 wasla::trace::oplog::fit_oplog_streamed(
@@ -235,7 +206,7 @@ fn fit(args: &[String]) -> Result<(), WaslaError> {
     set.validate()
         .map_err(|e| WaslaError::Internal(format!("fitted set is inconsistent: {e}")))?;
     let json = wasla::simlib::json::to_string_pretty(&set);
-    match flag_value(args, "--out") {
+    match f.value("--out") {
         Some(path) => {
             write_file(path, &json)?;
             eprintln!(
@@ -253,12 +224,10 @@ fn fit(args: &[String]) -> Result<(), WaslaError> {
 /// standard workload mix and capture settings (OLTP runs are
 /// open-ended, so they get a hard time cap).
 fn scenario_from_flags(
-    args: &[String],
+    f: &Flags<'_>,
 ) -> Result<(Scenario, Vec<SqlWorkload>, RunSettings), WaslaError> {
-    let scale: f64 = flag_value(args, "--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.01);
-    let name = flag_value(args, "--scenario").unwrap_or("tpch");
+    let scale: f64 = f.number("--scale")?.unwrap_or(0.01);
+    let name = f.value("--scenario").unwrap_or("tpch");
     match name {
         "tpch" => Ok((
             Scenario::homogeneous_disks(4, scale),
@@ -266,9 +235,7 @@ fn scenario_from_flags(
             RunSettings::default(),
         )),
         "tpcc" => {
-            let max_time: f64 = flag_value(args, "--max-time")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(60.0);
+            let max_time: f64 = f.number("--max-time")?.unwrap_or(60.0);
             Ok((
                 Scenario::oltp_disks(scale),
                 vec![SqlWorkload::oltp()],
@@ -285,8 +252,14 @@ fn scenario_from_flags(
 }
 
 fn capture(args: &[String]) -> Result<(), WaslaError> {
-    let out_dir = require_flag(args, "--out-dir")?;
-    let (scenario, workloads, settings) = scenario_from_flags(args)?;
+    let f = Flags::parse(
+        args,
+        "capture",
+        "--out-dir --scenario --scale --max-time",
+        "",
+    )?;
+    let out_dir = f.require("--out-dir")?;
+    let (scenario, workloads, settings) = scenario_from_flags(&f)?;
     let outcome = wasla::replay::capture_oplog(&scenario, &workloads, &settings)?;
     std::fs::create_dir_all(out_dir).map_err(|e| WaslaError::io(out_dir, &e))?;
     let oplog_path = format!("{out_dir}/oplog.tsv");
@@ -311,17 +284,22 @@ fn capture(args: &[String]) -> Result<(), WaslaError> {
 }
 
 fn replay(args: &[String]) -> Result<(), WaslaError> {
-    let oplog_path = require_flag(args, "--oplog")?;
-    let (scenario, _workloads, _settings) = scenario_from_flags(args)?;
+    let f = Flags::parse(
+        args,
+        "replay",
+        "--oplog --scenario --scale --max-time --objective --cache-dir",
+        "--coarse",
+    )?;
+    let oplog_path = f.require("--oplog")?;
+    let (scenario, _workloads, _settings) = scenario_from_flags(&f)?;
     let log = wasla::trace::oplog::OpLog::parse_tsv(&read_file(oplog_path)?)?;
-    let mut config = if has_flag(args, "--coarse") {
+    let mut config = if f.has("--coarse") {
         AdviseConfig::fast()
     } else {
         AdviseConfig::full()
     };
-    config.advisor.solver.objective = objective_from_flags(args)?;
-    config.advisor.solver.grad = grad_from_flags(args)?;
-    let validation = match flag_value(args, "--cache-dir") {
+    config.advisor.solver.objective = objective_from_flags(&f)?;
+    let validation = match f.value("--cache-dir") {
         Some(dir) => {
             let (mut service, notes) = wasla::Service::open(0x5eed, dir)?;
             for note in &notes {
@@ -345,8 +323,8 @@ fn replay(args: &[String]) -> Result<(), WaslaError> {
 }
 
 /// Parses `--fail TICK:TARGET` occurrences into injected failures.
-fn failures_from_flags(args: &[String]) -> Result<Vec<wasla::daemon::TargetFailure>, WaslaError> {
-    flag_values(args, "--fail")
+fn failures_from_flags(f: &Flags<'_>) -> Result<Vec<wasla::daemon::TargetFailure>, WaslaError> {
+    f.values("--fail")
         .into_iter()
         .map(|spec| {
             let bad = || WaslaError::Usage(format!("--fail expects TICK:TARGET, got {spec:?}"));
@@ -360,40 +338,36 @@ fn failures_from_flags(args: &[String]) -> Result<Vec<wasla::daemon::TargetFailu
 }
 
 fn serve(args: &[String]) -> Result<(), WaslaError> {
-    let oplog_path = require_flag(args, "--oplog")?;
-    let budget: u64 = require_flag(args, "--budget")?
-        .parse()
-        .map_err(|_| WaslaError::Usage("--budget expects a byte count".to_string()))?;
-    let (scenario, _workloads, _settings) = scenario_from_flags(args)?;
+    let f = Flags::parse(
+        args,
+        "serve",
+        "--oplog --budget --scenario --scale --max-time --pane-s --panes --threshold --alpha \
+         --carry-cap --fail --objective --cache-dir",
+        "--coarse --json",
+    )?;
+    let oplog_path = f.require("--oplog")?;
+    let budget: u64 = f
+        .number("--budget")?
+        .ok_or_else(|| WaslaError::Usage("missing required --budget".to_string()))?;
+    let (scenario, _workloads, _settings) = scenario_from_flags(&f)?;
     let log = wasla::trace::oplog::OpLog::parse_tsv(&read_file(oplog_path)?)?;
-    let mut config = if has_flag(args, "--coarse") {
+    let mut config = if f.has("--coarse") {
         AdviseConfig::fast()
     } else {
         AdviseConfig::full()
     };
-    config.advisor.solver.objective = objective_from_flags(args)?;
-    config.advisor.solver.grad = grad_from_flags(args)?;
-    let numeric = |name: &str, default: f64| -> Result<f64, WaslaError> {
-        match flag_value(args, name) {
-            Some(v) => v
-                .parse()
-                .map_err(|_| WaslaError::Usage(format!("{name} expects a number, got {v:?}"))),
-            None => Ok(default),
-        }
-    };
-    let defaults = wasla::daemon::DaemonConfig::default();
-    let daemon = wasla::daemon::DaemonConfig {
-        window: wasla::trace::oplog::WindowPlan {
-            pane_s: numeric("--pane-s", defaults.window.pane_s)?,
-            panes_per_window: numeric("--panes", defaults.window.panes_per_window as f64)? as usize,
-        },
-        drift_threshold: numeric("--threshold", defaults.drift_threshold)?,
+    config.advisor.solver.objective = objective_from_flags(&f)?;
+    let mut daemon = wasla::daemon::DaemonConfig {
         budget_bytes_per_tick: budget,
-        alpha: numeric("--alpha", defaults.alpha)?,
-        carry_cap_ticks: numeric("--carry-cap", defaults.carry_cap_ticks as f64)? as u64,
-        target_failures: failures_from_flags(args)?,
+        target_failures: failures_from_flags(&f)?,
+        ..wasla::daemon::DaemonConfig::default()
     };
-    let mut service = match flag_value(args, "--cache-dir") {
+    f.number_into("--pane-s", &mut daemon.window.pane_s)?;
+    f.number_into("--panes", &mut daemon.window.panes_per_window)?;
+    f.number_into("--threshold", &mut daemon.drift_threshold)?;
+    f.number_into("--alpha", &mut daemon.alpha)?;
+    f.number_into("--carry-cap", &mut daemon.carry_cap_ticks)?;
+    let mut service = match f.value("--cache-dir") {
         Some(dir) => {
             let (service, notes) = wasla::Service::open(scenario.seed, dir)?;
             for note in &notes {
@@ -408,7 +382,7 @@ fn serve(args: &[String]) -> Result<(), WaslaError> {
     for note in &report.degraded {
         eprintln!("degraded: {note}");
     }
-    if has_flag(args, "--json") {
+    if f.has("--json") {
         println!("{}", report.render_decisions());
     } else {
         print!("{}", wasla::daemon::render_ticks(&report));
@@ -417,10 +391,11 @@ fn serve(args: &[String]) -> Result<(), WaslaError> {
 }
 
 fn calibrate(args: &[String]) -> Result<(), WaslaError> {
-    let device = require_flag(args, "--device")?;
-    let capacity_gb: f64 = flag_value(args, "--capacity-gb")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| WaslaError::Usage("missing or non-numeric --capacity-gb".to_string()))?;
+    let f = Flags::parse(args, "calibrate", "--device --capacity-gb --out", "")?;
+    let device = f.require("--device")?;
+    let capacity_gb: f64 = f
+        .number("--capacity-gb")?
+        .ok_or_else(|| WaslaError::Usage("missing required --capacity-gb".to_string()))?;
     let capacity = (capacity_gb * 1e9) as u64;
     let spec = match device {
         "scsi15k" => DeviceSpec::Disk(DiskParams::scsi_15k(capacity)),
@@ -435,7 +410,7 @@ fn calibrate(args: &[String]) -> Result<(), WaslaError> {
     eprintln!("calibrating {device} ({capacity_gb} GB)...");
     let model = calibrate_device(&spec, &CalibrationGrid::default(), 7);
     let json = model.to_json();
-    match flag_value(args, "--out") {
+    match f.value("--out") {
         Some(path) => {
             write_file(path, &json)?;
             eprintln!("model written to {path}");
@@ -458,15 +433,21 @@ fn parse_constraint(s: &str) -> Result<(String, usize), WaslaError> {
 }
 
 fn advise(args: &[String]) -> Result<(), WaslaError> {
-    let workloads_path = require_flag(args, "--workloads")?;
-    let targets_path = require_flag(args, "--targets")?;
+    let f = Flags::parse(
+        args,
+        "advise",
+        "--workloads --targets --models --objective --tier-spec --pin --forbid --out",
+        "--regular",
+    )?;
+    let workloads_path = f.require("--workloads")?;
+    let targets_path = f.require("--targets")?;
     let workloads: WorkloadSet = load_json(workloads_path, "WorkloadSet")?;
     let mut targets: Vec<TargetConfig> = load_json(targets_path, "Vec<TargetConfig>")?;
 
     // Tier overrides: one Tier per target, in target order. Targets
     // parsed from old spec files carry their device-derived default
     // tier, so this flag is only needed for custom economics.
-    if let Some(path) = flag_value(args, "--tier-spec") {
+    if let Some(path) = f.value("--tier-spec") {
         let tiers: Vec<wasla::storage::Tier> = load_json(path, "Vec<Tier>")?;
         if tiers.len() != targets.len() {
             return Err(WaslaError::Usage(format!(
@@ -481,7 +462,7 @@ fn advise(args: &[String]) -> Result<(), WaslaError> {
     }
 
     // Cost models: either provided per target, or calibrated here.
-    let models: Vec<Arc<dyn wasla::model::CostModel>> = match flag_value(args, "--models") {
+    let models: Vec<Arc<dyn wasla::model::CostModel>> = match f.value("--models") {
         Some(list) => {
             let paths: Vec<&str> = list.split(',').collect();
             if paths.len() != targets.len() {
@@ -525,14 +506,14 @@ fn advise(args: &[String]) -> Result<(), WaslaError> {
             .ok_or_else(|| WaslaError::Usage(format!("no object named {name} in the workload set")))
     };
     let mut constraints = Vec::new();
-    for c in flag_values(args, "--pin") {
+    for c in f.values("--pin") {
         let (obj, target) = parse_constraint(c)?;
         constraints.push(AdminConstraint::PinTo {
             object: expect_id(&obj)?,
             target,
         });
     }
-    for c in flag_values(args, "--forbid") {
+    for c in f.values("--forbid") {
         let (obj, target) = parse_constraint(c)?;
         constraints.push(AdminConstraint::Forbid {
             object: expect_id(&obj)?,
@@ -550,11 +531,10 @@ fn advise(args: &[String]) -> Result<(), WaslaError> {
         constraints,
     };
     let mut options = AdvisorOptions {
-        regularize: has_flag(args, "--regular"),
+        regularize: f.has("--regular"),
         ..AdvisorOptions::default()
     };
-    options.solver.objective = objective_from_flags(args)?;
-    options.solver.grad = grad_from_flags(args)?;
+    options.solver.objective = objective_from_flags(&f)?;
     let rec = recommend(&problem, &options)?;
     println!("{}", render_stages(&problem, &rec.stages));
     println!(
@@ -572,7 +552,7 @@ fn advise(args: &[String]) -> Result<(), WaslaError> {
             ""
         }
     );
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = f.value("--out") {
         let json = wasla::simlib::json::to_string_pretty(rec.final_layout());
         write_file(path, &json)?;
         eprintln!("layout written to {path}");
@@ -593,16 +573,14 @@ fn stress(args: &[String]) -> Result<(), WaslaError> {
 }
 
 fn demo(args: &[String]) -> Result<(), WaslaError> {
-    let scale: f64 = flag_value(args, "--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.05);
+    let f = Flags::parse(args, "demo", "--scale --objective --cache-dir", "")?;
+    let scale: f64 = f.number("--scale")?.unwrap_or(0.05);
     let scenario = Scenario::homogeneous_disks(4, scale);
     let workloads = [SqlWorkload::olap1_63(7)];
     let mut config = AdviseConfig::full();
-    config.advisor.solver.objective = objective_from_flags(args)?;
-    config.advisor.solver.grad = grad_from_flags(args)?;
+    config.advisor.solver.objective = objective_from_flags(&f)?;
     eprintln!("running the built-in TPC-H-like demo at scale {scale}...");
-    let outcome = match flag_value(args, "--cache-dir") {
+    let outcome = match f.value("--cache-dir") {
         Some(dir) => {
             let (mut service, notes) = wasla::Service::open(0x5eed, dir)?;
             for note in &notes {

@@ -76,6 +76,7 @@ pub use wasla_storage as storage;
 pub use wasla_trace as trace;
 pub use wasla_workload as workload;
 
+pub mod cli;
 pub mod daemon;
 pub mod error;
 pub mod persist;

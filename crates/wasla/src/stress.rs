@@ -16,6 +16,7 @@
 //! in exactly one of ok / degraded-with-typed-notes / typed-error —
 //! never a panic — under any fault plan.
 
+use crate::cli::Flags;
 use crate::error::WaslaError;
 use crate::pipeline::{AdviseConfig, Scenario};
 use crate::session::{AdviseRequest, BatchPolicy, Service, SlotDisposition};
@@ -24,6 +25,11 @@ use wasla_storage::{DeviceSpec, DiskParams, TargetConfig};
 use wasla_workload::synth::{self, SynthSpec};
 
 const MIB: f64 = 1024.0 * 1024.0;
+
+/// Every flag [`StressOptions::from_args`] accepts; each takes a value.
+const STRESS_FLAGS: &str = "--tenants --targets --zipf --objects-min --objects-max \
+    --size-mib-min --size-mib-max --write-frac --burstiness --interactive-share --batch-share \
+    --seed --batch --queue-cap --brownout --max-attempts --backoff-base --backoff-cap";
 
 /// Everything one stress run needs: the generator spec, the batch
 /// shape, and the admission policy.
@@ -69,52 +75,28 @@ impl StressOptions {
     /// missing values, and malformed numbers are all
     /// [`WaslaError::Usage`] (exit 2).
     pub fn from_args(args: &[String]) -> Result<StressOptions, WaslaError> {
-        fn value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, WaslaError> {
-            args.get(i + 1)
-                .map(|s| s.as_str())
-                .ok_or_else(|| WaslaError::Usage(format!("{flag} requires a value")))
-        }
-        fn parse<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, WaslaError> {
-            raw.parse()
-                .map_err(|_| WaslaError::Usage(format!("{flag}: malformed value {raw:?}")))
-        }
+        let f = Flags::parse(args, "stress", STRESS_FLAGS, "")?;
         let mut opts = StressOptions::default();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            match flag {
-                "--tenants" => opts.spec.tenants = parse(value(args, i, flag)?, flag)?,
-                "--targets" => opts.spec.targets = parse(value(args, i, flag)?, flag)?,
-                "--zipf" => opts.spec.zipf_theta = parse(value(args, i, flag)?, flag)?,
-                "--objects-min" => opts.spec.objects_min = parse(value(args, i, flag)?, flag)?,
-                "--objects-max" => opts.spec.objects_max = parse(value(args, i, flag)?, flag)?,
-                "--size-mib-min" => opts.spec.size_mib_min = parse(value(args, i, flag)?, flag)?,
-                "--size-mib-max" => opts.spec.size_mib_max = parse(value(args, i, flag)?, flag)?,
-                "--write-frac" => opts.spec.write_fraction = parse(value(args, i, flag)?, flag)?,
-                "--burstiness" => opts.spec.burstiness = parse(value(args, i, flag)?, flag)?,
-                "--interactive-share" => {
-                    opts.spec.interactive_share = parse(value(args, i, flag)?, flag)?
-                }
-                "--batch-share" => opts.spec.batch_share = parse(value(args, i, flag)?, flag)?,
-                "--seed" => opts.spec.seed = parse(value(args, i, flag)?, flag)?,
-                "--batch" => opts.batch = parse(value(args, i, flag)?, flag)?,
-                "--queue-cap" => {
-                    opts.policy.queue_capacity = Some(parse(value(args, i, flag)?, flag)?)
-                }
-                "--brownout" => {
-                    opts.policy.brownout_threshold = Some(parse(value(args, i, flag)?, flag)?)
-                }
-                "--max-attempts" => opts.policy.max_attempts = parse(value(args, i, flag)?, flag)?,
-                "--backoff-base" => opts.policy.backoff_base = parse(value(args, i, flag)?, flag)?,
-                "--backoff-cap" => opts.policy.backoff_cap = parse(value(args, i, flag)?, flag)?,
-                other => {
-                    return Err(WaslaError::Usage(format!(
-                        "unknown stress argument {other:?}"
-                    )))
-                }
-            }
-            i += 2;
-        }
+        let spec = &mut opts.spec;
+        f.number_into("--tenants", &mut spec.tenants)?;
+        f.number_into("--targets", &mut spec.targets)?;
+        f.number_into("--zipf", &mut spec.zipf_theta)?;
+        f.number_into("--objects-min", &mut spec.objects_min)?;
+        f.number_into("--objects-max", &mut spec.objects_max)?;
+        f.number_into("--size-mib-min", &mut spec.size_mib_min)?;
+        f.number_into("--size-mib-max", &mut spec.size_mib_max)?;
+        f.number_into("--write-frac", &mut spec.write_fraction)?;
+        f.number_into("--burstiness", &mut spec.burstiness)?;
+        f.number_into("--interactive-share", &mut spec.interactive_share)?;
+        f.number_into("--batch-share", &mut spec.batch_share)?;
+        f.number_into("--seed", &mut spec.seed)?;
+        f.number_into("--batch", &mut opts.batch)?;
+        let policy = &mut opts.policy;
+        policy.queue_capacity = f.number("--queue-cap")?.or(policy.queue_capacity);
+        policy.brownout_threshold = f.number("--brownout")?.or(policy.brownout_threshold);
+        f.number_into("--max-attempts", &mut policy.max_attempts)?;
+        f.number_into("--backoff-base", &mut policy.backoff_base)?;
+        f.number_into("--backoff-cap", &mut policy.backoff_cap)?;
         opts.validate()?;
         Ok(opts)
     }

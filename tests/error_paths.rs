@@ -12,8 +12,9 @@
 //! damage cannot be quarantined — the one persistence failure that is
 //! an error rather than a degradation. Batch admission control gets
 //! the same treatment: a shed request is a typed
-//! [`WaslaError::Overloaded`] (exit 5), and malformed stress CLI
-//! flags are [`WaslaError::Usage`] (exit 2).
+//! [`WaslaError::Overloaded`] (exit 5), and unknown or malformed CLI
+//! flags — stress and every `wasla-advisor` subcommand — are
+//! [`WaslaError::Usage`] (exit 2).
 
 use wasla::core::{AdminConstraint, AdvisorError};
 use wasla::exec::{EngineError, PlacementError};
@@ -121,34 +122,53 @@ fn unknown_objective_is_a_usage_error() {
     }
 }
 
+/// Runs `wasla-advisor` with a whitespace-separated command line,
+/// returning its exit code and stderr.
+fn advisor_cli(line: &str) -> (i32, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wasla-advisor"))
+        .args(line.split_whitespace())
+        .output()
+        .expect("spawn wasla-advisor");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code().expect("exited normally"), stderr)
+}
+
 #[test]
 fn unknown_grad_path_is_a_usage_error() {
-    use wasla::core::GradPath;
-    // The CLI's `--grad` values parse through this helper; an unknown
-    // name is a usage error (exit code 2) listing the valid names, and
-    // every valid name round-trips.
-    let err = pipeline::parse_grad_path("autodiff")
-        .err()
-        .expect("unknown gradient path should fail");
-    assert!(
-        matches!(err, WaslaError::Usage(_)),
-        "unknown gradient path should be a usage error, got {err:?}"
-    );
-    assert_eq!(err.exit_code(), 2);
-    let msg = err.to_string();
-    for path in GradPath::ALL {
-        assert!(
-            msg.contains(path.name()),
-            "usage error should list {:?}, got {msg}",
-            path.name()
-        );
-        assert_eq!(pipeline::parse_grad_path(path.name()).unwrap(), path);
+    // The solver has one gradient; `--grad` is no longer a flag of any
+    // subcommand, so every spelling of it is rejected as a usage error
+    // (exit code 2) naming the flag instead of silently running the
+    // analytic gradient. Flags are checked before any file is read.
+    for line in [
+        "advise --workloads w.json --targets t.json --grad fd",
+        "replay --oplog log.tsv --grad analytic",
+        "serve --oplog log.tsv --budget 1 --grad fd",
+        "demo --grad fd",
+    ] {
+        let (code, stderr) = advisor_cli(line);
+        assert_eq!(code, 2, "{line}: stderr {stderr}");
+        assert!(stderr.contains("--grad"), "{line}: stderr {stderr}");
     }
-    // The long-form alias parses too.
-    assert_eq!(
-        pipeline::parse_grad_path("finite-difference").unwrap(),
-        GradPath::Fd
-    );
+}
+
+#[test]
+fn unknown_flags_and_malformed_numbers_are_usage_errors() {
+    // Every subcommand reads only its declared flags: an unknown flag,
+    // a flag missing its value, or a malformed number exits 2 before
+    // any work starts, never falls back to a default.
+    for line in [
+        "demo --scale abc",
+        "demo --frobnicate",
+        "fit --oplog log.tsv --objects o.json --window-s soon",
+        "capture --out-dir cap --scale",
+        "calibrate --device ssd --capacity-gb 4 --verbose",
+        "serve --oplog log.tsv --budget lots",
+        "advise --workloads w.json --targets t.json stray",
+    ] {
+        let (code, stderr) = advisor_cli(line);
+        assert_eq!(code, 2, "{line}: stderr {stderr}");
+        assert!(stderr.contains("usage:"), "{line}: stderr {stderr}");
+    }
 }
 
 #[test]
@@ -247,22 +267,24 @@ fn blocked_cache_quarantine_is_a_typed_io_error() {
 
 #[test]
 fn evacuating_with_every_target_failed_is_a_typed_error() {
-    // A fleet-wide outage leaves nowhere to evacuate to; the planner
-    // must refuse with a typed error instead of solving (or panicking
-    // on) an all-zero-capacity problem.
+    // A fleet-wide outage leaves nowhere to evacuate to; the daemon's
+    // evacuation path — re-plan over the problem without the failed
+    // targets, under an unbounded budget — must refuse with a typed
+    // error instead of solving (or panicking on) an all-zero-capacity
+    // problem.
+    use wasla::core::dynamic::{problem_without, readvise_incremental, MigrationBudget};
     let scenario = Scenario::homogeneous_disks(3, 0.01);
     let outcome = pipeline::advise(&scenario, &workloads(), &AdviseConfig::fast())
         .expect("baseline advise succeeds");
     let deployed = outcome.recommendation.final_layout();
-    let err: WaslaError = wasla::core::dynamic::readvise_around_failures(
-        &outcome.problem,
+    let err: WaslaError = readvise_incremental(
+        &problem_without(&outcome.problem, &[0, 1, 2]),
         deployed,
-        &[0, 1, 2],
         &Default::default(),
         &Default::default(),
+        &MigrationBudget::unbounded(),
     )
-    .err()
-    .expect("all targets failed should be an error")
+    .expect_err("all targets failed should be an error")
     .into();
     assert!(
         matches!(err, WaslaError::Advisor(AdvisorError::InvalidProblem(_))),

@@ -1,23 +1,23 @@
-//! Engine-swap determinism: `solve_nlp` outcomes are byte-identical
-//! whether the objective closures run over the incremental
-//! `EvalEngine` or the from-scratch `ScratchEval` path, at any
-//! `WASLA_THREADS` setting.
-//!
-//! This is the eval module's contract (DESIGN.md §10): both paths fold
-//! contention through the same canonical pairwise kernel, so swapping
-//! the evaluation machinery may change wall-clock and work counters,
-//! never results. Work counters (`NlpOutcome::stats`) are excluded
-//! from the comparison on purpose — they are the one field that
-//! legitimately differs.
+//! Solve determinism: `solve_nlp` and `solve_multistart` outcomes are
+//! pinned by a committed golden fixture, byte-identical at any
+//! `WASLA_THREADS` setting, and their utilizations equal the Eq. 1
+//! `UtilizationEstimator`'s bit for bit (DESIGN.md §10). The fixture
+//! was captured while a from-scratch solve path still ran beside the
+//! incremental engine and matched it byte for byte. Work counters
+//! (`NlpOutcome::stats`) measure the machinery, not the result, so
+//! they are excluded.
 //!
 //! The whole check lives in ONE test function: it mutates the
 //! `WASLA_THREADS` environment variable, which is only safe while no
-//! other test in the same binary runs concurrently.
+//! other test in the same binary runs concurrently. Regenerate the
+//! fixture (only for an intentional change to solve trajectories) with
+//! `WASLA_REGEN_FIXTURES=1 cargo test -p wasla --test eval_determinism`.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use wasla::core::{
-    initial_layout, solve_multistart, solve_nlp, EvalPath, Layout, LayoutProblem, NlpOutcome,
-    SolveMethod, SolverOptions,
+    initial_layout, solve_multistart, solve_nlp, Layout, LayoutProblem, NlpOutcome, SolveMethod,
+    SolverOptions, UtilizationEstimator,
 };
 use wasla::model::CostModel;
 use wasla::storage::IoKind;
@@ -57,7 +57,18 @@ fn problem(n: usize, m: usize) -> LayoutProblem {
 }
 
 /// The deterministic part of an outcome, as bytes (stats excluded).
-fn outcome_bytes(out: &NlpOutcome) -> String {
+/// Also checks the outcome's utilizations against the Eq. 1 reference
+/// evaluator, bitwise.
+fn outcome_bytes(p: &LayoutProblem, out: &NlpOutcome) -> String {
+    let reference = UtilizationEstimator::new(p).utilizations(&out.layout);
+    assert_eq!(
+        out.utilizations
+            .iter()
+            .map(|u| u.to_bits())
+            .collect::<Vec<_>>(),
+        reference.iter().map(|u| u.to_bits()).collect::<Vec<_>>(),
+        "solver-reported utilizations differ from UtilizationEstimator's"
+    );
     format!(
         "layout={:?}\nutilizations={:?}\nmax={:?}\nscore={:?}\nconverged={:?}\n",
         out.layout, out.utilizations, out.max_utilization, out.score, out.converged
@@ -68,7 +79,7 @@ fn outcome_bytes(out: &NlpOutcome) -> String {
 /// pooled engine must be indistinguishable from a freshly built one.
 /// Compare against the pre-pooling semantics: one `solve_nlp` (fresh
 /// engine) per start, winner picked by score in index order.
-fn multistart_pool_matches_fresh_engines(eval: EvalPath) {
+fn multistart_pool_matches_fresh_engines() {
     let p = problem(6, 3);
     let init = initial_layout(&p).expect("ample capacity");
     let see = Layout::see(6, 3);
@@ -85,10 +96,7 @@ fn multistart_pool_matches_fresh_engines(eval: EvalPath) {
     };
     // Four starts so a single worker reuses one engine repeatedly.
     let starts = vec![init.clone(), see.clone(), blend(0.25), blend(0.75)];
-    let opts = SolverOptions {
-        eval,
-        ..SolverOptions::default()
-    };
+    let opts = SolverOptions::default();
     let pooled = solve_multistart(&p, &starts, &opts).expect("starts supplied");
     let fresh = starts
         .iter()
@@ -96,13 +104,14 @@ fn multistart_pool_matches_fresh_engines(eval: EvalPath) {
         .reduce(|best, out| if out.score < best.score { out } else { best })
         .expect("at least one start");
     assert_eq!(
-        outcome_bytes(&pooled),
-        outcome_bytes(&fresh),
+        outcome_bytes(&p, &pooled),
+        outcome_bytes(&p, &fresh),
         "pooled multistart engines changed solve outcomes"
     );
 }
 
-fn solve_report(eval: EvalPath) -> String {
+/// Single-start and multistart outcomes of both solve methods at 6×3.
+fn solve_report() -> String {
     let mut report = String::new();
     for (method, tag) in [
         (SolveMethod::ProjectedGradient, "pg"),
@@ -112,41 +121,41 @@ fn solve_report(eval: EvalPath) -> String {
         let init = initial_layout(&p).expect("ample capacity");
         let opts = SolverOptions {
             method,
-            eval,
             ..SolverOptions::default()
         };
         let single = solve_nlp(&p, &init, &opts);
-        report.push_str(&format!("[{tag}] {}", outcome_bytes(&single)));
+        report.push_str(&format!("[{tag}] {}", outcome_bytes(&p, &single)));
         let multi =
             solve_multistart(&p, &[init, Layout::see(6, 3)], &opts).expect("starts supplied");
-        report.push_str(&format!("[{tag}/multi] {}", outcome_bytes(&multi)));
+        report.push_str(&format!("[{tag}/multi] {}", outcome_bytes(&p, &multi)));
     }
     report
 }
 
-fn at_threads(t: usize) -> (String, String) {
+fn at_threads(t: usize) -> String {
     std::env::set_var("WASLA_THREADS", t.to_string());
-    let out = (
-        solve_report(EvalPath::Engine),
-        solve_report(EvalPath::Scratch),
-    );
-    multistart_pool_matches_fresh_engines(EvalPath::Engine);
-    multistart_pool_matches_fresh_engines(EvalPath::Scratch);
+    let report = solve_report();
+    multistart_pool_matches_fresh_engines();
     std::env::remove_var("WASLA_THREADS");
-    out
+    report
 }
 
 #[test]
-fn engine_and_scratch_paths_are_byte_identical() {
-    let (engine_1, scratch_1) = at_threads(1);
+fn solve_report_matches_golden_at_any_thread_count() {
+    let report_1 = at_threads(1);
+    let report_8 = at_threads(8);
+    assert_eq!(report_1, report_8, "solve outcomes depend on WASLA_THREADS");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/eval_determinism.golden");
+    if std::env::var("WASLA_REGEN_FIXTURES").is_ok() {
+        std::fs::write(&path, &report_1).expect("write fixture");
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("read golden fixture");
     assert_eq!(
-        engine_1, scratch_1,
-        "engine swap changed solve outcomes at WASLA_THREADS=1"
+        report_1, golden,
+        "solve outcomes drifted from the golden fixture; if intentional, \
+         regenerate with WASLA_REGEN_FIXTURES=1"
     );
-    let (engine_8, scratch_8) = at_threads(8);
-    assert_eq!(
-        engine_8, scratch_8,
-        "engine swap changed solve outcomes at WASLA_THREADS=8"
-    );
-    assert_eq!(engine_1, engine_8, "engine path depends on WASLA_THREADS");
 }
