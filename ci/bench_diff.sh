@@ -34,28 +34,6 @@ median_of() {
 }
 
 echo
-echo "== streamed-ingest gate (op-log chunked reader) =="
-# Streaming an op-log through the chunked reader (DESIGN.md §12) must
-# not lose to materializing the trace first: same fit, strictly less
-# copying. Compared at a single thread so pool overhead cancels out;
-# 1.25x of slack absorbs wall-clock noise.
-streamed_ns=$(median_of "oplog_ingest_streamed/threads1" ingest)
-materialized_ns=$(median_of "oplog_ingest_materialized/threads1" ingest)
-if [ -z "$streamed_ns" ] || [ -z "$materialized_ns" ]; then
-    echo "error: ingest sweep missing from results/BENCH_ingest.json" >&2
-    echo "(expected oplog_ingest_streamed/threads1 and oplog_ingest_materialized/threads1)" >&2
-    exit 1
-fi
-ratio=$(awk -v m="$materialized_ns" -v s="$streamed_ns" 'BEGIN { printf "%.2f", s / m }')
-echo "oplog ingest threads1: streamed ${streamed_ns} ns / materialized ${materialized_ns} ns = ${ratio}x"
-if awk -v m="$materialized_ns" -v s="$streamed_ns" 'BEGIN { exit !(s <= 1.25 * m) }'; then
-    echo "ingest gate passed (streamed <= 1.25x materialized)"
-else
-    echo "error: streamed ingestion is ${ratio}x the materialized path (gate: 1.25x)" >&2
-    exit 1
-fi
-
-echo
 echo "== daemon tick-cost gate (no-drift tick vs full re-solve) =="
 # The control loop's economics (DESIGN.md §14): a quiet tick is one
 # EvalEngine pass over the deployed layout, a drifted tick pays for a

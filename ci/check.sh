@@ -114,6 +114,17 @@ if grep -RnwE 'EvalPath|GradPath|ScratchEval|DeltaOracle|EngineOracle|parse_grad
     exit 1
 fi
 
+step "ingestion ratchet (the op-log is the only captured trace)"
+# The execution engine captures one trace representation, the op-log,
+# and `fit_oplog_streamed` is the one fit over it (DESIGN.md §12).
+# Fail if the retired block-trace path or its salvage twin reappears.
+if grep -RnwE 'BlockTraceRecord|fit_workloads|fit_workloads_lossy|SalvageReport|content_hash_damaged|capture_trace|as_block_record' crates/*/src \
+    || grep -RnE '(^|[^_a-zA-Z0-9])to_trace\(' crates/*/src; then
+    echo "error: a retired block-trace path reappeared under crates/*/src (see matches above)" >&2
+    echo "capture and fit the op-log (wasla_trace::oplog) instead" >&2
+    exit 1
+fi
+
 step "objective ratchet (max-utilization reductions live in core::eval)"
 # The pluggable-objective refactor (DESIGN.md §13) funnels every
 # max-utilization reduction through `core::eval` — `max_of`,
@@ -210,31 +221,26 @@ if [ "$grad_exit" -ne 2 ]; then
 fi
 echo "advise --grad fd is a usage error (exit 2)"
 
-step "op-log replay-validation gate (streamed == materialized)"
-# The streaming contract (DESIGN.md §12): chunked ingestion of a
-# captured op-log must produce a byte-identical fit to materializing
-# the trace first, at any pool width. Capture a small log with the
-# release binary, ingest it streamed at WASLA_THREADS=1/2/8 plus
-# materialized, and byte-compare every output; then check the replay
+step "op-log replay-validation gate (streamed fit == committed golden)"
+# The streaming contract (DESIGN.md §12): the chunked fit of a captured
+# op-log is byte-identical at any pool width. Capture a small log with
+# the release binary, fit it at WASLA_THREADS=1/2/8, and byte-compare
+# every output against the committed golden fit; then check the replay
 # report itself is byte-identical across pool widths. The golden
-# round-trip (write → read → write vs the committed fixture) runs as
-# the named test suite.
+# round-trip (write → read → write vs the committed fixture, plus its
+# pinned content hashes) runs as the named test suite.
 advisor=target/release/wasla-advisor
 oplog_tmp=$(mktemp -d)
 "$advisor" capture --scenario tpch --scale 0.01 --out-dir "$oplog_tmp/cap"
 for t in 1 2 8; do
     WASLA_THREADS=$t "$advisor" fit --oplog "$oplog_tmp/cap/oplog.tsv" \
         --objects "$oplog_tmp/cap/objects.json" --out "$oplog_tmp/streamed_t$t.json"
-done
-WASLA_THREADS=1 "$advisor" fit --oplog "$oplog_tmp/cap/oplog.tsv" --materialized \
-    --objects "$oplog_tmp/cap/objects.json" --out "$oplog_tmp/materialized.json"
-for t in 1 2 8; do
-    if ! cmp -s "$oplog_tmp/materialized.json" "$oplog_tmp/streamed_t$t.json"; then
-        echo "error: streamed ingestion at WASLA_THREADS=$t differs from materialized" >&2
+    if ! cmp -s tests/fixtures/tpch_fit.golden.json "$oplog_tmp/streamed_t$t.json"; then
+        echo "error: streamed fit at WASLA_THREADS=$t differs from tests/fixtures/tpch_fit.golden.json" >&2
         exit 1
     fi
 done
-echo "streamed fit == materialized fit at WASLA_THREADS=1/2/8"
+echo "streamed fit == committed golden at WASLA_THREADS=1/2/8"
 for t in 1 8; do
     WASLA_THREADS=$t "$advisor" replay --oplog "$oplog_tmp/cap/oplog.tsv" \
         --scenario tpch --coarse > "$oplog_tmp/replay_t$t.txt"

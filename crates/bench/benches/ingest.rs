@@ -1,11 +1,10 @@
-//! Op-log ingestion benchmarks: the streamed chunked reader vs the
-//! materialize-then-fit path, at 1/2/4/8 threads.
+//! Op-log ingestion benchmarks: the chunked streamed fit at 1/2/4/8
+//! threads, plus the strict TSV reader.
 //!
-//! The streaming contract (DESIGN.md §12) says chunked ingestion
-//! through `fit_oplog_streamed` is bit-identical to materializing the
-//! trace and running `fit_workloads` — so the only thing allowed to
-//! differ is wall-clock, and this suite records it
-//! (`results/BENCH_ingest.json`). The parse bench times the strict
+//! The streaming contract (DESIGN.md §12) says the fit through
+//! `fit_oplog_streamed` is bit-identical at any thread count — so the
+//! only thing allowed to differ is wall-clock, and this suite records
+//! it (`results/BENCH_ingest.json`). The parse bench times the strict
 //! TSV reader, which is serial, so it runs at one thread only.
 //!
 //! Thread counts are pinned by setting `WASLA_THREADS` around each
@@ -16,7 +15,7 @@ use std::hint::black_box;
 use wasla::simlib::SimTime;
 use wasla::storage::{IoKind, GIB};
 use wasla::trace::oplog::{fit_oplog_streamed, OpLog, OpRecord, DEFAULT_CHUNK};
-use wasla::trace::{fit_workloads, FitConfig};
+use wasla::trace::FitConfig;
 use wasla_bench::harness::Harness;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -87,26 +86,6 @@ fn bench_streamed(c: &mut Harness) {
     group.finish();
 }
 
-fn bench_materialized(c: &mut Harness) {
-    let log = sample_log();
-    let (names, sizes) = catalog();
-    let config = FitConfig::default();
-    let mut group = c.benchmark_group("oplog_ingest_materialized");
-    for t in THREAD_COUNTS {
-        with_threads(t, || {
-            group.bench_function(format!("threads{t}"), |b| {
-                b.iter(|| {
-                    black_box(
-                        fit_workloads(&log.to_trace(), &names, &sizes, &config)
-                            .expect("materialized fit succeeds"),
-                    )
-                })
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_parse(c: &mut Harness) {
     let text = sample_log().to_tsv();
     let mut group = c.benchmark_group("oplog_parse_strict");
@@ -118,4 +97,4 @@ fn bench_parse(c: &mut Harness) {
     group.finish();
 }
 
-wasla_bench::bench_main!("ingest", bench_streamed, bench_materialized, bench_parse);
+wasla_bench::bench_main!("ingest", bench_streamed, bench_parse);

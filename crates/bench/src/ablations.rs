@@ -257,16 +257,17 @@ pub fn ablation_contention(config: &ExpConfig) -> ExperimentResult {
     ];
     // Re-run SEE with tracing to get both the fitted set and the trace.
     let mut settings = run_settings(config.seed);
-    settings.capture_trace = true;
+    settings.capture_oplog = true;
     let rows_see = wasla::exec::see_rows(scenario.catalog.len(), scenario.targets.len());
     let report = pipeline::run_layout(&scenario, &workloads, &rows_see, &settings)
         .expect("validation run succeeds");
     let trace = report.trace.as_ref().expect("trace requested");
-    let fitted = wasla::trace::fit_workloads(
+    let fitted = wasla::trace::oplog::fit_oplog_streamed(
         trace,
         &scenario.catalog.names(),
         &scenario.catalog.sizes(),
         &wasla::trace::FitConfig::default(),
+        wasla::trace::oplog::DEFAULT_CHUNK,
     )
     .expect("fit succeeds");
     let duty = fit_duty_cycles(trace, scenario.catalog.len(), 5.0).expect("duty cycles fit");

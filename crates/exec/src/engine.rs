@@ -15,7 +15,7 @@ use crate::placement::Placement;
 use crate::report::{ObjectIoStats, RunReport};
 use wasla_simlib::fault::{self, DeviceFault};
 use wasla_simlib::{SimRng, SimTime};
-use wasla_storage::{BlockTraceRecord, IoKind, StorageSystem, TargetIo, Trace};
+use wasla_storage::{IoKind, StorageSystem, TargetIo};
 use wasla_trace::oplog::{OpLog, OpRecord};
 use wasla_workload::sql::SqlWorkloadKind;
 use wasla_workload::{AccessKind, Catalog, SqlWorkload};
@@ -50,10 +50,9 @@ pub struct RunConfig {
     /// Warm-up window excluded from the tpm computation (seconds; the
     /// paper excludes 1600 s).
     pub oltp_warmup: f64,
-    /// Capture a logical block trace for workload fitting.
-    pub capture_trace: bool,
-    /// Capture a streaming op-log (issue *and* completion timestamps
-    /// per physical request) for replay and streamed ingestion.
+    /// Capture an op-log (issue *and* completion timestamps per
+    /// physical request) for workload fitting and replay. It lands in
+    /// [`RunReport::trace`].
     pub capture_oplog: bool,
 }
 
@@ -70,7 +69,6 @@ impl Default for RunConfig {
             max_time: None,
             txn_cap: None,
             oltp_warmup: 0.0,
-            capture_trace: false,
             capture_oplog: false,
         }
     }
@@ -158,10 +156,6 @@ pub struct RunOutcome {
     pub report: RunReport,
     /// Device faults applied during the run, in target order.
     pub device_events: Vec<DeviceEvent>,
-    /// The captured op-log, when [`RunConfig::capture_oplog`] was set.
-    /// Reported out-of-band from [`RunReport`], whose JSON shape the
-    /// golden result files pin.
-    pub oplog: Option<OpLog>,
 }
 
 /// Access pattern state of a running step.
@@ -230,7 +224,6 @@ pub struct Engine<'a> {
     free_queries: Vec<usize>,
     progress: Vec<WorkloadProgress>,
     object_stats: Vec<ObjectIoStats>,
-    trace: Option<Trace>,
     oplog: Option<OpLog>,
     /// Outstanding storage parts per op-log record; a record's
     /// completion timestamp is stamped when its count drains to zero.
@@ -271,7 +264,6 @@ impl<'a> Engine<'a> {
                 },
             })
             .collect();
-        let trace = config.capture_trace.then(Trace::new);
         let oplog = config.capture_oplog.then(OpLog::new);
         let rng = SimRng::new(config.seed);
         Engine {
@@ -287,7 +279,6 @@ impl<'a> Engine<'a> {
             free_queries: Vec::new(),
             progress,
             object_stats: vec![ObjectIoStats::default(); catalog.len()],
-            trace,
             oplog,
             oplog_open: Vec::new(),
             translate_buf: Vec::new(),
@@ -414,11 +405,9 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let oplog = self.oplog.take();
         Ok(RunOutcome {
             report: self.build_report(last),
             device_events,
-            oplog,
         })
     }
 
@@ -700,19 +689,6 @@ impl<'a> Engine<'a> {
             if hit_prob > 0.0 && self.rng.chance(hit_prob) {
                 continue; // served from the buffer pool
             }
-            if let Some(trace) = &mut self.trace {
-                trace.push(BlockTraceRecord {
-                    time: now,
-                    stream: object as u32,
-                    kind: if is_write {
-                        IoKind::Write
-                    } else {
-                        IoKind::Read
-                    },
-                    offset,
-                    len,
-                });
-            }
             let stats = &mut self.object_stats[object];
             if is_write {
                 stats.physical_writes += 1;
@@ -942,7 +918,7 @@ impl<'a> Engine<'a> {
             query_latency: self.query_latency,
             txn_latency: self.txn_latency,
             txn_by_template,
-            trace: self.trace,
+            trace: self.oplog,
         }
     }
 }
@@ -1155,16 +1131,18 @@ mod tests {
             RunConfig {
                 scale: 0.01,
                 pool_bytes: 0,
-                capture_trace: true,
+                capture_oplog: true,
                 ..RunConfig::default()
             },
         );
         let trace = report.trace.expect("trace requested");
         assert!(trace.len() > 100);
-        // Trace must mention LINEITEM's stream.
+        // Trace must mention LINEITEM's stream, and every record
+        // completes no earlier than it was issued.
         let catalog = Catalog::tpch_like(0.01);
         let li = catalog.expect_id("LINEITEM") as u32;
-        assert!(trace.stream_ids().contains(&li));
+        assert!(trace.records().iter().any(|r| r.stream == li));
+        assert!(trace.records().iter().all(|r| r.complete >= r.issue));
     }
 
     #[test]

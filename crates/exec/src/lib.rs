@@ -23,8 +23,10 @@
 //! * [`Engine`] — the closed-loop driver: OLAP query sequences at a
 //!   fixed concurrency level (a new query starts whenever one
 //!   finishes), OLTP terminals running transactions back-to-back, and
-//!   consolidation runs with both at once. Optionally captures a block
-//!   I/O trace for the `wasla-trace` fitting pipeline.
+//!   consolidation runs with both at once. Optionally captures an
+//!   op-log ([`wasla_trace::oplog::OpLog`]: one record per physical
+//!   request, with issue and completion times), the one trace the
+//!   `wasla-trace` fit and the replay driver read.
 
 pub mod cache;
 pub mod engine;

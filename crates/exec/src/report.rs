@@ -2,7 +2,8 @@
 
 use wasla_simlib::impl_json_struct;
 use wasla_simlib::SimTime;
-use wasla_storage::{TargetStats, Trace};
+use wasla_storage::TargetStats;
+use wasla_trace::oplog::OpLog;
 
 /// Per-object I/O accounting for one run.
 #[derive(Clone, Debug, Default)]
@@ -64,8 +65,10 @@ pub struct RunReport {
     /// OLTP transactions completed per template name (for weighted
     /// mixes; the paper's tpmC counts only New-Order).
     pub txn_by_template: Vec<(String, u64)>,
-    /// Captured block trace, when requested.
-    pub trace: Option<Trace>,
+    /// The captured op-log, when [`RunConfig::capture_oplog`] was set.
+    ///
+    /// [`RunConfig::capture_oplog`]: crate::RunConfig::capture_oplog
+    pub trace: Option<OpLog>,
 }
 
 impl_json_struct!(RunReport {

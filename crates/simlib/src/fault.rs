@@ -29,7 +29,7 @@
 //!
 //! | query | consumer | effect |
 //! |---|---|---|
-//! | [`FaultPlan::trace_fault`] | trace fitting | corrupt the tail of a captured block trace |
+//! | [`FaultPlan::trace_fault`] | trace fitting | corrupt the tail of a captured op-log |
 //! | [`FaultPlan::device_fault`] | calibration + replay | latency-degrade or fail a storage target |
 //! | [`FaultPlan::solver_budget`] | NLP solve | exhaust the iteration budget / force a fallback rung |
 //! | [`FaultPlan::request_fault`] | batch service | fail one advise attempt (retryable) |

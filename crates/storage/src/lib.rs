@@ -32,7 +32,6 @@ pub mod stats;
 pub mod system;
 pub mod target;
 pub mod tier;
-pub mod trace;
 
 pub use device::{DeviceKind, DeviceModel, DeviceSpec};
 pub use disk::DiskParams;
@@ -43,7 +42,6 @@ pub use stats::{DeviceStats, TargetStats};
 pub use system::{Completion, StorageSystem};
 pub use target::{TargetConfig, TargetId};
 pub use tier::{Tier, TierClass};
-pub use trace::{BlockTraceRecord, Trace};
 
 /// One kibibyte in bytes.
 pub const KIB: u64 = 1024;

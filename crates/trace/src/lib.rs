@@ -4,10 +4,10 @@
 //! database's block I/O, isolating each object's requests, and fitting
 //! the Rome workload parameters to the observed characteristics using
 //! HP's Rubicon tool. This crate is that fitting step for our
-//! simulator's traces:
+//! simulator's captured op-logs ([`oplog::OpLog`]):
 //!
-//! * request **rates** — per-object reads/writes divided by the trace
-//!   span;
+//! * request **rates** — per-object reads/writes divided by the log's
+//!   issue-time span;
 //! * request **sizes** — per-object mean request lengths;
 //! * **run count** — the mean number of back-to-back sequential
 //!   requests between non-sequential jumps, detected from object
@@ -16,17 +16,18 @@
 //!   fraction of windows in which `i` is active where `j` is also
 //!   active.
 //!
-//! Fitting is parallel per object: a serial pass partitions the trace
-//! into per-stream record lists (validating stream ids against the
-//! catalog), then the per-object accumulation and spec construction fan
-//! out over [`wasla_simlib::par`]. Each object consumes its records in
-//! trace order, so the result is bit-identical to the serial pass at
-//! any `WASLA_THREADS` setting.
+//! There is one fit, [`oplog::fit_oplog_streamed`]: the log is cut into
+//! fixed-size record chunks, each chunk folds into mergeable per-object
+//! statistics ([`oplog::ChunkStats`]) on the [`wasla_simlib::par`]
+//! pool, and the partials merge in log order. The merge is exact, so
+//! the result is bit-identical to one serial pass at any
+//! `WASLA_THREADS` setting. The control loop's per-tick snapshots
+//! ([`oplog::windowed_workloads`]) merge the same statistics per pane.
 
+use oplog::{OpLog, OpRecord};
 use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
-use wasla_simlib::par;
-use wasla_storage::{BlockTraceRecord, IoKind, Trace};
-use wasla_workload::{WorkloadSet, WorkloadSpec};
+use wasla_storage::IoKind;
+use wasla_workload::WorkloadSpec;
 
 pub mod oplog;
 
@@ -48,6 +49,15 @@ pub enum FitError {
         /// Number of objects in the catalog.
         objects: usize,
     },
+    /// A windowed fit would cut the log into more panes than
+    /// [`oplog::MAX_PANES`] (panes count from t = 0, so a log stamped
+    /// with epoch seconds spans ~10^8 of them).
+    TooManyPanes {
+        /// Panes the log spans from t = 0 through its last record.
+        panes: u64,
+        /// The pane limit.
+        max: u64,
+    },
 }
 
 impl ToJson for FitError {
@@ -65,6 +75,13 @@ impl ToJson for FitError {
                 Json::Obj(vec![
                     ("stream".to_string(), stream.to_json()),
                     ("objects".to_string(), objects.to_json()),
+                ]),
+            ),
+            FitError::TooManyPanes { panes, max } => json::variant(
+                "TooManyPanes",
+                Json::Obj(vec![
+                    ("panes".to_string(), panes.to_json()),
+                    ("max".to_string(), max.to_json()),
                 ]),
             ),
         }
@@ -88,6 +105,10 @@ impl FromJson for FitError {
                 stream: u32::from_json(&field(payload, "stream")?)?,
                 objects: usize::from_json(&field(payload, "objects")?)?,
             }),
+            ("TooManyPanes", payload) => Ok(FitError::TooManyPanes {
+                panes: u64::from_json(&field(payload, "panes")?)?,
+                max: u64::from_json(&field(payload, "max")?)?,
+            }),
             (other, _) => Err(JsonError::new(format!(
                 "unknown FitError variant: {other:?}"
             ))),
@@ -105,6 +126,10 @@ impl std::fmt::Display for FitError {
             FitError::StreamOutOfRange { stream, objects } => write!(
                 f,
                 "trace stream {stream} out of range for {objects} objects"
+            ),
+            FitError::TooManyPanes { panes, max } => write!(
+                f,
+                "log spans {panes} panes from t = 0, over the limit of {max}"
             ),
         }
     }
@@ -132,12 +157,10 @@ impl Default for FitConfig {
     }
 }
 
-/// Per-object accumulation state during the single pass over the trace.
-///
-/// Also usable as a *partial* accumulation over a contiguous chunk of
-/// the trace: `first` remembers the shape of the object's first request
-/// in the chunk so [`oplog`]'s merge can decide whether the chunk
-/// boundary split a sequential run.
+/// Per-object accumulation state over a contiguous range of op-log
+/// records: `first` remembers the shape of the object's first request
+/// in the range so [`oplog::ChunkStats::merge`] can decide whether the
+/// range boundary split a sequential run.
 #[derive(Clone, Debug)]
 struct Accum {
     reads: u64,
@@ -171,143 +194,7 @@ impl Accum {
     }
 }
 
-/// Fits Rome workload descriptions from a block trace.
-///
-/// `names` and `sizes` describe the objects; the trace's stream ids
-/// index into them. Objects with no traced requests get an idle spec.
-///
-/// Per-object accumulation and spec construction run on the
-/// [`par`] pool; each object still sees its records in trace order, so
-/// the fitted set is bit-identical at any thread count.
-pub fn fit_workloads(
-    trace: &Trace,
-    names: &[String],
-    sizes: &[u64],
-    config: &FitConfig,
-) -> Result<WorkloadSet, FitError> {
-    if names.len() != sizes.len() {
-        return Err(FitError::ShapeMismatch {
-            names: names.len(),
-            sizes: sizes.len(),
-        });
-    }
-    let n = names.len();
-    let span = trace.span().as_secs().max(1e-9);
-    let records = trace.records();
-
-    // Serial pass: validate stream ids and partition record indices by
-    // object, preserving trace order within each object.
-    let mut per_object: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (k, rec) in records.iter().enumerate() {
-        let i = rec.stream as usize;
-        if i >= n {
-            return Err(FitError::StreamOutOfRange {
-                stream: rec.stream,
-                objects: n,
-            });
-        }
-        per_object[i].push(k);
-    }
-
-    // Parallel accumulation: objects are independent once partitioned.
-    let accums: Vec<Accum> = par::par_map(&per_object, |indices| {
-        let mut a = Accum::new();
-        for &k in indices {
-            let rec = &records[k];
-            observe(&mut a, rec, config);
-            let w = (rec.time.as_secs() / config.window_s) as u32;
-            if a.windows.last() != Some(&w) {
-                a.windows.push(w);
-            }
-        }
-        a
-    });
-
-    // Parallel spec construction: each spec reads all accums immutably
-    // (the overlap row needs every object's window list).
-    let object_ids: Vec<usize> = (0..n).collect();
-    let specs = par::par_map(&object_ids, |&i| build_spec(&accums, i, span));
-    Ok(WorkloadSet {
-        names: names.to_vec(),
-        sizes: sizes.to_vec(),
-        specs,
-    })
-}
-
-/// What a lossy fit salvaged: how much of the trace was fit and how
-/// much was discarded as damaged.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SalvageReport {
-    /// Records in the valid prefix that was fitted.
-    pub kept: usize,
-    /// Damaged-tail records that were discarded.
-    pub dropped: usize,
-}
-
-impl SalvageReport {
-    /// True when anything was discarded.
-    pub fn degraded(&self) -> bool {
-        self.dropped > 0
-    }
-}
-
-/// [`fit_workloads`], but tolerant of a damaged trace tail: fits the
-/// longest valid prefix (every record before the first out-of-range
-/// stream id) and reports how much was salvaged.
-///
-/// A fully valid trace fits identically to the strict path with zero
-/// drops. A trace whose *first* record is already damaged has no
-/// salvageable prefix, so the strict [`FitError`] propagates — callers
-/// degrade gracefully only when there is signal left to degrade to.
-pub fn fit_workloads_lossy(
-    trace: &Trace,
-    names: &[String],
-    sizes: &[u64],
-    config: &FitConfig,
-) -> Result<(WorkloadSet, SalvageReport), FitError> {
-    if names.len() != sizes.len() {
-        return Err(FitError::ShapeMismatch {
-            names: names.len(),
-            sizes: sizes.len(),
-        });
-    }
-    let n = names.len();
-    let records = trace.records();
-    let valid = records
-        .iter()
-        .position(|r| r.stream as usize >= n)
-        .unwrap_or(records.len());
-    if valid == records.len() {
-        let set = fit_workloads(trace, names, sizes, config)?;
-        return Ok((
-            set,
-            SalvageReport {
-                kept: valid,
-                dropped: 0,
-            },
-        ));
-    }
-    if valid == 0 {
-        return Err(FitError::StreamOutOfRange {
-            stream: records[0].stream,
-            objects: n,
-        });
-    }
-    let mut prefix = Trace::new();
-    for rec in &records[..valid] {
-        prefix.push(rec.clone());
-    }
-    let set = fit_workloads(&prefix, names, sizes, config)?;
-    Ok((
-        set,
-        SalvageReport {
-            kept: valid,
-            dropped: records.len() - valid,
-        },
-    ))
-}
-
-fn observe(a: &mut Accum, rec: &BlockTraceRecord, config: &FitConfig) {
+fn observe(a: &mut Accum, rec: &OpRecord, config: &FitConfig) {
     if a.first.is_none() {
         a.first = Some((rec.offset, rec.len));
     }
@@ -374,16 +261,12 @@ fn build_spec(accums: &[Accum], i: usize, span: f64) -> WorkloadSpec {
 /// the duty cycle is its first moment, and dividing average rates by
 /// it recovers busy-period rates (used by the busy-rate contention
 /// variant in `wasla-core`).
-pub fn fit_duty_cycles(
-    trace: &Trace,
-    n_objects: usize,
-    window_s: f64,
-) -> Result<Vec<f64>, FitError> {
-    let span = trace.span().as_secs().max(window_s);
+pub fn fit_duty_cycles(log: &OpLog, n_objects: usize, window_s: f64) -> Result<Vec<f64>, FitError> {
+    let span = log.span().as_secs().max(window_s);
     let total_windows = (span / window_s).ceil().max(1.0);
     let mut last_window: Vec<Option<u32>> = vec![None; n_objects];
     let mut active = vec![0u32; n_objects];
-    for rec in trace.records() {
+    for rec in log.records() {
         let i = rec.stream as usize;
         if i >= n_objects {
             return Err(FitError::StreamOutOfRange {
@@ -391,7 +274,7 @@ pub fn fit_duty_cycles(
                 objects: n_objects,
             });
         }
-        let w = (rec.time.as_secs() / window_s) as u32;
+        let w = (rec.issue.as_secs() / window_s) as u32;
         if last_window[i] != Some(w) {
             last_window[i] = Some(w);
             active[i] += 1;
@@ -428,15 +311,18 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oplog::{fit_oplog_streamed, DEFAULT_CHUNK};
     use wasla_simlib::SimTime;
+    use wasla_workload::WorkloadSet;
 
-    fn rec(t: f64, stream: u32, kind: IoKind, offset: u64, len: u64) -> BlockTraceRecord {
-        BlockTraceRecord {
-            time: SimTime::from_secs(t),
-            stream,
+    fn rec(t: f64, stream: u32, kind: IoKind, offset: u64, len: u64) -> OpRecord {
+        OpRecord {
             kind,
+            stream,
             offset,
             len,
+            issue: SimTime::from_secs(t),
+            complete: SimTime::from_secs(t),
         }
     }
 
@@ -444,16 +330,25 @@ mod tests {
         (vec!["A".into(), "B".into()], vec![1 << 30, 1 << 30])
     }
 
+    fn fit(
+        log: &OpLog,
+        names: &[String],
+        sizes: &[u64],
+        config: &FitConfig,
+    ) -> Result<WorkloadSet, FitError> {
+        fit_oplog_streamed(log, names, sizes, config, DEFAULT_CHUNK)
+    }
+
     #[test]
     fn rates_and_sizes_fit() {
-        let mut trace = Trace::new();
+        let mut log = OpLog::new();
         // Object 0: 10 reads of 8 KiB over 10 seconds.
         for k in 0..10 {
-            trace.push(rec(k as f64, 0, IoKind::Read, k * 1_000_000, 8192));
+            log.push(rec(k as f64, 0, IoKind::Read, k * 1_000_000, 8192));
         }
         // Span is 9 s (first to last record).
         let (names, sizes) = two_obj_names();
-        let set = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap();
+        let set = fit(&log, &names, &sizes, &FitConfig::default()).unwrap();
         let s = &set.specs[0];
         assert!((s.read_rate - 10.0 / 9.0).abs() < 1e-9);
         assert_eq!(s.read_size, 8192.0);
@@ -465,26 +360,26 @@ mod tests {
 
     #[test]
     fn sequential_run_detection() {
-        let mut trace = Trace::new();
+        let mut log = OpLog::new();
         // Two runs of 5 sequential requests each, separated by a jump.
         let mut off = 0u64;
         for k in 0..10u64 {
             if k == 5 {
                 off = 500_000_000;
             }
-            trace.push(rec(k as f64 * 0.01, 0, IoKind::Read, off, 65536));
+            log.push(rec(k as f64 * 0.01, 0, IoKind::Read, off, 65536));
             off += 65536;
         }
         let (names, sizes) = two_obj_names();
-        let set = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap();
+        let set = fit(&log, &names, &sizes, &FitConfig::default()).unwrap();
         assert!((set.specs[0].run_count - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn random_workload_run_count_one() {
-        let mut trace = Trace::new();
+        let mut log = OpLog::new();
         for k in 0..20u64 {
-            trace.push(rec(
+            log.push(rec(
                 k as f64 * 0.01,
                 0,
                 IoKind::Read,
@@ -493,7 +388,7 @@ mod tests {
             ));
         }
         let (names, sizes) = two_obj_names();
-        let set = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap();
+        let set = fit(&log, &names, &sizes, &FitConfig::default()).unwrap();
         assert!(
             set.specs[0].run_count < 1.5,
             "run {}",
@@ -507,17 +402,17 @@ mod tests {
             window_s: 1.0,
             ..FitConfig::default()
         };
-        let mut trace = Trace::new();
+        let mut log = OpLog::new();
         // Object 0 active in seconds 0-9; object 1 active only 0-4.
         // Mid-window timestamps avoid float truncation at boundaries.
         for k in 0..10u64 {
-            trace.push(rec(k as f64 + 0.4, 0, IoKind::Read, k * 8192, 8192));
+            log.push(rec(k as f64 + 0.4, 0, IoKind::Read, k * 8192, 8192));
             if k < 5 {
-                trace.push(rec(k as f64 + 0.5, 1, IoKind::Read, k * 8192, 8192));
+                log.push(rec(k as f64 + 0.5, 1, IoKind::Read, k * 8192, 8192));
             }
         }
         let (names, sizes) = two_obj_names();
-        let set = fit_workloads(&trace, &names, &sizes, &config).unwrap();
+        let set = fit(&log, &names, &sizes, &config).unwrap();
         // O_0[1] = 5/10; O_1[0] = 5/5.
         assert!((set.specs[0].overlaps[1] - 0.5).abs() < 1e-9);
         assert!((set.specs[1].overlaps[0] - 1.0).abs() < 1e-9);
@@ -526,12 +421,12 @@ mod tests {
 
     #[test]
     fn mixed_read_write_sizes() {
-        let mut trace = Trace::new();
-        trace.push(rec(0.0, 0, IoKind::Read, 0, 4096));
-        trace.push(rec(1.0, 0, IoKind::Write, 1 << 20, 16384));
-        trace.push(rec(2.0, 0, IoKind::Write, 2 << 20, 16384));
+        let mut log = OpLog::new();
+        log.push(rec(0.0, 0, IoKind::Read, 0, 4096));
+        log.push(rec(1.0, 0, IoKind::Write, 1 << 20, 16384));
+        log.push(rec(2.0, 0, IoKind::Write, 2 << 20, 16384));
         let (names, sizes) = two_obj_names();
-        let set = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap();
+        let set = fit(&log, &names, &sizes, &FitConfig::default()).unwrap();
         let s = &set.specs[0];
         assert_eq!(s.read_size, 4096.0);
         assert_eq!(s.write_size, 16384.0);
@@ -540,25 +435,25 @@ mod tests {
 
     #[test]
     fn empty_trace_all_idle() {
-        let trace = Trace::new();
+        let log = OpLog::new();
         let (names, sizes) = two_obj_names();
-        let set = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap();
+        let set = fit(&log, &names, &sizes, &FitConfig::default()).unwrap();
         assert!(set.specs.iter().all(|s| s.total_rate() == 0.0));
         set.validate().unwrap();
     }
 
     #[test]
     fn duty_cycles_measure_active_fractions() {
-        let mut trace = Trace::new();
+        let mut log = OpLog::new();
         // Object 0 active in every second 0..10; object 1 only 0..5;
         // object 2 never.
         for k in 0..10u64 {
-            trace.push(rec(k as f64 + 0.4, 0, IoKind::Read, k * 8192, 8192));
+            log.push(rec(k as f64 + 0.4, 0, IoKind::Read, k * 8192, 8192));
             if k < 5 {
-                trace.push(rec(k as f64 + 0.5, 1, IoKind::Read, k * 8192, 8192));
+                log.push(rec(k as f64 + 0.5, 1, IoKind::Read, k * 8192, 8192));
             }
         }
-        let duty = fit_duty_cycles(&trace, 3, 1.0).unwrap();
+        let duty = fit_duty_cycles(&log, 3, 1.0).unwrap();
         assert!(duty[0] > 0.9, "duty0 {}", duty[0]);
         assert!((duty[1] - 0.5).abs() < 0.1, "duty1 {}", duty[1]);
         assert_eq!(duty[2], 0.0);
@@ -566,9 +461,9 @@ mod tests {
 
     #[test]
     fn shape_mismatch_is_a_typed_error() {
-        let trace = Trace::new();
-        let err = fit_workloads(
-            &trace,
+        let log = OpLog::new();
+        let err = fit(
+            &log,
             &["a".into(), "b".into()],
             &[1 << 30],
             &FitConfig::default(),
@@ -580,10 +475,10 @@ mod tests {
 
     #[test]
     fn out_of_range_stream_is_a_typed_error() {
-        let mut trace = Trace::new();
-        trace.push(rec(0.0, 7, IoKind::Read, 0, 8192));
+        let mut log = OpLog::new();
+        log.push(rec(0.0, 7, IoKind::Read, 0, 8192));
         let (names, sizes) = two_obj_names();
-        let err = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap_err();
+        let err = fit(&log, &names, &sizes, &FitConfig::default()).unwrap_err();
         assert_eq!(
             err,
             FitError::StreamOutOfRange {
@@ -591,7 +486,7 @@ mod tests {
                 objects: 2
             }
         );
-        let err2 = fit_duty_cycles(&trace, 2, 1.0).unwrap_err();
+        let err2 = fit_duty_cycles(&log, 2, 1.0).unwrap_err();
         assert_eq!(err, err2);
     }
 
@@ -604,106 +499,14 @@ mod tests {
                 stream: 9,
                 objects: 4,
             },
+            FitError::TooManyPanes {
+                panes: 1 << 20,
+                max: oplog::MAX_PANES,
+            },
         ] {
             let back: FitError = from_str(&to_string(&err)).unwrap();
             assert_eq!(back, err);
         }
-    }
-
-    #[test]
-    fn parallel_fit_matches_serial() {
-        // Many interleaved streams: the partitioned parallel fit must
-        // reproduce the serial result exactly (same WASLA_THREADS-free
-        // path, explicit widths via the pool's own determinism tests).
-        let mut trace = Trace::new();
-        for k in 0..400u64 {
-            trace.push(rec(
-                k as f64 * 0.05,
-                (k % 2) as u32,
-                if k % 3 == 0 {
-                    IoKind::Write
-                } else {
-                    IoKind::Read
-                },
-                (k * 123_457) % (1 << 28),
-                4096 + (k % 4) * 4096,
-            ));
-        }
-        let (names, sizes) = two_obj_names();
-        let fitted = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap();
-        use wasla_simlib::json::to_string;
-        let a = to_string(&fitted);
-        let b = to_string(&fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap());
-        assert_eq!(a, b);
-        fitted.validate().unwrap();
-    }
-
-    #[test]
-    fn lossy_fit_salvages_valid_prefix() {
-        let (names, sizes) = two_obj_names();
-        // A clean 20-record trace, then a damaged 10-record tail.
-        let mut clean = Trace::new();
-        let mut damaged = Trace::new();
-        for k in 0..30u64 {
-            let stream = if k < 20 { (k % 2) as u32 } else { u32::MAX };
-            let r = rec(k as f64 * 0.1, stream, IoKind::Read, k * 8192, 8192);
-            if k < 20 {
-                clean.push(r.clone());
-            }
-            damaged.push(r);
-        }
-        let (set, salvage) =
-            fit_workloads_lossy(&damaged, &names, &sizes, &FitConfig::default()).unwrap();
-        assert_eq!(
-            salvage,
-            SalvageReport {
-                kept: 20,
-                dropped: 10
-            }
-        );
-        assert!(salvage.degraded());
-        // The salvaged fit is exactly the fit of the clean prefix.
-        let clean_set = fit_workloads(&clean, &names, &sizes, &FitConfig::default()).unwrap();
-        use wasla_simlib::json::to_string;
-        assert_eq!(to_string(&set), to_string(&clean_set));
-    }
-
-    #[test]
-    fn lossy_fit_on_clean_trace_matches_strict_with_zero_drops() {
-        let (names, sizes) = two_obj_names();
-        let mut trace = Trace::new();
-        for k in 0..10u64 {
-            trace.push(rec(k as f64, (k % 2) as u32, IoKind::Read, k * 4096, 4096));
-        }
-        let (set, salvage) =
-            fit_workloads_lossy(&trace, &names, &sizes, &FitConfig::default()).unwrap();
-        assert_eq!(
-            salvage,
-            SalvageReport {
-                kept: 10,
-                dropped: 0
-            }
-        );
-        assert!(!salvage.degraded());
-        let strict = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap();
-        use wasla_simlib::json::to_string;
-        assert_eq!(to_string(&set), to_string(&strict));
-    }
-
-    #[test]
-    fn lossy_fit_with_no_valid_prefix_keeps_the_typed_error() {
-        let (names, sizes) = two_obj_names();
-        let mut trace = Trace::new();
-        trace.push(rec(0.0, 9, IoKind::Read, 0, 8192));
-        trace.push(rec(1.0, 0, IoKind::Read, 0, 8192));
-        let err = fit_workloads_lossy(&trace, &names, &sizes, &FitConfig::default()).unwrap_err();
-        assert_eq!(
-            err,
-            FitError::StreamOutOfRange {
-                stream: 9,
-                objects: 2
-            }
-        );
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Streaming op-log capture/replay ingestion.
 //!
-//! The advisor is driven entirely by traces, but [`fit_workloads`]
-//! wants the whole trace materialized in memory — a scaling wall for
-//! production-length captures. This module adds a compact
-//! line-oriented *op-log* format, a single-pass reader, and per-object
-//! sufficient statistics that are **mergeable**, so fits stream through
-//! [`wasla_simlib::par`] chunk by chunk and still come out bit-identical
-//! to the materialized path at any `WASLA_THREADS` setting.
+//! The op-log is the advisor's one captured trace: the execution
+//! engine records it, the TSV reader below loads it from disk, and
+//! every fit reads it. This module holds the compact line-oriented
+//! *op-log* format, a single-pass reader, and per-object sufficient
+//! statistics that are **mergeable**, so fits stream through
+//! [`wasla_simlib::par`] chunk by chunk and come out bit-identical to
+//! one serial pass at any `WASLA_THREADS` setting.
 //!
 //! # Record format (TSV, one op per line)
 //!
@@ -40,15 +40,15 @@
 //!
 //! Every operation is integer arithmetic (or an f64 carried verbatim),
 //! so the merged state equals the serial single-pass state *bitwise*,
-//! and the specs built from it are byte-identical to
-//! [`fit_workloads`] on the materialized trace.
+//! and the specs built from it are byte-identical to folding the whole
+//! log into one [`ChunkStats`].
 
 use crate::{build_spec, observe, Accum, FitConfig, FitError};
 use wasla_simlib::impl_json_struct;
 use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 use wasla_simlib::par;
 use wasla_simlib::SimTime;
-use wasla_storage::{BlockTraceRecord, IoKind, Trace};
+use wasla_storage::IoKind;
 use wasla_workload::WorkloadSet;
 
 /// First line of every op-log file.
@@ -80,25 +80,21 @@ pub struct OpRecord {
     pub complete: SimTime,
 }
 
-impl OpRecord {
-    /// The trace-record view of this op (the fit consumes submission
-    /// times only).
-    pub fn as_block_record(&self) -> BlockTraceRecord {
-        BlockTraceRecord {
-            time: self.issue,
-            stream: self.stream,
-            kind: self.kind,
-            offset: self.offset,
-            len: self.len,
-        }
-    }
-}
-
 /// A captured op-log: records in issue order.
 #[derive(Clone, Debug, Default)]
 pub struct OpLog {
     records: Vec<OpRecord>,
 }
+
+impl_json_struct!(OpRecord {
+    kind,
+    stream,
+    offset,
+    len,
+    issue,
+    complete
+});
+impl_json_struct!(OpLog { records });
 
 /// Typed op-log reader failures. Line numbers are 1-based and count
 /// the header line.
@@ -341,20 +337,20 @@ impl OpLog {
         out
     }
 
-    /// Materializes the trace-equivalent of this log (issue times
-    /// become trace timestamps).
-    pub fn to_trace(&self) -> Trace {
-        let mut trace = Trace::new();
-        for rec in &self.records {
-            trace.push(rec.as_block_record());
+    /// The log's first `keep` records (all of them when `keep`
+    /// exceeds the length).
+    pub fn prefix(&self, keep: usize) -> OpLog {
+        OpLog {
+            records: self.records[..keep.min(self.records.len())].to_vec(),
         }
-        trace
     }
 
-    /// Content hash of [`OpLog::to_trace`]'s result, computed without
-    /// materializing the trace. Byte-for-byte the same key
-    /// [`Trace::content_hash`] would produce, so a fit cached from a
-    /// materialized trace serves the streamed path and vice versa.
+    /// A stable 64-bit content hash over every record's fit-relevant
+    /// fields (issue time, stream, direction, offset, length), for use
+    /// as a stage-cache key and as the fault plan's trace roll. Hashes
+    /// the raw fields directly (not a JSON rendering) so keying a
+    /// session cache stays cheap next to the fitting work it guards.
+    /// Completion times are not hashed: the fit never reads them.
     pub fn trace_content_hash(&self) -> u64 {
         let mut h = wasla_simlib::hash::Fnv64::new();
         h.write_u64(self.records.len() as u64);
@@ -372,10 +368,9 @@ impl OpLog {
     }
 
     /// [`OpLog::trace_content_hash`] with every record past the first
-    /// `keep` rewritten to stream `u32::MAX` — byte-for-byte what
-    /// [`Trace::content_hash_damaged`] produces on the materialized
-    /// trace, so a salvage cached from either representation serves
-    /// both.
+    /// `keep` rewritten to stream `u32::MAX` — the torn tail fault
+    /// injection produces. Keys the fit of a damaged log's valid
+    /// prefix without materializing the damaged copy.
     pub fn trace_content_hash_damaged(&self, keep: usize) -> u64 {
         let mut h = wasla_simlib::hash::Fnv64::new();
         h.write_u64(self.records.len() as u64);
@@ -418,7 +413,7 @@ impl OpLog {
     /// A clean log parses fully with a zero-drop salvage. A log whose
     /// *first* record line is already damaged (or whose header is
     /// missing) has no salvageable prefix, so the typed error
-    /// propagates — mirroring [`crate::fit_workloads_lossy`].
+    /// propagates: there is no signal left to degrade to.
     ///
     /// One forward cursor walks the text, splitting lines exactly as
     /// [`str::lines`] does and parsing each regular record's fields in
@@ -673,9 +668,8 @@ impl ChunkStats {
     }
 
     /// Folds one record into the statistics. Records must arrive in
-    /// issue order. Fails on a stream id outside the catalog, exactly
-    /// like the materialized fit.
-    pub fn observe(&mut self, rec: &BlockTraceRecord, config: &FitConfig) -> Result<(), FitError> {
+    /// issue order. Fails on a stream id outside the catalog.
+    pub fn observe(&mut self, rec: &OpRecord, config: &FitConfig) -> Result<(), FitError> {
         let i = rec.stream as usize;
         if i >= self.accums.len() {
             return Err(FitError::StreamOutOfRange {
@@ -685,14 +679,14 @@ impl ChunkStats {
         }
         let a = &mut self.accums[i];
         observe(a, rec, config);
-        let w = (rec.time.as_secs() / config.window_s) as u32;
+        let w = (rec.issue.as_secs() / config.window_s) as u32;
         if a.windows.last() != Some(&w) {
             a.windows.push(w);
         }
         if self.first_time.is_none() {
-            self.first_time = Some(rec.time);
+            self.first_time = Some(rec.issue);
         }
-        self.last_time = Some(rec.time);
+        self.last_time = Some(rec.issue);
         Ok(())
     }
 
@@ -736,8 +730,9 @@ impl ChunkStats {
     }
 
     /// Builds the fitted workload set from the accumulated statistics.
-    /// Spec construction fans over [`par`], same as the materialized
-    /// fit.
+    /// Spec construction fans over [`par`]: each spec reads every
+    /// object's window list (for its overlap row) but writes only its
+    /// own.
     pub fn finish(&self, names: &[String], sizes: &[u64]) -> Result<WorkloadSet, FitError> {
         if names.len() != sizes.len() || names.len() != self.accums.len() {
             return Err(FitError::ShapeMismatch {
@@ -760,12 +755,14 @@ impl ChunkStats {
     }
 }
 
-/// Streamed ingest: fits Rome workload descriptions directly from an
-/// op-log by accumulating fixed-size record chunks in parallel and
-/// merging the partial statistics in order.
+/// The fit: Rome workload descriptions from an op-log, by
+/// accumulating fixed-size record chunks in parallel and merging the
+/// partial statistics in order. `names` and `sizes` describe the
+/// objects; the log's stream ids index into them. Objects with no
+/// logged requests get an idle spec.
 ///
-/// Bit-identical to `fit_workloads(&log.to_trace(), ...)` at any
-/// `WASLA_THREADS` setting: chunk boundaries depend only on
+/// Bit-identical to folding the whole log into one [`ChunkStats`] at
+/// any `WASLA_THREADS` setting: chunk boundaries depend only on
 /// `chunk_records`, accumulation is integer-exact, and the merged
 /// state equals the serial pass (see the module docs).
 pub fn fit_oplog_streamed(
@@ -791,7 +788,7 @@ pub fn fit_oplog_streamed(
     let partials: Vec<Result<ChunkStats, FitError>> = par::par_map(&ranges, |&(start, end)| {
         let mut stats = ChunkStats::new(n);
         for rec in &records[start..end] {
-            stats.observe(&rec.as_block_record(), config)?;
+            stats.observe(rec, config)?;
         }
         Ok(stats)
     });
@@ -801,6 +798,16 @@ pub fn fit_oplog_streamed(
     }
     merged.finish(names, sizes)
 }
+
+/// Most panes [`windowed_workloads`] will cut one log into. Panes count
+/// from t = 0 and each one costs a [`ChunkStats`] plus a
+/// [`WorkloadSet`] snapshot whose overlap matrix alone is `n²` f64s —
+/// about 4 KiB with every per-object vector for the 20-object TPC-H
+/// catalog, so 2^16 panes already hold ~256 MiB of snapshots. A log
+/// stamped with epoch seconds would ask for ~10^8 panes and abort on
+/// allocation; past this limit the fit fails with
+/// [`FitError::TooManyPanes`] instead.
+pub const MAX_PANES: u64 = 1 << 16;
 
 /// Sliding-window configuration for control-loop ingestion: the
 /// stream is cut into fixed *panes* of `pane_s` seconds, and every
@@ -857,6 +864,9 @@ pub struct WindowSnapshot {
 /// times and `plan.pane_s` — never on the thread count or on how the
 /// stream was chunked on arrival — so the snapshot sequence is
 /// byte-identical at any `WASLA_THREADS` setting.
+///
+/// Fails with [`FitError::TooManyPanes`] when the log reaches past
+/// pane [`MAX_PANES`]` - 1`.
 pub fn windowed_workloads(
     log: &OpLog,
     names: &[String],
@@ -879,6 +889,12 @@ pub fn windowed_workloads(
     let width = plan.panes_per_window.max(1) as u64;
     let pane_of = |t: SimTime| (t.as_secs() / pane_s) as u64;
     let last_pane = pane_of(records[records.len() - 1].issue);
+    if last_pane >= MAX_PANES {
+        return Err(FitError::TooManyPanes {
+            panes: last_pane.saturating_add(1),
+            max: MAX_PANES,
+        });
+    }
 
     // Contiguous record range per pane (records arrive in issue order).
     let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(last_pane as usize + 1);
@@ -894,7 +910,7 @@ pub fn windowed_workloads(
     let panes: Vec<Result<ChunkStats, FitError>> = par::par_map(&ranges, |&(start, end)| {
         let mut stats = ChunkStats::new(n);
         for rec in &records[start..end] {
-            stats.observe(&rec.as_block_record(), config)?;
+            stats.observe(rec, config)?;
         }
         Ok(stats)
     });
@@ -927,8 +943,22 @@ pub fn windowed_workloads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fit_workloads;
     use wasla_simlib::json::to_string;
+
+    /// The reference fit: the whole log folded serially into one
+    /// [`ChunkStats`], with no chunking and no merge.
+    fn serial_fit(
+        log: &OpLog,
+        names: &[String],
+        sizes: &[u64],
+        config: &FitConfig,
+    ) -> Result<WorkloadSet, FitError> {
+        let mut stats = ChunkStats::new(names.len());
+        for rec in log.records() {
+            stats.observe(rec, config)?;
+        }
+        stats.finish(names, sizes)
+    }
 
     fn rec(t: f64, stream: u32, kind: IoKind, offset: u64, len: u64) -> OpRecord {
         OpRecord {
@@ -1001,7 +1031,7 @@ mod tests {
         let log = sample_log(500);
         let (names, sizes) = catalog();
         let config = FitConfig::default();
-        let materialized = fit_workloads(&log.to_trace(), &names, &sizes, &config).unwrap();
+        let materialized = serial_fit(&log, &names, &sizes, &config).unwrap();
         for chunk in [1, 2, 3, 7, 64, 499, 500, 5000] {
             let streamed = fit_oplog_streamed(&log, &names, &sizes, &config, chunk).unwrap();
             assert_eq!(
@@ -1018,7 +1048,7 @@ mod tests {
         let (names, sizes) = catalog();
         let config = FitConfig::default();
         let streamed = fit_oplog_streamed(&log, &names, &sizes, &config, 16).unwrap();
-        let materialized = fit_workloads(&log.to_trace(), &names, &sizes, &config).unwrap();
+        let materialized = serial_fit(&log, &names, &sizes, &config).unwrap();
         assert_eq!(to_string(&streamed), to_string(&materialized));
     }
 
@@ -1044,21 +1074,44 @@ mod tests {
 
     #[test]
     fn trace_content_hash_matches_materialized_trace() {
+        // The key persisted fit caches and fault seeds depend on: FNV
+        // over the record count, then each record's (issue, stream,
+        // direction, offset, len) — completion times excluded.
+        let reference = |log: &OpLog| {
+            let mut h = wasla_simlib::hash::Fnv64::new();
+            h.write_u64(log.len() as u64);
+            for r in log.records() {
+                h.write_f64(r.issue.as_secs());
+                h.write_u64(r.stream as u64);
+                h.write_u64(u64::from(r.kind == IoKind::Write));
+                h.write_u64(r.offset);
+                h.write_u64(r.len);
+            }
+            h.finish()
+        };
         let log = sample_log(120);
-        assert_eq!(log.trace_content_hash(), log.to_trace().content_hash());
-        assert_eq!(
-            OpLog::new().trace_content_hash(),
-            Trace::new().content_hash()
-        );
+        assert_eq!(log.trace_content_hash(), reference(&log));
+        assert_eq!(OpLog::new().trace_content_hash(), reference(&OpLog::new()));
+        let mut late = log.clone();
+        late.set_complete(3, SimTime::from_secs(99.0));
+        assert_eq!(late.trace_content_hash(), log.trace_content_hash());
     }
 
     #[test]
     fn damaged_trace_content_hash_matches_materialized_damage() {
         let log = sample_log(40);
         for keep in [0, 17, 40] {
+            let mut damaged = OpLog::new();
+            for (i, rec) in log.records().iter().enumerate() {
+                let mut rec = *rec;
+                if i >= keep {
+                    rec.stream = u32::MAX;
+                }
+                damaged.push(rec);
+            }
             assert_eq!(
                 log.trace_content_hash_damaged(keep),
-                log.to_trace().content_hash_damaged(keep),
+                damaged.trace_content_hash(),
                 "keep={keep}"
             );
         }
@@ -1477,7 +1530,7 @@ mod tests {
             let mut count = 0u64;
             for rec in log.records() {
                 if rec.issue >= snap.start && rec.issue < snap.end {
-                    direct.observe(&rec.as_block_record(), &config).unwrap();
+                    direct.observe(rec, &config).unwrap();
                     count += 1;
                 }
             }
@@ -1541,6 +1594,36 @@ mod tests {
             let start_pane = (snap.tick + 1).saturating_sub(plan.panes_per_window as u64);
             assert_eq!(snap.start.as_secs(), start_pane as f64 * plan.pane_s);
         }
+    }
+
+    #[test]
+    fn epoch_stamped_log_is_too_many_panes() {
+        let (names, sizes) = catalog();
+        let mut log = OpLog::new();
+        log.push(rec(1.7e9, 0, IoKind::Read, 0, 8192));
+        log.push(rec(1.7e9 + 1.0, 1, IoKind::Read, 0, 8192));
+        let plan = WindowPlan::default();
+        let err =
+            windowed_workloads(&log, &names, &sizes, &FitConfig::default(), &plan).unwrap_err();
+        assert_eq!(
+            err,
+            FitError::TooManyPanes {
+                panes: 170_000_001,
+                max: MAX_PANES
+            }
+        );
+        // The last pane under the limit still fits.
+        let mut edge = OpLog::new();
+        edge.push(rec(
+            (MAX_PANES - 1) as f64 * plan.pane_s,
+            0,
+            IoKind::Read,
+            0,
+            8192,
+        ));
+        let snapshots =
+            windowed_workloads(&edge, &names, &sizes, &FitConfig::default(), &plan).unwrap();
+        assert_eq!(snapshots.len() as u64, MAX_PANES);
     }
 
     #[test]

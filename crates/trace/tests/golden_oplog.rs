@@ -33,9 +33,12 @@ fn golden_fixture_is_clean_for_the_lossy_reader() {
 }
 
 #[test]
-fn golden_fixture_hash_agrees_with_materialized_trace() {
+fn golden_fixture_hashes_are_pinned() {
     let log = OpLog::parse_tsv(GOLDEN).expect("fixture parses");
-    // The cache-key contract: the streamed hash equals the hash of the
-    // materialized trace, so fits cached from either serve both.
-    assert_eq!(log.trace_content_hash(), log.to_trace().content_hash());
+    // These 64-bit values key the persisted fit cache and seed the
+    // fault plan's trace-corruption roll, so a change to the hashing
+    // silently invalidates saved sessions and reshuffles which runs a
+    // fault seed damages. Pin both the clean and the damaged form.
+    assert_eq!(log.trace_content_hash(), 0x2e17_f7b8_77dd_9c8c);
+    assert_eq!(log.trace_content_hash_damaged(17), 0x4e5e_148d_7eac_9fa9);
 }

@@ -1,12 +1,32 @@
-//! Property tests: synthetic traces with known parameters round-trip
+//! Property tests: synthetic op-logs with known parameters round-trip
 //! through the fitter, and the op-log reader survives arbitrary damage
 //! with typed errors (never a panic).
 
 use wasla_simlib::proptest::prelude::*;
 use wasla_simlib::{json, SimTime};
-use wasla_storage::{BlockTraceRecord, IoKind, Trace};
-use wasla_trace::oplog::{fit_oplog_streamed, OpLog, OpLogError, OpRecord, FORMAT_HEADER};
-use wasla_trace::{fit_workloads, FitConfig};
+use wasla_storage::IoKind;
+use wasla_trace::oplog::{
+    fit_oplog_streamed, ChunkStats, OpLog, OpLogError, OpRecord, DEFAULT_CHUNK, FORMAT_HEADER,
+};
+use wasla_trace::{FitConfig, FitError};
+use wasla_workload::WorkloadSet;
+
+/// One read or write at `t` seconds (completion equals issue: the fit
+/// reads issue times only).
+fn op(t: f64, stream: u32, kind: IoKind, offset: u64, len: u64) -> OpRecord {
+    OpRecord {
+        kind,
+        stream,
+        offset,
+        len,
+        issue: SimTime::from_secs(t),
+        complete: SimTime::from_secs(t),
+    }
+}
+
+fn fit(log: &OpLog, names: &[String], sizes: &[u64]) -> Result<WorkloadSet, FitError> {
+    fit_oplog_streamed(log, names, sizes, &FitConfig::default(), DEFAULT_CHUNK)
+}
 
 proptest! {
     /// Rates and sizes are recovered exactly for a single uniform
@@ -19,18 +39,13 @@ proptest! {
         len_kib in 1u64..512,
         is_write in any::<bool>(),
     ) {
-        let mut trace = Trace::new();
+        let mut log = OpLog::new();
         let kind = if is_write { IoKind::Write } else { IoKind::Read };
         for k in 0..n {
-            trace.push(BlockTraceRecord {
-                time: SimTime::from_secs(k as f64 * interval_ms as f64 / 1e3),
-                stream: 0,
-                kind,
-                offset: k * 10_000_000,
-                len: len_kib * 1024,
-            });
+            let t = k as f64 * interval_ms as f64 / 1e3;
+            log.push(op(t, 0, kind, k * 10_000_000, len_kib * 1024));
         }
-        let set = fit_workloads(&trace, &["a".into()], &[1 << 40], &FitConfig::default()).unwrap();
+        let set = fit(&log, &["a".into()], &[1 << 40]).unwrap();
         let spec = &set.specs[0];
         let span = (n - 1) as f64 * interval_ms as f64 / 1e3;
         let expected_rate = n as f64 / span;
@@ -51,24 +66,18 @@ proptest! {
         run_len in 1u64..64,
         len_kib in 1u64..128,
     ) {
-        let mut trace = Trace::new();
+        let mut log = OpLog::new();
         let len = len_kib * 1024;
         let mut t = 0.0;
         for r in 0..runs {
             // Separate runs by far more than the fitter's gap tolerance.
             let base = r * ((run_len * len + 1) << 31);
             for k in 0..run_len {
-                trace.push(BlockTraceRecord {
-                    time: SimTime::from_secs(t),
-                    stream: 0,
-                    kind: IoKind::Read,
-                    offset: base + k * len,
-                    len,
-                });
+                log.push(op(t, 0, IoKind::Read, base + k * len, len));
                 t += 0.01;
             }
         }
-        let set = fit_workloads(&trace, &["a".into()], &[1 << 42], &FitConfig::default()).unwrap();
+        let set = fit(&log, &["a".into()], &[1 << 42]).unwrap();
         prop_assert!(
             (set.specs[0].run_count - run_len as f64).abs() < 1e-9,
             "fitted {} expected {}",
@@ -84,21 +93,15 @@ proptest! {
         n in 10u64..200,
         streams in 2u32..5,
     ) {
-        let mut trace = Trace::new();
+        let mut log = OpLog::new();
         for k in 0..n {
             for s in 0..streams {
-                trace.push(BlockTraceRecord {
-                    time: SimTime::from_secs(k as f64),
-                    stream: s,
-                    kind: IoKind::Read,
-                    offset: k * 8192,
-                    len: 8192,
-                });
+                log.push(op(k as f64, s, IoKind::Read, k * 8192, 8192));
             }
         }
         let names: Vec<String> = (0..streams).map(|s| format!("s{s}")).collect();
         let sizes = vec![1u64 << 30; streams as usize];
-        let set = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).unwrap();
+        let set = fit(&log, &names, &sizes).unwrap();
         for i in 0..streams as usize {
             for j in 0..streams as usize {
                 let o = set.specs[i].overlaps[j];
@@ -258,7 +261,8 @@ proptest! {
         }
     }
 
-    /// The streamed fit is bit-identical to materialize-then-fit at
+    /// The streamed fit is bit-identical to the materialized single
+    /// pass — the whole log folded into one `ChunkStats`, no merge — at
     /// *any* chunk size, not just the default.
     #[test]
     fn streamed_fit_matches_materialized_at_any_chunk(
@@ -271,7 +275,11 @@ proptest! {
         let sizes = vec![1u64 << 30; LOG_OBJECTS as usize];
         let config = FitConfig::default();
         let streamed = fit_oplog_streamed(&log, &names, &sizes, &config, chunk).unwrap();
-        let materialized = fit_workloads(&log.to_trace(), &names, &sizes, &config).unwrap();
+        let mut serial = ChunkStats::new(names.len());
+        for rec in log.records() {
+            serial.observe(rec, &config).unwrap();
+        }
+        let materialized = serial.finish(&names, &sizes).unwrap();
         prop_assert_eq!(json::to_string(&streamed), json::to_string(&materialized));
     }
 }

@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! wasla-advisor calibrate --device scsi15k --capacity-gb 18.4 --out disk.model.json
-//! wasla-advisor fit --trace trace.json --objects objects.json [--out workloads.json]
-//! wasla-advisor fit --oplog oplog.tsv --objects objects.json [--materialized]
+//! wasla-advisor fit --oplog oplog.tsv --objects objects.json [--out workloads.json]
 //! wasla-advisor advise --workloads w.json --targets t.json [--models m.json,...]
 //!                      [--objective minmax|provision-cost|wear-blend]
 //!                      [--tier-spec tiers.json]
@@ -26,14 +25,16 @@
 //!   writes it as JSON (models calibrated against real hardware can be
 //!   substituted — the advisor only sees the table).
 //! * `advise` consumes a `WorkloadSet` JSON (per-object names, sizes,
-//!   and Rome-style descriptions — produce one with `wasla-trace` or
-//!   the analytic estimator) plus a target list, and prints the
+//!   and Rome-style descriptions — produce one with `fit` from a
+//!   captured op-log, or with the analytic estimator) plus a target list, and prints the
 //!   recommended layout. `--objective` picks the layout objective
 //!   (`minmax` is the paper's default; `provision-cost` weights each
 //!   target by its tier's $/IOPS; `wear-blend` penalizes write traffic
 //!   on wear-limited tiers) and `--tier-spec` overrides the per-target
 //!   tier descriptors from a JSON array of `Tier` objects (one per
 //!   target, in target order).
+//! * `fit` fits per-object workload descriptions from a captured
+//!   op-log and an object inventory (`[{"name":..,"size":..}]`).
 //! * `capture` runs a built-in scenario under the SEE baseline with
 //!   op-log capture on and writes `oplog.tsv` (the compact
 //!   line-oriented record format) plus `objects.json` to `--out-dir`.
@@ -67,10 +68,10 @@
 //! | exit | class | examples |
 //! |------|-------|----------|
 //! | `2`  | usage | unknown subcommand or flag, missing or malformed flag value, unknown `--objective` name, `--tier-spec`/`--models` length mismatch |
-//! | `3`  | file I/O | unreadable trace/workload/model file, unwritable `--out` |
+//! | `3`  | file I/O | unreadable op-log/workload/model file, unwritable `--out` |
 //! | `4`  | malformed JSON | corrupt model/workload/tier files |
 //! | `5`  | overloaded | a batch request shed by admission control (`--queue-cap`) |
-//! | `1`  | pipeline | infeasible problems, unmodelable targets, bad traces |
+//! | `1`  | pipeline | infeasible problems, unmodelable targets, bad op-logs |
 
 use std::sync::Arc;
 use wasla::cli::Flags;
@@ -86,8 +87,7 @@ use wasla::workload::{SqlWorkload, WorkloadSet};
 const USAGE: &str = "usage:
   wasla-advisor calibrate --device <scsi15k|scsi10k|nearline7200|ssd|ssd2> \
 --capacity-gb <G> [--out FILE]
-  wasla-advisor fit --trace FILE --objects FILE [--window-s S] [--out FILE]
-  wasla-advisor fit --oplog FILE --objects FILE [--materialized] [--window-s S] [--out FILE]
+  wasla-advisor fit --oplog FILE --objects FILE [--window-s S] [--out FILE]
   wasla-advisor advise --workloads FILE --targets FILE [--models FILE,...] \
 [--objective minmax|provision-cost|wear-blend] [--tier-spec FILE] \
 [--regular] [--pin OBJ=T]... [--forbid OBJ=T]... [--out FILE]
@@ -161,12 +161,7 @@ struct ObjectEntry {
 wasla::simlib::impl_json_struct!(ObjectEntry { name, size });
 
 fn fit(args: &[String]) -> Result<(), WaslaError> {
-    let f = Flags::parse(
-        args,
-        "fit",
-        "--trace --oplog --objects --window-s --out",
-        "--materialized",
-    )?;
+    let f = Flags::parse(args, "fit", "--oplog --objects --window-s --out", "")?;
     let mut fit_config = wasla::trace::FitConfig::default();
     f.number_into("--window-s", &mut fit_config.window_s)?;
     let objects_path = f.require("--objects")?;
@@ -174,35 +169,15 @@ fn fit(args: &[String]) -> Result<(), WaslaError> {
         load_json(objects_path, "objects ([{\"name\":..., \"size\":...}])")?;
     let names: Vec<String> = objects.iter().map(|o| o.name.clone()).collect();
     let sizes: Vec<u64> = objects.iter().map(|o| o.size).collect();
-    let (set, records) = match (f.value("--trace"), f.value("--oplog")) {
-        (Some(trace_path), None) => {
-            let trace: wasla::storage::Trace = load_json(trace_path, "Trace")?;
-            let set = wasla::trace::fit_workloads(&trace, &names, &sizes, &fit_config)?;
-            (set, trace.len())
-        }
-        (None, Some(oplog_path)) => {
-            let log = wasla::trace::oplog::OpLog::parse_tsv(&read_file(oplog_path)?)?;
-            // The streamed path is the default; --materialized is the
-            // cross-check (both produce bit-identical fits).
-            let set = if f.has("--materialized") {
-                wasla::trace::fit_workloads(&log.to_trace(), &names, &sizes, &fit_config)?
-            } else {
-                wasla::trace::oplog::fit_oplog_streamed(
-                    &log,
-                    &names,
-                    &sizes,
-                    &fit_config,
-                    wasla::trace::oplog::DEFAULT_CHUNK,
-                )?
-            };
-            (set, log.len())
-        }
-        _ => {
-            return Err(WaslaError::Usage(
-                "fit takes exactly one of --trace FILE or --oplog FILE".to_string(),
-            ));
-        }
-    };
+    let log = wasla::trace::oplog::OpLog::parse_tsv(&read_file(f.require("--oplog")?)?)?;
+    let set = wasla::trace::oplog::fit_oplog_streamed(
+        &log,
+        &names,
+        &sizes,
+        &fit_config,
+        wasla::trace::oplog::DEFAULT_CHUNK,
+    )?;
+    let records = log.len();
     set.validate()
         .map_err(|e| WaslaError::Internal(format!("fitted set is inconsistent: {e}")))?;
     let json = wasla::simlib::json::to_string_pretty(&set);

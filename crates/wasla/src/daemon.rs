@@ -46,14 +46,13 @@
 use crate::error::WaslaError;
 use crate::persist;
 use crate::pipeline::{assemble_problem, AdviseConfig, DegradedNote, Scenario};
-use crate::session::Service;
+use crate::session::{fault_keep, Service};
 use wasla_core::dynamic::{
     detect_drift, problem_without, readvise_incremental, DynamicOptions, MigrationBudget,
 };
 use wasla_core::Layout;
-use wasla_model::{calibration_fault, TargetCostModel};
 use wasla_simlib::json::to_string_pretty;
-use wasla_simlib::{fault, impl_json_struct, par};
+use wasla_simlib::{impl_json_struct, par};
 use wasla_trace::oplog::{windowed_workloads, OpLog, WindowPlan};
 
 /// A target failure injected into the control loop's timeline: from
@@ -242,21 +241,16 @@ impl DaemonReport {
 
 /// The fault plan's trace-corruption roll applied at the log level:
 /// the damaged tail is dropped and the valid prefix drives the loop,
-/// mirroring the salvage path of one-shot ingestion.
+/// at the same keep point one-shot ingestion salvages at
+/// ([`fault_keep`]).
 fn salvage_log(log: &OpLog, degraded: &mut Vec<DegradedNote>) -> OpLog {
-    let tf = fault::plan().and_then(|p| p.trace_fault(log.trace_content_hash()));
-    match tf {
-        Some(tf) => {
-            let keep = ((log.len() as f64) * tf.keep_fraction) as usize;
+    match fault_keep(log) {
+        Some(keep) => {
             degraded.push(DegradedNote::TraceSalvaged {
                 kept: keep,
                 dropped: log.len() - keep,
             });
-            let mut pruned = OpLog::new();
-            for rec in &log.records()[..keep.min(log.len())] {
-                pruned.push(*rec);
-            }
-            pruned
+            log.prefix(keep)
         }
         None => log.clone(),
     }
@@ -294,16 +288,7 @@ impl Service {
 
         let models =
             self.session_mut()
-                .models_for(&scenario.targets, &config.grid, scenario.seed)?;
-        for target in &scenario.targets {
-            let spec = TargetCostModel::member_spec(target)?;
-            if let Some(f) = calibration_fault(spec, scenario.seed) {
-                degraded.push(DegradedNote::CalibrationDegraded {
-                    device: target.name.clone(),
-                    factor: f.latency_factor(),
-                });
-            }
-        }
+                .models_noting_faults(scenario, &config.grid, &mut degraded)?;
 
         let mut state = match self.cache_dir() {
             Some(dir) => {

@@ -14,7 +14,7 @@
 //! * [`storage`] — simulated disks/SSDs/RAID-0 targets;
 //! * [`workload`] — workload descriptions, catalogs, SQL workloads;
 //! * [`exec`] — database execution simulator (the "PostgreSQL" role);
-//! * [`trace`] — Rubicon-style workload fitting from block traces;
+//! * [`trace`] — Rubicon-style workload fitting from captured op-logs;
 //! * [`model`] — calibrated target cost models;
 //! * [`solver`] — the NLP toolkit;
 //! * [`core`] — the layout advisor itself;

@@ -3,7 +3,7 @@
 //! The paper's experimental loop (§5–§6) is:
 //!
 //! 1. run the SQL workload on the database under a baseline (SEE)
-//!    layout and collect a block I/O trace;
+//!    layout and capture its block I/O as an op-log;
 //! 2. fit Rome-style workload descriptions per object (Rubicon);
 //! 3. calibrate cost models for the storage targets;
 //! 4. run the layout advisor;
@@ -212,10 +212,8 @@ impl Scenario {
 /// Execution settings for validation runs.
 #[derive(Clone, Debug)]
 pub struct RunSettings {
-    /// Capture a block trace.
-    pub capture_trace: bool,
-    /// Capture an op-log (per-request issue/complete timestamps, for
-    /// the capture/replay pipeline).
+    /// Capture an op-log (per-request issue/complete timestamps) into
+    /// the run report's `trace`, for fitting and replay.
     pub capture_oplog: bool,
     /// Hard stop for OLTP-only runs (simulated seconds).
     pub max_time: Option<f64>,
@@ -230,7 +228,6 @@ pub struct RunSettings {
 impl Default for RunSettings {
     fn default() -> Self {
         RunSettings {
-            capture_trace: false,
             capture_oplog: false,
             max_time: None,
             txn_cap: None,
@@ -276,7 +273,6 @@ pub fn run_layout_observed(
         max_time: settings.max_time,
         txn_cap: settings.txn_cap,
         oltp_warmup: settings.oltp_warmup,
-        capture_trace: settings.capture_trace,
         capture_oplog: settings.capture_oplog,
         ..RunConfig::default()
     };
@@ -309,7 +305,10 @@ pub struct AdviseConfig {
     pub advisor: AdvisorOptions,
     /// Trace-fitting options.
     pub fit: FitConfig,
-    /// Settings for the trace-collection run.
+    /// Settings for the trace-collection run ([`TraceStage`] turns
+    /// op-log capture on whatever `capture_oplog` says).
+    ///
+    /// [`TraceStage`]: crate::stages::TraceStage
     pub trace_run: RunSettings,
     /// Administrator placement constraints (pins, forbids) applied to
     /// the assembled layout problem.
@@ -326,10 +325,7 @@ impl AdviseConfig {
                 ..AdvisorOptions::default()
             },
             fit: FitConfig::default(),
-            trace_run: RunSettings {
-                capture_trace: true,
-                ..RunSettings::default()
-            },
+            trace_run: RunSettings::default(),
             constraints: Vec::new(),
         }
     }
@@ -353,7 +349,7 @@ impl AdviseConfig {
 /// a persisted session cache arrives corrupt.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DegradedNote {
-    /// The captured block trace arrived damaged; the valid prefix was
+    /// The captured op-log arrived damaged; the valid prefix was
     /// fitted and the torn tail discarded.
     TraceSalvaged {
         /// Records in the fitted prefix.

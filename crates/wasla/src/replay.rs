@@ -7,8 +7,9 @@
 //! baseline and advised layouts turns the cost model's utilization
 //! predictions into observable completion-time numbers.
 //!
-//! * [`capture_oplog`] runs a workload mix under the SEE baseline with
-//!   op-log capture on and returns the log plus the run report.
+//! * [`capture_oplog`] runs a workload mix through the trace stage
+//!   (SEE baseline, op-log capture on) and returns the log plus the
+//!   run report.
 //! * [`replay_validate`] feeds a log through the streamed advise
 //!   pipeline ([`AdvisorSession::advise_from_oplog`]), replays it
 //!   against the SEE baseline and the advised layout, and pairs the
@@ -17,9 +18,10 @@
 //! * [`render_validation`] formats the predicted-vs-observed report.
 
 use crate::error::WaslaError;
-use crate::pipeline::{self, AdviseConfig, RunSettings, Scenario, LVM_STRIPE};
+use crate::pipeline::{AdviseConfig, RunSettings, Scenario, LVM_STRIPE};
 use crate::session::{AdvisorSession, OpLogAdvice};
-use wasla_core::{Layout, UtilizationEstimator};
+use crate::stages::{TraceInput, TraceStage};
+use wasla_core::{Layout, Stage, UtilizationEstimator};
 use wasla_exec::{Placement, ReplayReport, RunReport};
 use wasla_trace::oplog::OpLog;
 
@@ -28,32 +30,30 @@ use wasla_trace::oplog::OpLog;
 pub struct CaptureOutcome {
     /// The captured op-log (issue/complete timestamps per request).
     pub log: OpLog,
-    /// The capture run's report (the SEE baseline observation).
+    /// The capture run's report (the SEE baseline observation); its
+    /// `trace` is `None`, the log having moved to [`log`](Self::log).
     pub report: RunReport,
 }
 
-/// Runs `workloads` under the SEE baseline layout with op-log capture
-/// on — the capture half of the capture/replay pipeline. Like the
-/// trace stage, this is the "operational system" observation the
-/// advisor later works from.
+/// Runs `workloads` through the [`TraceStage`] — the SEE baseline
+/// layout with op-log capture on — and splits the captured log off the
+/// run report: the capture half of the capture/replay pipeline, and
+/// the same "operational system" observation `advise` fits from.
 pub fn capture_oplog(
     scenario: &Scenario,
     workloads: &[wasla_workload::SqlWorkload],
     settings: &RunSettings,
 ) -> Result<CaptureOutcome, WaslaError> {
-    let n = scenario.catalog.len();
-    let m = scenario.targets.len();
-    let see = Layout::see(n, m);
-    let mut settings = settings.clone();
-    settings.capture_oplog = true;
-    let outcome = pipeline::run_layout_observed(scenario, workloads, see.rows(), &settings)?;
-    let log = outcome.oplog.ok_or_else(|| {
+    let mut report = TraceStage { settings }
+        .run(&TraceInput {
+            scenario,
+            workloads,
+        })?
+        .report;
+    let log = report.trace.take().ok_or_else(|| {
         WaslaError::Internal("op-log capture was requested but the run produced no log".to_string())
     })?;
-    Ok(CaptureOutcome {
-        log,
-        report: outcome.report,
-    })
+    Ok(CaptureOutcome { log, report })
 }
 
 /// One layout's predicted and observed side of a replay.
@@ -250,19 +250,21 @@ mod tests {
         let scenario = Scenario::homogeneous_disks(2, 0.01);
         let workloads = [SqlWorkload::olap1_21(2)];
         let see = Layout::see(scenario.catalog.len(), scenario.targets.len());
-        let plain = pipeline::run_layout_observed(
+        let plain = crate::pipeline::run_layout_observed(
             &scenario,
             &workloads,
             see.rows(),
             &RunSettings::default(),
         )
         .expect("plain run");
-        assert!(plain.oplog.is_none(), "capture must be opt-in");
+        assert!(plain.report.trace.is_none(), "capture must be opt-in");
         let captured =
             capture_oplog(&scenario, &workloads, &RunSettings::default()).expect("capture runs");
-        // The log is the run's I/O: same stream of block requests the
-        // trace path would have recorded.
-        assert!(captured.log.len() > 0);
+        // The log is the run's I/O: one record per physical request,
+        // moved out of the report.
+        let physical: u64 = plain.report.objects.iter().map(|o| o.physical()).sum();
+        assert_eq!(captured.log.len() as u64, physical);
+        assert!(captured.report.trace.is_none());
         assert_eq!(
             captured.report.queries_completed,
             plain.report.queries_completed

@@ -6,7 +6,7 @@
 //!
 //! * calibration tables, keyed by `(DeviceSpec, CalibrationGrid,
 //!   seed)` content hash — the dominant cost of a cold advise;
-//! * fitted workload sets, keyed by `(trace content hash, fit config,
+//! * fitted workload sets, keyed by `(op-log content hash, fit config,
 //!   object inventory)`.
 //!
 //! A warm session advising over a scenario whose device types it has
@@ -38,9 +38,9 @@ use wasla_exec::DeviceEvent;
 use wasla_model::{calibration_fault, CalibrationGrid, TableModel, TargetCostModel};
 use wasla_simlib::fault::{self, SolverBudget};
 use wasla_simlib::par;
-use wasla_storage::{TargetConfig, Trace};
-use wasla_trace::oplog::{fit_oplog_streamed, OpLog, DEFAULT_CHUNK};
-use wasla_trace::{fit_workloads_lossy, FitConfig, SalvageReport};
+use wasla_storage::TargetConfig;
+use wasla_trace::oplog::{OpLog, OpLogSalvage};
+use wasla_trace::{FitConfig, FitError};
 use wasla_workload::{DeadlineClass, SqlWorkload, WorkloadSet};
 
 /// Hit/miss counters for a session's stage caches.
@@ -50,6 +50,16 @@ pub struct SessionStats {
     pub calibration: CacheStats,
     /// Workload-fit cache counters.
     pub fit: CacheStats,
+}
+
+/// The fault plan's trace-corruption roll for `log`: under an active
+/// trace fault, how many leading records survive the torn tail
+/// (`⌊len · keep_fraction⌋`); `None` when the plan leaves the log
+/// clean. One-shot ingestion and the control loop both salvage at
+/// this point.
+pub(crate) fn fault_keep(log: &OpLog) -> Option<usize> {
+    let tf = fault::plan()?.trace_fault(log.trace_content_hash())?;
+    Some(((log.len() as f64) * tf.keep_fraction) as usize)
 }
 
 /// A stateful advisor: the staged pipeline plus memoized outputs of
@@ -136,12 +146,36 @@ impl AdvisorSession {
             .collect()
     }
 
-    /// Fitted workload descriptions for a trace, reusing the cache
-    /// when the same trace and inventory were fitted before (under the
+    /// [`models_for`](Self::models_for) a scenario's targets, noting
+    /// each target whose calibration the active fault plan degraded.
+    /// Calibration faults are applied inside `calibrate_device`; this
+    /// re-queries the plan (the cached table carries the degradation
+    /// with it).
+    pub(crate) fn models_noting_faults(
+        &mut self,
+        scenario: &Scenario,
+        grid: &CalibrationGrid,
+        degraded: &mut Vec<DegradedNote>,
+    ) -> Result<Vec<TargetCostModel>, WaslaError> {
+        let models = self.models_for(&scenario.targets, grid, scenario.seed)?;
+        for target in &scenario.targets {
+            let spec = TargetCostModel::member_spec(target)?;
+            if let Some(f) = calibration_fault(spec, scenario.seed) {
+                degraded.push(DegradedNote::CalibrationDegraded {
+                    device: target.name.clone(),
+                    factor: f.latency_factor(),
+                });
+            }
+        }
+        Ok(models)
+    }
+
+    /// Fitted workload descriptions for an op-log, reusing the cache
+    /// when the same log and inventory were fitted before (under the
     /// same layout objective — the objective id partitions the cache).
     pub fn fit(
         &mut self,
-        trace: &Trace,
+        trace: &OpLog,
         names: &[String],
         sizes: &[u64],
         config: &FitConfig,
@@ -164,93 +198,62 @@ impl AdvisorSession {
         Ok(fitted)
     }
 
-    /// Like [`fit`](AdvisorSession::fit), but for a trace whose tail
-    /// the active fault plan damages: records past the keep point get
-    /// an out-of-range stream id (a torn tail), and the fitter salvages
-    /// the valid prefix. The damaged trace is cached under its *own*
-    /// content identity, so warm and cold sessions agree byte-for-byte
-    /// under the same fault plan.
-    fn fit_salvaged(
+    /// Fits the first `keep` records of `log` — the valid prefix a torn
+    /// tail leaves — cached under the damaged log's content hash
+    /// ([`OpLog::trace_content_hash_damaged`]), so warm and cold
+    /// sessions agree byte-for-byte under the same fault plan. A cache
+    /// hit answers without copying the prefix. The salvage is `Some`
+    /// when records were dropped.
+    ///
+    /// A non-empty log with nothing kept has no signal left to degrade
+    /// to: its first record is already torn (stream id driven out of
+    /// range), so the fit fails with [`FitError::StreamOutOfRange`].
+    fn fit_prefix(
         &mut self,
-        trace: &Trace,
-        names: &[String],
-        sizes: &[u64],
-        config: &FitConfig,
-        objective: ObjectiveKind,
-        keep_fraction: f64,
-    ) -> Result<(WorkloadSet, SalvageReport), WaslaError> {
-        let keep = ((trace.len() as f64) * keep_fraction) as usize;
-        self.fit_salvaged_keyed(
-            trace.content_hash_damaged(keep),
-            trace.len(),
-            keep,
-            names,
-            sizes,
-            config,
-            objective,
-            || {
-                let mut damaged = Trace::new();
-                for (i, rec) in trace.records().iter().enumerate() {
-                    let mut rec = *rec;
-                    if i >= keep {
-                        rec.stream = u32::MAX;
-                    }
-                    damaged.push(rec);
-                }
-                damaged
-            },
-        )
-    }
-
-    /// Salvage keyed by the damaged trace's content hash. A cache hit
-    /// answers without rebuilding the damaged records at all (the hash
-    /// is computed in place over the clean source); only a miss pays
-    /// for `build_damaged` and the lossy fit. Both the trace path and
-    /// the op-log path route through here, so a salvage cached from
-    /// either representation serves the other — and warm ≡ cold holds
-    /// for replayed logs under the same fault plan.
-    #[allow(clippy::too_many_arguments)]
-    fn fit_salvaged_keyed(
-        &mut self,
-        damaged_hash: u64,
-        total: usize,
+        log: &OpLog,
         keep: usize,
         names: &[String],
         sizes: &[u64],
         config: &FitConfig,
         objective: ObjectiveKind,
-        build_damaged: impl FnOnce() -> Trace,
-    ) -> Result<(WorkloadSet, SalvageReport), WaslaError> {
+    ) -> Result<(WorkloadSet, Option<OpLogSalvage>), WaslaError> {
+        let keep = keep.min(log.len());
         let stage = FitStage { config, objective };
-        let key = stage.key_for_hash(damaged_hash, names, sizes);
-        if let Some(cached) = self.fits.get(key) {
-            // The engine-produced prefix is entirely valid, so the
-            // salvage boundary is exactly the damage point.
-            return Ok((
-                cached.clone(),
-                SalvageReport {
-                    kept: keep,
-                    dropped: total - keep,
-                },
-            ));
-        }
-        let damaged = build_damaged();
-        let (fitted, salvage) = fit_workloads_lossy(&damaged, names, sizes, config)?;
-        self.fits.insert(key, fitted.clone());
-        Ok((fitted, salvage))
+        let key = stage.key_for_hash(log.trace_content_hash_damaged(keep), names, sizes);
+        let fitted = match self.fits.get(key) {
+            Some(cached) => cached.clone(),
+            None => {
+                if keep == 0 && !log.is_empty() {
+                    return Err(FitError::StreamOutOfRange {
+                        stream: u32::MAX,
+                        objects: names.len(),
+                    }
+                    .into());
+                }
+                let prefix = log.prefix(keep);
+                let fitted = stage.run(&FitInput {
+                    trace: &prefix,
+                    names,
+                    sizes,
+                })?;
+                self.fits.insert(key, fitted.clone());
+                fitted
+            }
+        };
+        let dropped = log.len() - keep;
+        let salvage = OpLogSalvage {
+            kept: keep,
+            dropped,
+            first_error: None,
+        };
+        Ok((fitted, (dropped > 0).then_some(salvage)))
     }
 
-    /// Fitted workload descriptions from a captured op-log, streamed
-    /// through the chunked reader without ever materializing the
-    /// equivalent [`Trace`] on the clean path. The result is cached
-    /// under [`OpLog::trace_content_hash`] — the same key the
-    /// materialized path uses — so a fit computed from a trace run
-    /// serves a later op-log ingest of the same I/O and vice versa.
-    ///
-    /// Under an active trace fault the log's tail is salvaged exactly
-    /// like [`advise`](AdvisorSession::advise) salvages a damaged live
-    /// trace, keyed by the damaged content hash; the returned report is
-    /// `Some` when records were dropped.
+    /// Fitted workload descriptions from a captured op-log: a cached
+    /// [`fit`](AdvisorSession::fit) on a clean log. Under an active
+    /// trace fault the log's torn tail is dropped and the valid prefix
+    /// fitted (see [`fault_keep`]); the returned salvage is `Some` when
+    /// records were dropped.
     pub fn ingest_oplog(
         &mut self,
         log: &OpLog,
@@ -258,47 +261,16 @@ impl AdvisorSession {
         sizes: &[u64],
         config: &FitConfig,
         objective: ObjectiveKind,
-    ) -> Result<(WorkloadSet, Option<SalvageReport>), WaslaError> {
-        let trace_fault = fault::plan().and_then(|p| p.trace_fault(log.trace_content_hash()));
-        if let Some(tf) = trace_fault {
-            let keep = ((log.len() as f64) * tf.keep_fraction) as usize;
-            let (fitted, salvage) = self.fit_salvaged_keyed(
-                log.trace_content_hash_damaged(keep),
-                log.len(),
-                keep,
-                names,
-                sizes,
-                config,
-                objective,
-                || {
-                    let mut damaged = Trace::new();
-                    for (i, rec) in log.records().iter().enumerate() {
-                        let mut rec = rec.as_block_record();
-                        if i >= keep {
-                            rec.stream = u32::MAX;
-                        }
-                        damaged.push(rec);
-                    }
-                    damaged
-                },
-            )?;
-            let dropped = salvage.degraded();
-            return Ok((fitted, dropped.then_some(salvage)));
+    ) -> Result<(WorkloadSet, Option<OpLogSalvage>), WaslaError> {
+        match fault_keep(log) {
+            Some(keep) => self.fit_prefix(log, keep, names, sizes, config, objective),
+            None => Ok((self.fit(log, names, sizes, config, objective)?, None)),
         }
-        let stage = FitStage { config, objective };
-        let key = stage.key_for_hash(log.trace_content_hash(), names, sizes);
-        if let Some(cached) = self.fits.get(key) {
-            return Ok((cached.clone(), None));
-        }
-        let fitted = fit_oplog_streamed(log, names, sizes, config, DEFAULT_CHUNK)?;
-        self.fits.insert(key, fitted.clone());
-        Ok((fitted, None))
     }
 
-    /// The advise pipeline fed from a captured op-log instead of a
-    /// fresh trace-collection run: streamed ingest → calibrate →
-    /// solve → regularize. No simulation runs; the log stands in for
-    /// the operational system's observed I/O.
+    /// The advise pipeline fed from a captured op-log: ingest →
+    /// calibrate → assemble → solve → regularize. No simulation runs;
+    /// the log stands in for the operational system's observed I/O.
     pub fn advise_from_oplog(
         &mut self,
         log: &OpLog,
@@ -321,16 +293,7 @@ impl AdvisorSession {
                 dropped: s.dropped,
             });
         }
-        let models = self.models_for(&scenario.targets, &config.grid, scenario.seed)?;
-        for target in &scenario.targets {
-            let spec = TargetCostModel::member_spec(target)?;
-            if let Some(f) = calibration_fault(spec, scenario.seed) {
-                degraded.push(DegradedNote::CalibrationDegraded {
-                    device: target.name.clone(),
-                    factor: f.latency_factor(),
-                });
-            }
-        }
+        let models = self.models_noting_faults(scenario, &config.grid, &mut degraded)?;
         let problem =
             assemble_problem(scenario, fitted.clone(), models, config.constraints.clone());
         let solve = SolveStage {
@@ -357,23 +320,24 @@ impl AdvisorSession {
         })
     }
 
-    /// The full staged pipeline — trace → fit → calibrate → solve →
-    /// regularize — with the pure stages served from this session's
-    /// caches.
+    /// The full staged pipeline: the trace stage captures an op-log
+    /// under SEE, then [`advise_from_oplog`](Self::advise_from_oplog)
+    /// runs ingest → calibrate → assemble → solve → regularize on it,
+    /// with the pure stages served from this session's caches.
     pub fn advise(
         &mut self,
         scenario: &Scenario,
         workloads: &[SqlWorkload],
         config: &AdviseConfig,
     ) -> Result<AdviseOutcome, WaslaError> {
-        let mut degraded: Vec<DegradedNote> = Vec::new();
-        let trace_stage = TraceStage {
+        let trace_outcome = TraceStage {
             settings: &config.trace_run,
-        };
-        let trace_outcome = trace_stage.run(&TraceInput {
+        }
+        .run(&TraceInput {
             scenario,
             workloads,
         })?;
+        let mut degraded: Vec<DegradedNote> = Vec::new();
         for event in &trace_outcome.device_events {
             let target = scenario.targets[event.target()].name.clone();
             degraded.push(match event {
@@ -385,73 +349,16 @@ impl AdvisorSession {
             });
         }
         let baseline_run = trace_outcome.report;
-        let trace = baseline_run.trace.as_ref().ok_or_else(|| {
+        let log = baseline_run.trace.as_ref().ok_or_else(|| {
             WaslaError::Internal("trace stage returned a report without a trace".to_string())
         })?;
-
-        let names = scenario.catalog.names();
-        let sizes = scenario.catalog.sizes();
-        let trace_fault = fault::plan().and_then(|p| p.trace_fault(trace.content_hash()));
-        let objective = config.advisor.solver.objective;
-        let fitted = match trace_fault {
-            Some(tf) => {
-                let (fitted, salvage) = self.fit_salvaged(
-                    trace,
-                    &names,
-                    &sizes,
-                    &config.fit,
-                    objective,
-                    tf.keep_fraction,
-                )?;
-                if salvage.degraded() {
-                    degraded.push(DegradedNote::TraceSalvaged {
-                        kept: salvage.kept,
-                        dropped: salvage.dropped,
-                    });
-                }
-                fitted
-            }
-            None => self.fit(trace, &names, &sizes, &config.fit, objective)?,
-        };
-
-        let models = self.models_for(&scenario.targets, &config.grid, scenario.seed)?;
-        // Calibration faults are applied inside `calibrate_device`;
-        // re-query the plan here to note which targets got a degraded
-        // model (the cached table carries the degradation with it).
-        for target in &scenario.targets {
-            let spec = TargetCostModel::member_spec(target)?;
-            if let Some(f) = calibration_fault(spec, scenario.seed) {
-                degraded.push(DegradedNote::CalibrationDegraded {
-                    device: target.name.clone(),
-                    factor: f.latency_factor(),
-                });
-            }
-        }
-        let problem =
-            assemble_problem(scenario, fitted.clone(), models, config.constraints.clone());
-
-        let solve = SolveStage {
-            options: &config.advisor,
-        };
-        let solved = solve.run(&problem)?;
-        let finish = RegularizeStage {
-            options: &config.advisor,
-        };
-        let recommendation = finish.run(&RegularizeInput {
-            problem: &problem,
-            solved,
-        })?;
-        if recommendation.quality.degraded() {
-            degraded.push(DegradedNote::SolverDegraded {
-                quality: recommendation.quality,
-            });
-        }
-
+        let advice = self.advise_from_oplog(log, scenario, config)?;
+        degraded.extend(advice.degraded);
         Ok(AdviseOutcome {
             baseline_run,
-            fitted,
-            problem,
-            recommendation,
+            fitted: advice.fitted,
+            problem: advice.problem,
+            recommendation: advice.recommendation,
             degraded,
         })
     }
@@ -984,6 +891,110 @@ impl Service {
 mod tests {
     use super::*;
     use crate::pipeline::Scenario;
+    use wasla_simlib::json::to_string;
+    use wasla_simlib::SimTime;
+    use wasla_storage::IoKind;
+    use wasla_trace::oplog::OpRecord;
+
+    /// A 30-record log alternating between two objects.
+    fn two_object_log() -> (OpLog, Vec<String>, Vec<u64>) {
+        let mut log = OpLog::new();
+        for k in 0..30u64 {
+            let t = SimTime::from_secs(k as f64 * 0.1);
+            log.push(OpRecord {
+                kind: IoKind::Read,
+                stream: (k % 2) as u32,
+                offset: k * 8192,
+                len: 8192,
+                issue: t,
+                complete: t,
+            });
+        }
+        (log, vec!["A".into(), "B".into()], vec![1 << 30, 1 << 30])
+    }
+
+    #[test]
+    fn fault_prefix_fit_equals_the_clean_prefix_fit() {
+        let (log, names, sizes) = two_object_log();
+        let config = FitConfig::default();
+        let objective = ObjectiveKind::MinMax;
+        let mut session = AdvisorSession::new();
+        let (set, salvage) = session
+            .fit_prefix(&log, 20, &names, &sizes, &config, objective)
+            .unwrap();
+        assert_eq!(
+            salvage,
+            Some(OpLogSalvage {
+                kept: 20,
+                dropped: 10,
+                first_error: None
+            })
+        );
+        let clean = AdvisorSession::new()
+            .fit(&log.prefix(20), &names, &sizes, &config, objective)
+            .unwrap();
+        assert_eq!(to_string(&set), to_string(&clean));
+        // The salvage is cached under the damaged log's own identity.
+        let (again, again_salvage) = session
+            .fit_prefix(&log, 20, &names, &sizes, &config, objective)
+            .unwrap();
+        assert_eq!(to_string(&again), to_string(&set));
+        assert_eq!(again_salvage, salvage);
+        assert_eq!(session.stats().fit.misses, 1);
+    }
+
+    #[test]
+    fn fault_prefix_fit_of_the_whole_log_drops_nothing() {
+        let (log, names, sizes) = two_object_log();
+        let config = FitConfig::default();
+        let objective = ObjectiveKind::MinMax;
+        let mut session = AdvisorSession::new();
+        let (set, salvage) = session
+            .fit_prefix(&log, log.len(), &names, &sizes, &config, objective)
+            .unwrap();
+        assert_eq!(salvage, None);
+        // Keeping everything is the clean fit, under the clean key.
+        let clean = session
+            .fit(&log, &names, &sizes, &config, objective)
+            .unwrap();
+        assert_eq!(to_string(&set), to_string(&clean));
+        assert_eq!(session.stats().fit.misses, 1);
+    }
+
+    #[test]
+    fn fault_prefix_fit_with_nothing_kept_is_a_typed_error() {
+        let (log, names, sizes) = two_object_log();
+        let err = AdvisorSession::new()
+            .fit_prefix(
+                &log,
+                0,
+                &names,
+                &sizes,
+                &FitConfig::default(),
+                ObjectiveKind::MinMax,
+            )
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            WaslaError::Fit(FitError::StreamOutOfRange {
+                stream: u32::MAX,
+                objects: 2
+            })
+        ));
+        // An empty log has nothing to lose: it fits as all-idle.
+        let (idle, salvage) = AdvisorSession::new()
+            .fit_prefix(
+                &OpLog::new(),
+                0,
+                &names,
+                &sizes,
+                &FitConfig::default(),
+                ObjectiveKind::MinMax,
+            )
+            .unwrap();
+        assert_eq!(salvage, None);
+        assert!(idle.specs.iter().all(|s| s.total_rate() == 0.0));
+    }
 
     #[test]
     fn warm_session_skips_recalibration_and_matches_cold() {

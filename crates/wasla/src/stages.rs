@@ -13,9 +13,9 @@
 //! * **calibrate** — `(DeviceSpec JSON, CalibrationGrid JSON, seed)`:
 //!   a calibration table is a pure function of the device, the grid,
 //!   and the measurement seed.
-//! * **fit** — `(Trace::content_hash, FitConfig fields, object names,
-//!   object sizes, objective id)`: a fitted workload set is a pure
-//!   function of the trace and the object inventory; the objective id
+//! * **fit** — `(OpLog::trace_content_hash, FitConfig fields, object
+//!   names, object sizes, objective id)`: a fitted workload set is a
+//!   pure function of the op-log and the object inventory; the objective id
 //!   partitions the cache per layout objective so a warm session
 //!   answering for one objective never serves another (warm ≡ cold
 //!   holds per objective).
@@ -34,8 +34,9 @@ use wasla_core::{
 use wasla_exec::{Placement, RunOutcome};
 use wasla_model::{calibrate_device, CalibrationGrid, TableModel};
 use wasla_simlib::hash::{hash_json, Fnv64};
-use wasla_storage::{DeviceSpec, Trace};
-use wasla_trace::{fit_workloads, FitConfig};
+use wasla_storage::DeviceSpec;
+use wasla_trace::oplog::{fit_oplog_streamed, OpLog, DEFAULT_CHUNK};
+use wasla_trace::FitConfig;
 use wasla_workload::SqlWorkload;
 
 /// Input to [`TraceStage`]: the scenario and workload mix to trace.
@@ -47,11 +48,11 @@ pub struct TraceInput<'a> {
 }
 
 /// Stage 1 — run the workload under the SEE baseline layout with
-/// trace capture on, producing the baseline [`RunOutcome`]: the run
-/// report (which carries the block trace) plus any device-fault events
-/// the run observed.
+/// op-log capture on, producing the baseline [`RunOutcome`]: the run
+/// report (whose `trace` carries the op-log) plus any device-fault
+/// events the run observed.
 pub struct TraceStage<'a> {
-    /// Settings for the trace-collection run; `capture_trace` is
+    /// Settings for the trace-collection run; `capture_oplog` is
     /// forced on.
     pub settings: &'a RunSettings,
 }
@@ -84,7 +85,7 @@ impl<'a> Stage for TraceStage<'a> {
         }
         let see = Layout::see(n, m);
         let mut settings = self.settings.clone();
-        settings.capture_trace = true;
+        settings.capture_oplog = true;
         let outcome =
             pipeline::run_layout_observed(input.scenario, input.workloads, see.rows(), &settings)?;
         if outcome.report.trace.is_none() {
@@ -96,19 +97,19 @@ impl<'a> Stage for TraceStage<'a> {
     }
 }
 
-/// Input to [`FitStage`]: a block trace plus the object inventory its
+/// Input to [`FitStage`]: an op-log plus the object inventory its
 /// stream ids index into.
 pub struct FitInput<'a> {
-    /// The captured block trace.
-    pub trace: &'a Trace,
+    /// The captured op-log.
+    pub trace: &'a OpLog,
     /// Object names.
     pub names: &'a [String],
     /// Object sizes in bytes.
     pub sizes: &'a [u64],
 }
 
-/// Stage 2 — fit Rome-style workload descriptions from the trace
-/// (Rubicon). Pure in its inputs, so cacheable by trace identity.
+/// Stage 2 — fit Rome-style workload descriptions from the op-log
+/// (Rubicon). Pure in its inputs, so cacheable by log identity.
 pub struct FitStage<'a> {
     /// Fitting tunables.
     pub config: &'a FitConfig,
@@ -120,15 +121,12 @@ pub struct FitStage<'a> {
 }
 
 impl<'a> FitStage<'a> {
-    /// The fit cache key for a trace known only by its content hash.
+    /// The fit cache key for an op-log known only by its content hash.
     ///
     /// This is the single key scheme for every path into the fit
-    /// cache: materialized traces ([`Stage::cache_key`]), streamed
-    /// op-log ingestion (keyed by
-    /// [`wasla_trace::oplog::OpLog::trace_content_hash`]), and
-    /// fault-damaged salvage (keyed by the *damaged* trace hash).
-    /// Sharing the scheme is what makes a fit cached from one
-    /// representation serve the others.
+    /// cache: clean logs ([`Stage::cache_key`], keyed by
+    /// [`OpLog::trace_content_hash`]) and fault-damaged salvage (keyed
+    /// by [`OpLog::trace_content_hash_damaged`]).
     pub fn key_for_hash(&self, trace_hash: u64, names: &[String], sizes: &[u64]) -> u64 {
         let mut h = Fnv64::new();
         h.write_u64(trace_hash)
@@ -156,11 +154,18 @@ impl<'a> Stage for FitStage<'a> {
     }
 
     fn run(&self, input: &FitInput<'a>) -> Result<wasla_workload::WorkloadSet, WaslaError> {
-        fit_workloads(input.trace, input.names, input.sizes, self.config).map_err(WaslaError::from)
+        fit_oplog_streamed(
+            input.trace,
+            input.names,
+            input.sizes,
+            self.config,
+            DEFAULT_CHUNK,
+        )
+        .map_err(WaslaError::from)
     }
 
     fn cache_key(&self, input: &FitInput<'a>) -> Option<u64> {
-        Some(self.key_for_hash(input.trace.content_hash(), input.names, input.sizes))
+        Some(self.key_for_hash(input.trace.trace_content_hash(), input.names, input.sizes))
     }
 }
 
@@ -341,21 +346,23 @@ mod tests {
     #[test]
     fn fit_cache_key_tracks_trace_and_inventory() {
         use wasla_simlib::SimTime;
-        use wasla_storage::{BlockTraceRecord, IoKind};
-        let record = |offset: u64| BlockTraceRecord {
-            time: SimTime::from_secs(0.5),
-            stream: 0,
+        use wasla_storage::IoKind;
+        use wasla_trace::oplog::OpRecord;
+        let record = |offset: u64| OpRecord {
             kind: IoKind::Read,
+            stream: 0,
             offset,
             len: 8192,
+            issue: SimTime::from_secs(0.5),
+            complete: SimTime::from_secs(0.5),
         };
-        let mut trace_a = Trace::new();
+        let mut trace_a = OpLog::new();
         trace_a.push(record(0));
-        let mut trace_b = Trace::new();
+        let mut trace_b = OpLog::new();
         trace_b.push(record(8192));
         let config = FitConfig::default();
         let names = ["obj".to_string()];
-        let key = |trace: &Trace, sizes: &[u64], objective: ObjectiveKind| {
+        let key = |trace: &OpLog, sizes: &[u64], objective: ObjectiveKind| {
             FitStage {
                 config: &config,
                 objective,
@@ -391,15 +398,14 @@ mod tests {
             );
         }
         // The hash-first entry point is the same key scheme, so the
-        // streamed op-log path hits fits cached from materialized
-        // traces (and vice versa).
+        // salvage path's damaged-hash keys live in the same cache.
         assert_eq!(
             base,
             FitStage {
                 config: &config,
                 objective: minmax,
             }
-            .key_for_hash(trace_a.content_hash(), &names, &[1 << 20])
+            .key_for_hash(trace_a.trace_content_hash(), &names, &[1 << 20])
         );
     }
 

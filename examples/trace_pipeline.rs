@@ -6,8 +6,8 @@
 //!
 //! The other examples use `pipeline::advise`, which hides the paper's
 //! §5 machinery. This example performs each step explicitly so you can
-//! see (and swap out) the moving parts: block-trace capture, Rubicon-
-//! style parameter fitting, cost-model calibration, problem assembly,
+//! see (and swap out) the moving parts: op-log capture, Rubicon-style
+//! parameter fitting, cost-model calibration, problem assembly,
 //! and the NLP solve — and prints the intermediate artifacts.
 
 use wasla::core::{recommend, AdvisorOptions};
@@ -15,7 +15,8 @@ use wasla::exec::{see_rows, Engine, Placement, RunConfig};
 use wasla::model::{CalibrationGrid, CostModel, TargetCostModel};
 use wasla::pipeline::{build_problem, Scenario, LVM_STRIPE};
 use wasla::storage::IoKind;
-use wasla::trace::{fit_workloads, FitConfig};
+use wasla::trace::oplog::{fit_oplog_streamed, DEFAULT_CHUNK};
+use wasla::trace::FitConfig;
 use wasla::workload::SqlWorkload;
 
 fn main() {
@@ -23,9 +24,9 @@ fn main() {
     let scenario = Scenario::homogeneous_disks(4, scale);
     let workloads = [SqlWorkload::olap1_21(7)];
 
-    // Step 1 — run the operational system under SEE, capturing a
-    // block I/O trace (the paper instruments the kernel; we ask the
-    // engine).
+    // Step 1 — run the operational system under SEE, capturing its
+    // block I/O as an op-log (the paper instruments the kernel; we ask
+    // the engine).
     println!("step 1: trace the workload under SEE");
     let rows = see_rows(scenario.catalog.len(), scenario.targets.len());
     let placement = Placement::build(
@@ -44,26 +45,27 @@ fn main() {
         RunConfig {
             scale,
             pool_bytes: scenario.pool_bytes,
-            capture_trace: true,
+            capture_oplog: true,
             ..RunConfig::default()
         },
     )
     .run()
     .expect("engine run succeeds");
-    let trace = report.trace.expect("trace requested");
+    let log = report.trace.expect("op-log requested");
     println!(
         "  {} block requests over {:.0} simulated seconds",
-        trace.len(),
-        trace.span().as_secs()
+        log.len(),
+        log.span().as_secs()
     );
 
     // Step 2 — fit Rome-style workload descriptions per object.
     println!("step 2: fit per-object workload descriptions (Rubicon)");
-    let fitted = fit_workloads(
-        &trace,
+    let fitted = fit_oplog_streamed(
+        &log,
         &scenario.catalog.names(),
         &scenario.catalog.sizes(),
         &FitConfig::default(),
+        DEFAULT_CHUNK,
     )
     .expect("fit succeeds");
     let mut hot: Vec<usize> = (0..fitted.len()).collect();

@@ -172,6 +172,47 @@ fn unknown_flags_and_malformed_numbers_are_usage_errors() {
 }
 
 #[test]
+fn retired_fit_flags_are_usage_errors() {
+    // `fit` reads one representation, the op-log, through one fit:
+    // `--trace` and `--materialized` are unknown flags (exit 2),
+    // rejected before any file is read.
+    for (line, flag) in [
+        ("fit --trace x --objects o.json", "--trace"),
+        (
+            "fit --oplog log.tsv --objects o.json --materialized",
+            "--materialized",
+        ),
+    ] {
+        let (code, stderr) = advisor_cli(line);
+        assert_eq!(code, 2, "{line}: stderr {stderr}");
+        assert!(stderr.contains(flag), "{line}: stderr {stderr}");
+    }
+}
+
+#[test]
+fn epoch_stamped_oplog_is_a_typed_fit_error() {
+    // A well-formed log stamped with epoch seconds puts its first pane
+    // ~1.7e8 panes past t = 0; the control loop must refuse it with a
+    // typed fit error (exit 1), not abort allocating a snapshot per
+    // pane. Under a fault plan the salvaged one-record prefix is just
+    // as far out, so the answer is the same.
+    let dir = std::env::temp_dir().join(format!("wasla-epoch-oplog-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("log.tsv");
+    std::fs::write(
+        &log,
+        "#wasla-oplog v1\n\
+         R\t0\t0\t8192\t1700000000\t1700000000.001\n\
+         R\t1\t0\t8192\t1700000001\t1700000001.001\n",
+    )
+    .unwrap();
+    let (code, stderr) = advisor_cli(&format!("serve --oplog {} --budget 1000000", log.display()));
+    assert_eq!(code, 1, "stderr {stderr}");
+    assert!(stderr.contains("panes"), "stderr {stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn admission_rejection_is_a_typed_overloaded_error() {
     use wasla::{AdviseRequest, BatchPolicy};
     // A zero-capacity queue rejects every request before any work:

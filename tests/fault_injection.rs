@@ -68,7 +68,7 @@ fn every_fault_kind_degrades_gracefully() {
         .trace
         .as_ref()
         .expect("trace captured")
-        .content_hash();
+        .trace_content_hash();
     let device_keys: Vec<u64> = (0..4).map(|t| fault::device_key(7, t)).collect();
     let spec_hash = hash_json(
         TargetCostModel::member_spec(&scenario().targets[0]).expect("homogeneous target"),

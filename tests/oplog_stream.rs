@@ -1,6 +1,6 @@
-//! Streaming op-log ingestion, end to end: capture equivalence, fit
-//! cache sharing across representations, and replay-validation
-//! determinism.
+//! Streaming op-log ingestion, end to end: capture equivalence with
+//! `advise`, fit cache sharing between `fit` and `ingest_oplog`, and
+//! replay-validation determinism.
 //!
 //! This suite runs inside the `ci/check.sh` fault matrix, so every
 //! assertion is an equality or determinism claim that holds under any
@@ -10,7 +10,7 @@
 //! the plan through `fault::plan()`.
 
 use wasla::core::ObjectiveKind;
-use wasla::pipeline::{AdviseConfig, RunSettings, Scenario};
+use wasla::pipeline::{AdviseConfig, DegradedNote, RunSettings, Scenario};
 use wasla::replay::{capture_oplog, replay_validate, CaptureOutcome};
 use wasla::session::AdvisorSession;
 use wasla::simlib::{fault, json};
@@ -26,29 +26,42 @@ fn capture(settings: &RunSettings) -> CaptureOutcome {
         .expect("capture must survive fault injection")
 }
 
-/// The op-log is the trace plus timing: materializing the captured log
-/// reproduces the block trace the same run records, bit for bit.
+/// `advise` is the trace stage followed by op-log ingestion: its fitted
+/// set equals capturing the log with the same run settings and
+/// ingesting it on a fresh session — under a fault plan too, where
+/// both sides salvage the same torn tail and `advise` notes it.
 #[test]
-fn captured_log_materializes_to_the_captured_trace() {
-    let settings = RunSettings {
-        capture_trace: true,
-        ..RunSettings::default()
-    };
-    let c = capture(&settings);
-    let trace = c.report.trace.as_ref().expect("trace captured alongside");
-    assert_eq!(c.log.len(), trace.len(), "same request stream");
-    assert_eq!(
-        c.log.trace_content_hash(),
-        trace.content_hash(),
-        "log-derived hash must equal the materialized trace hash"
-    );
-    assert_eq!(c.log.to_trace().records(), trace.records());
+fn advise_fit_equals_capture_then_ingest() {
+    let s = scenario();
+    let config = AdviseConfig::fast();
+    let outcome = AdvisorSession::new()
+        .advise(&s, &[SqlWorkload::olap1_21(3)], &config)
+        .expect("advise must survive fault injection");
+    let c = capture(&config.trace_run);
+    let baseline_log = outcome.baseline_run.trace.as_ref().expect("log captured");
+    assert_eq!(baseline_log.to_tsv(), c.log.to_tsv(), "same captured run");
+
+    let (fitted, salvage) = AdvisorSession::new()
+        .ingest_oplog(
+            &c.log,
+            &s.catalog.names(),
+            &s.catalog.sizes(),
+            &config.fit,
+            config.advisor.solver.objective,
+        )
+        .expect("ingest");
+    assert_eq!(json::to_string(&outcome.fitted), json::to_string(&fitted));
+    let noted = outcome.degraded.iter().find_map(|note| match note {
+        DegradedNote::TraceSalvaged { kept, dropped } => Some((*kept, *dropped)),
+        _ => None,
+    });
+    assert_eq!(noted, salvage.map(|s| (s.kept, s.dropped)));
 }
 
-/// One cache entry serves every representation of the same I/O: a
-/// streamed ingest warms the fit cache for the materialized path and
-/// for later re-ingests (including the salvage path under a fault
-/// plan, which is keyed by the damaged content hash).
+/// One cache entry serves both entry points to the same I/O: a
+/// streamed ingest warms the fit cache for `fit` and for later
+/// re-ingests (including the salvage path under a fault plan, which is
+/// keyed by the damaged content hash).
 #[test]
 fn session_shares_fit_cache_across_representations() {
     let c = capture(&RunSettings::default());
@@ -65,41 +78,34 @@ fn session_shares_fit_cache_across_representations() {
 
     // Re-ingesting the same log is a pure cache hit with an identical
     // answer — also under a fault plan, where the salvage short-cut
-    // answers from the damaged-hash key without rebuilding the trace.
+    // answers from the damaged-hash key without copying the prefix.
     let (again, again_salvage) = session
         .ingest_oplog(&c.log, &names, &sizes, &config, ObjectiveKind::MinMax)
         .expect("re-ingest");
     assert_eq!(json::to_string(&first), json::to_string(&again));
-    assert_eq!(
-        first_salvage.map(|s| (s.kept, s.dropped)),
-        again_salvage.map(|s| (s.kept, s.dropped))
-    );
+    assert_eq!(first_salvage, again_salvage);
     let stats = session.stats();
     assert_eq!(stats.fit.misses, 1, "re-ingest must not recompute");
     assert!(stats.fit.hits >= 1);
 
-    // On a clean plan the materialized trace path lands on the very
-    // same cache entry the streamed path filled.
+    // On a clean plan `fit` lands on the very same cache entry the
+    // ingest filled.
     let clean = fault::plan()
         .and_then(|p| p.trace_fault(c.log.trace_content_hash()))
         .is_none();
     if clean {
         assert!(first_salvage.is_none(), "clean ingest must not salvage");
-        let materialized = session
-            .fit(
-                &c.log.to_trace(),
-                &names,
-                &sizes,
-                &config,
-                ObjectiveKind::MinMax,
-            )
-            .expect("materialized fit");
-        assert_eq!(json::to_string(&first), json::to_string(&materialized));
+        let hits = session.stats().fit.hits;
+        let fitted = session
+            .fit(&c.log, &names, &sizes, &config, ObjectiveKind::MinMax)
+            .expect("fit");
+        assert_eq!(json::to_string(&first), json::to_string(&fitted));
         assert_eq!(
             session.stats().fit.misses,
             1,
-            "materialized fit must hit the streamed entry"
+            "fit must hit the ingested entry"
         );
+        assert_eq!(session.stats().fit.hits, hits + 1);
     } else {
         let salvage = first_salvage.expect("fault plan must damage the log");
         assert!(salvage.kept > 0, "engine-produced prefix salvages");

@@ -1,18 +1,39 @@
 //! Trace-fitting round trips: workloads with known parameters, pushed
-//! through the simulator and the Rubicon-style fitter, must come back
-//! with approximately those parameters.
+//! through the simulator's op-log capture and the Rubicon-style
+//! fitter, must come back with approximately those parameters.
 
 use wasla::exec::{see_rows, Engine, Placement, RunConfig};
 use wasla::pipeline::{Scenario, LVM_STRIPE};
 use wasla::simlib::SimTime;
-use wasla::storage::{BlockTraceRecord, IoKind, Trace};
-use wasla::trace::{fit_workloads, FitConfig};
-use wasla::workload::SqlWorkload;
+use wasla::storage::IoKind;
+use wasla::trace::oplog::{fit_oplog_streamed, OpLog, OpRecord, DEFAULT_CHUNK};
+use wasla::trace::{FitConfig, FitError};
+use wasla::workload::{SqlWorkload, WorkloadSet};
+
+fn fit_log(
+    log: &OpLog,
+    names: &[String],
+    sizes: &[u64],
+    config: &FitConfig,
+) -> Result<WorkloadSet, FitError> {
+    fit_oplog_streamed(log, names, sizes, config, DEFAULT_CHUNK)
+}
+
+fn op(t: f64, stream: u32, kind: IoKind, offset: u64, len: u64) -> OpRecord {
+    OpRecord {
+        kind,
+        stream,
+        offset,
+        len,
+        issue: SimTime::from_secs(t),
+        complete: SimTime::from_secs(t),
+    }
+}
 
 /// Synthetic trace with exactly known parameters.
 #[test]
 fn synthetic_parameters_recovered() {
-    let mut trace = Trace::new();
+    let mut trace = OpLog::new();
     // Object 0: 20 req/s of 64 KiB reads in runs of 8 for 100 s.
     // Object 1: 5 req/s of 8 KiB writes, fully random, active only in
     // the first half.
@@ -22,27 +43,15 @@ fn synthetic_parameters_recovered() {
         if k % 8 == 0 {
             off0 = (k * 37_000_001) % (1 << 30);
         }
-        trace.push(BlockTraceRecord {
-            time: SimTime::from_secs(t),
-            stream: 0,
-            kind: IoKind::Read,
-            offset: off0,
-            len: 65536,
-        });
+        trace.push(op(t, 0, IoKind::Read, off0, 65536));
         off0 += 65536;
         if t < 50.0 && k % 4 == 0 {
-            trace.push(BlockTraceRecord {
-                time: SimTime::from_secs(t),
-                stream: 1,
-                kind: IoKind::Write,
-                offset: (k * 97_000_003) % (1 << 30),
-                len: 8192,
-            });
+            trace.push(op(t, 1, IoKind::Write, (k * 97_000_003) % (1 << 30), 8192));
         }
     }
     let names = vec!["seq".to_string(), "rand".to_string()];
     let sizes = vec![2u64 << 30, 2 << 30];
-    let set = fit_workloads(&trace, &names, &sizes, &FitConfig::default()).expect("fit succeeds");
+    let set = fit_log(&trace, &names, &sizes, &FitConfig::default()).expect("fit succeeds");
     set.validate().unwrap();
 
     let seq = &set.specs[0];
@@ -90,7 +99,7 @@ fn engine_trace_accounts_for_all_physical_requests() {
         RunConfig {
             scale,
             pool_bytes: scenario.pool_bytes,
-            capture_trace: true,
+            capture_oplog: true,
             ..RunConfig::default()
         },
     )
@@ -106,7 +115,7 @@ fn engine_trace_accounts_for_all_physical_requests() {
 
     // Fit and cross-check per-object request counts against the
     // engine's own accounting.
-    let fitted = fit_workloads(
+    let fitted = fit_log(
         trace,
         &scenario.catalog.names(),
         &scenario.catalog.sizes(),
@@ -152,14 +161,14 @@ fn concurrency_changes_fitted_parameters() {
             RunConfig {
                 scale,
                 pool_bytes: scenario.pool_bytes,
-                capture_trace: true,
+                capture_oplog: true,
                 ..RunConfig::default()
             },
         )
         .run()
         .expect("engine run succeeds");
         let trace = report.trace.expect("trace requested");
-        fit_workloads(
+        fit_log(
             &trace,
             &scenario.catalog.names(),
             &scenario.catalog.sizes(),
