@@ -79,3 +79,25 @@ else
     echo "error: rejecting a request is only ${ratio}x cheaper than serving it (gate: 50x)" >&2
     exit 1
 fi
+
+echo
+echo "== stress warm-cache gate (1,000 cached fits vs a small cache) =="
+# Batch workers share the session's cached values and merge back only
+# the entries they added (DESIGN.md §9), so a tick's cost must not grow
+# with the number of fits the session holds. The same 8-request tick
+# against a fit cache already holding 1,000 entries must stay within
+# 1.15x of the tick against its own 8. In-run comparison, so machine
+# drift cancels out.
+warm_ns=$(median_of "stress/tick_served_b8_warm1000" stress)
+if [ -z "$warm_ns" ]; then
+    echo "error: stress/tick_served_b8_warm1000 missing from results/BENCH_stress.json" >&2
+    exit 1
+fi
+ratio=$(awk -v w="$warm_ns" -v s="$served_ns" 'BEGIN { printf "%.2f", w / s }')
+echo "stress: tick_served_b8_warm1000 ${warm_ns} ns / tick_served_b8 ${served_ns} ns = ${ratio}x"
+if awk -v w="$warm_ns" -v s="$served_ns" 'BEGIN { exit !(w / s <= 1.15) }'; then
+    echo "warm-cache gate passed (a 1,000-fit session costs a tick <= 1.15x)"
+else
+    echo "error: a 1,000-fit session makes a tick ${ratio}x slower (gate: 1.15x)" >&2
+    exit 1
+fi

@@ -12,11 +12,12 @@ fn bench_simplex_projection(c: &mut Harness) {
     for m in [4usize, 10, 40] {
         let mut rng = SimRng::new(7);
         let base: Vec<f64> = (0..m).map(|_| rng.uniform_range(-1.0, 2.0)).collect();
+        let mut sorted = Vec::new();
         group.bench_function(format!("m{m}"), |b| {
             b.iter_batched(
                 || base.clone(),
                 |mut row| {
-                    project_simplex(&mut row);
+                    project_simplex(&mut row, &mut sorted);
                     black_box(row)
                 },
                 BatchSize::SmallInput,
@@ -51,7 +52,7 @@ fn bench_projected_gradient(c: &mut Harness) {
             black_box(minimize(
                 &f,
                 &grad,
-                |x: &mut [f64]| project_simplex(x),
+                |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
                 black_box(&x0),
                 &PgOptions::default(),
             ))
@@ -75,7 +76,7 @@ fn bench_anneal(c: &mut Harness) {
         b.iter(|| {
             black_box(anneal(
                 f,
-                |x: &mut [f64]| project_simplex(x),
+                |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
                 black_box(&x0),
                 &opts,
             ))

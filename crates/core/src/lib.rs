@@ -59,4 +59,4 @@ pub use optimizer::{
 };
 pub use problem::{AdminConstraint, Layout, LayoutProblem};
 pub use regularize::{regularize, regularize_with, RegularizeError};
-pub use stage::{CacheStats, Stage, StageCache, STAGE_NAMES};
+pub use stage::{CacheMark, CacheStats, Stage, StageCache, STAGE_NAMES};

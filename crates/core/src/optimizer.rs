@@ -132,7 +132,14 @@ pub fn make_projection(problem: &LayoutProblem) -> impl Fn(&mut [f64]) + '_ {
             AdminConstraint::Forbid { object, target } => forbidden[object][target] = true,
         }
     }
+    // Scratch the closure reuses on every call: the allowed
+    // coordinates of a row with forbidden targets, and the sorted copy
+    // the simplex projection walks.
+    let scratch = RefCell::new((Vec::with_capacity(m), Vec::with_capacity(m)));
     move |x: &mut [f64]| {
+        // hot-closure-begin: per-row projection, allocation-free.
+        let mut guard = scratch.borrow_mut();
+        let (allowed, sorted) = &mut *guard;
         for i in 0..n {
             let row = &mut x[i * m..(i + 1) * m];
             if let Some(t) = pinned[i] {
@@ -143,21 +150,22 @@ pub fn make_projection(problem: &LayoutProblem) -> impl Fn(&mut [f64]) + '_ {
             let banned = &forbidden[i];
             if banned.iter().any(|&b| b) {
                 // Project the allowed coordinates only.
-                let mut allowed: Vec<f64> =
-                    (0..m).filter(|&j| !banned[j]).map(|j| row[j]).collect();
-                project_simplex(&mut allowed);
-                let mut it = allowed.into_iter();
+                allowed.clear();
+                allowed.extend((0..m).filter(|&j| !banned[j]).map(|j| row[j]));
+                project_simplex(allowed, sorted);
+                let mut it = allowed.iter();
                 for (j, v) in row.iter_mut().enumerate() {
                     *v = if banned[j] {
                         0.0
                     } else {
-                        it.next().expect("allowed coords")
+                        *it.next().expect("allowed coords")
                     };
                 }
             } else {
-                project_simplex(row);
+                project_simplex(row, sorted);
             }
         }
+        // hot-closure-end
     }
 }
 
@@ -276,8 +284,13 @@ fn solve_with_engine<'p>(
 /// of equally-good outcomes), so the result is identical to the serial
 /// loop at any `WASLA_THREADS` setting.
 ///
+/// Each distinct start is solved once. A start whose rows are bitwise
+/// equal (`f64::to_bits`) to an earlier start's would solve to a
+/// bitwise-equal outcome, which the strict `<` pick never prefers
+/// over the earlier twin, so skipping it leaves the result unchanged.
+///
 /// The solves draw from a shared pool of [`EvalEngine`] workspaces
-/// instead of building a fresh engine per start: at most `min(starts, threads)` engines are ever built, and
+/// instead of building a fresh engine per start: at most `min(distinct starts, threads)` engines are ever built, and
 /// each is re-pointed per start. Engine caches are pure functions of
 /// the committed point, so reuse is bit-equivalent to rebuilding
 /// (asserted in `tests/eval_determinism.rs`).
@@ -286,8 +299,20 @@ pub fn solve_multistart(
     starts: &[Layout],
     opts: &SolverOptions,
 ) -> Result<NlpOutcome, MultistartError> {
+    let same_bits = |a: &Layout, b: &Layout| {
+        a.rows().len() == b.rows().len()
+            && a.rows().iter().zip(b.rows()).all(|(ra, rb)| {
+                ra.len() == rb.len() && ra.iter().zip(rb).all(|(x, y)| x.to_bits() == y.to_bits())
+            })
+    };
+    let distinct: Vec<&Layout> = starts
+        .iter()
+        .enumerate()
+        .filter(|&(k, s)| !starts[..k].iter().any(|earlier| same_bits(earlier, s)))
+        .map(|(_, s)| s)
+        .collect();
     let pool: Mutex<Vec<EvalEngine<'_>>> = Mutex::new(Vec::new());
-    let outcomes = par::par_map(starts, |s| {
+    let outcomes = par::par_map(&distinct, |s| {
         // A poisoned pool only means another start panicked mid-solve;
         // parked engines are re-pointed before use, so recover the
         // guard rather than propagating the panic.
@@ -496,6 +521,55 @@ mod tests {
         let out = solve_nlp(&p, &init, &opts);
         let est = UtilizationEstimator::new(&p);
         assert!(out.max_utilization <= est.max_utilization(&Layout::see(2, 2)) + 1e-9);
+    }
+
+    /// Every field of an outcome, bitwise.
+    fn outcome_bits(o: &NlpOutcome) -> (Vec<u64>, Vec<u64>, u64, u64, bool, EvalStats) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        (
+            bits(&o.layout.to_flat()),
+            bits(&o.utilizations),
+            o.max_utilization.to_bits(),
+            o.score.to_bits(),
+            o.converged,
+            o.stats,
+        )
+    }
+
+    #[test]
+    fn duplicate_starts_do_not_change_the_outcome() {
+        let p = two_hot_objects(3);
+        let init = initial_layout(&p).unwrap();
+        let see = Layout::see(2, 3);
+        let opts = SolverOptions::default();
+        // The two starts reach different scores, so in one of the
+        // orders below the winner is not the first start.
+        assert_ne!(
+            solve_nlp(&p, &init, &opts).score.to_bits(),
+            solve_nlp(&p, &see, &opts).score.to_bits()
+        );
+        for (starts, distinct) in [
+            (
+                vec![init.clone(), see.clone(), init.clone(), see.clone()],
+                vec![init.clone(), see.clone()],
+            ),
+            (
+                vec![see.clone(), see.clone(), init.clone(), see.clone()],
+                vec![see.clone(), init.clone()],
+            ),
+        ] {
+            // The serial definition: solve every start, duplicates
+            // included, and keep the first strictly-best outcome.
+            let serial = starts
+                .iter()
+                .map(|s| solve_nlp(&p, s, &opts))
+                .reduce(|best, out| if out.score < best.score { out } else { best })
+                .unwrap();
+            let multi = solve_multistart(&p, &starts, &opts).unwrap();
+            assert_eq!(outcome_bits(&multi), outcome_bits(&serial));
+            let deduplicated = solve_multistart(&p, &distinct, &opts).unwrap();
+            assert_eq!(outcome_bits(&multi), outcome_bits(&deduplicated));
+        }
     }
 
     #[test]

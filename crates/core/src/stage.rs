@@ -19,6 +19,8 @@
 //! this crate only defines the shared contract so that every layer
 //! agrees on stage names and caching semantics.
 
+use std::sync::Arc;
+
 /// Canonical stage names, in pipeline order.
 pub const STAGE_NAMES: [&str; 6] = ["trace", "fit", "calibrate", "solve", "regularize", "place"];
 
@@ -75,17 +77,38 @@ impl CacheStats {
     }
 }
 
+/// Where a [`StageCache`] stood at one moment: its length and
+/// counters. A batch worker's cache is a clone taken at a mark and
+/// only appended to since, so [`StageCache::absorb`] merges it back
+/// from the mark on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CacheMark {
+    len: usize,
+    stats: CacheStats,
+}
+
 /// A keyed memo table for one stage's outputs.
 ///
 /// Keys are 64-bit content hashes (see `wasla_simlib::hash`). The
-/// table is a sorted-insertion vector rather than a hash map: caches
-/// hold a handful of entries (distinct device specs, distinct traces),
+/// table is an insertion-ordered vector rather than a hash map:
 /// lookups are a short scan, and iteration order stays deterministic
-/// for diagnostics.
-#[derive(Clone, Debug)]
+/// for diagnostics and persistence. Values sit behind [`Arc`], so a
+/// clone copies `(key, Arc)` pairs and shares every cached value with
+/// the cache it came from; the table is append-only, and a value is
+/// never mutated once cached.
+#[derive(Debug)]
 pub struct StageCache<V> {
-    entries: Vec<(u64, V)>,
+    entries: Vec<(u64, Arc<V>)>,
     stats: CacheStats,
+}
+
+impl<V> Clone for StageCache<V> {
+    fn clone(&self) -> Self {
+        StageCache {
+            entries: self.entries.clone(),
+            stats: self.stats,
+        }
+    }
 }
 
 impl<V> Default for StageCache<V> {
@@ -120,7 +143,10 @@ impl<V> StageCache<V> {
 
     /// Looks up a key without touching the counters (snapshot reads).
     pub fn peek(&self, key: u64) -> Option<&V> {
-        self.entries.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+        self.entries
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.as_ref())
     }
 
     /// Looks up a key, recording a hit or miss.
@@ -136,21 +162,18 @@ impl<V> StageCache<V> {
     /// Inserts an output unless the key is already present (first
     /// write wins, so replaying a batch in request order is stable).
     pub fn insert(&mut self, key: u64, value: V) {
+        self.insert_shared(key, Arc::new(value));
+    }
+
+    fn insert_shared(&mut self, key: u64, value: Arc<V>) {
         if self.peek(key).is_none() {
             self.entries.push((key, value));
         }
     }
 
-    /// Consumes the cache, yielding its `(key, value)` entries in
-    /// insertion order (batch layers use this to merge worker-local
-    /// caches back into a shared session).
-    pub fn into_entries(self) -> Vec<(u64, V)> {
-        self.entries
-    }
-
     /// The `(key, value)` entries in insertion order, borrowed (the
     /// persistence layer serializes these without draining the cache).
-    pub fn entries(&self) -> &[(u64, V)] {
+    pub fn entries(&self) -> &[(u64, Arc<V>)] {
         &self.entries
     }
 
@@ -158,16 +181,42 @@ impl<V> StageCache<V> {
     /// zero: a restored cache is *warm data* but has served nothing.
     pub fn from_entries(entries: Vec<(u64, V)>) -> Self {
         StageCache {
-            entries,
+            entries: entries.into_iter().map(|(k, v)| (k, Arc::new(v))).collect(),
             stats: CacheStats::default(),
         }
     }
 
-    /// Folds another cache's counters into this one's (used together
-    /// with [`CacheStats::since`] when merging worker-local caches).
-    pub fn add_stats(&mut self, delta: CacheStats) {
+    /// This cache's length and counters now.
+    pub fn mark(&self) -> CacheMark {
+        CacheMark {
+            len: self.entries.len(),
+            stats: self.stats,
+        }
+    }
+
+    /// Folds a worker-local cache back in: `local` must be a clone of
+    /// this cache taken at `mark`, and this cache may only have been
+    /// appended to since. The entries `local` appended after the mark
+    /// land first-write-wins in their order, and its counter deltas
+    /// since the mark are accumulated. The entries before the mark
+    /// are this cache's own, so skipping them is exact, and a merge
+    /// costs one key scan per appended entry.
+    pub fn absorb(&mut self, local: StageCache<V>, mark: CacheMark) {
+        debug_assert!(
+            local.entries.len() >= mark.len
+                && self.entries.len() >= mark.len
+                && local.entries[..mark.len]
+                    .iter()
+                    .zip(&self.entries)
+                    .all(|(a, b)| a.0 == b.0),
+            "absorbed cache is not a clone of this one taken at the mark"
+        );
+        let delta = local.stats.since(&mark.stats);
         self.stats.hits += delta.hits;
         self.stats.misses += delta.misses;
+        for (key, value) in local.entries.into_iter().skip(mark.len) {
+            self.insert_shared(key, value);
+        }
     }
 
     /// Returns the cached output for `key`, computing and caching it
@@ -178,7 +227,7 @@ impl<V> StageCache<V> {
             return &self.entries[pos].1;
         }
         self.stats.misses += 1;
-        self.entries.push((key, compute()));
+        self.entries.push((key, Arc::new(compute())));
         &self.entries[self.entries.len() - 1].1
     }
 }
@@ -222,6 +271,37 @@ mod tests {
         assert_eq!(c.peek(1), Some(&10));
         // peek leaves the counters alone.
         assert_eq!(c.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn clones_share_values_and_absorb_merges_appends_first_write_wins() {
+        let mut shared: StageCache<String> = StageCache::new();
+        shared.insert(1, "one".to_string());
+        shared.insert(2, "two".to_string());
+        let mark = shared.mark();
+        let mut a = shared.clone();
+        let mut b = shared.clone();
+        assert!(Arc::ptr_eq(&a.entries()[0].1, &shared.entries()[0].1));
+        assert!(Arc::ptr_eq(&b.entries()[1].1, &shared.entries()[1].1));
+
+        assert_eq!(a.get(1).map(String::as_str), Some("one"));
+        a.get_or_insert_with(3, || "three (a)".to_string());
+        a.insert(4, "four".to_string());
+        assert_eq!(b.get(5), None);
+        b.insert(5, "five".to_string());
+        b.insert(3, "three (b)".to_string());
+        let a_values: Vec<Arc<String>> = a.entries().iter().map(|(_, v)| v.clone()).collect();
+
+        shared.absorb(a, mark);
+        shared.absorb(b, mark);
+        let keys: Vec<u64> = shared.entries().iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, [1, 2, 3, 4, 5]);
+        // First write wins: worker a merged first, so its value stays.
+        assert_eq!(shared.peek(3).map(String::as_str), Some("three (a)"));
+        // Merged values are the workers' own allocations, not copies.
+        assert!(Arc::ptr_eq(&shared.entries()[2].1, &a_values[2]));
+        // a: one hit, one miss; b: one miss.
+        assert_eq!(shared.stats(), CacheStats { hits: 1, misses: 2 });
     }
 
     #[test]

@@ -94,7 +94,7 @@ mod tests {
         let f = move |x: &[f64]| x.iter().zip(&c).map(|(a, b)| a * b).sum::<f64>();
         let r = anneal(
             f,
-            |x: &mut [f64]| project_simplex(x),
+            |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
             &[1.0 / 3.0; 3],
             &AnnealOptions::default(),
         );
@@ -126,8 +126,18 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let f = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
         let opts = AnnealOptions::default();
-        let a = anneal(f, |x: &mut [f64]| project_simplex(x), &[0.5, 0.5], &opts);
-        let b = anneal(f, |x: &mut [f64]| project_simplex(x), &[0.5, 0.5], &opts);
+        let a = anneal(
+            f,
+            |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
+            &[0.5, 0.5],
+            &opts,
+        );
+        let b = anneal(
+            f,
+            |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
+            &[0.5, 0.5],
+            &opts,
+        );
         assert_eq!(a.x, b.x);
         assert_eq!(a.value, b.value);
     }
@@ -139,7 +149,7 @@ mod tests {
         let f0 = f(&start);
         let r = anneal(
             f,
-            |x: &mut [f64]| project_simplex(x),
+            |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
             &start,
             &AnnealOptions {
                 steps: 100,

@@ -166,7 +166,7 @@ mod tests {
             f,
             grad,
             &[],
-            |x: &mut [f64]| project_simplex(x),
+            |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
             &[0.5, 0.5],
             &AugLagOptions::default(),
         );
@@ -192,7 +192,7 @@ mod tests {
             f,
             grad,
             &cons,
-            |x: &mut [f64]| project_simplex(x),
+            |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
             &[0.9, 0.1],
             &AugLagOptions::default(),
         );
@@ -222,7 +222,7 @@ mod tests {
             f,
             grad,
             &cons,
-            |x: &mut [f64]| project_simplex(x),
+            |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
             &[1.0, 0.0],
             &AugLagOptions::default(),
         );
@@ -258,7 +258,7 @@ mod tests {
             f,
             grad,
             &cons,
-            |x: &mut [f64]| project_simplex(x),
+            |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
             &[0.5, 0.5],
             &AugLagOptions::default(),
         );

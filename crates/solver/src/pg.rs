@@ -188,7 +188,7 @@ mod tests {
         let r = minimize(
             f,
             grad,
-            |x: &mut [f64]| project_simplex(x),
+            |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
             &[1.0 / 3.0; 3],
             &PgOptions::default(),
         );
@@ -204,7 +204,7 @@ mod tests {
         let r = minimize(
             f,
             grad,
-            |x: &mut [f64]| project_simplex(x),
+            |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
             &[0.9, 0.1],
             &PgOptions::default(),
         );
@@ -244,7 +244,7 @@ mod tests {
         let r = minimize(
             f,
             grad,
-            |x: &mut [f64]| project_simplex(x),
+            |x: &mut [f64]| project_simplex(x, &mut Vec::new()),
             &[1.0, 0.0],
             &PgOptions::default(),
         );

@@ -8,18 +8,25 @@
 
 /// Projects `x` in place onto the simplex `{ y : y ≥ 0, Σ y = s }`.
 ///
-/// `s` must be positive. O(M log M) in the row length.
-pub fn project_scaled_simplex(x: &mut [f64], s: f64) {
+/// `s` must be positive. O(M log M) in the row length. `sorted` is
+/// caller-owned scratch for the descending copy of `x` the threshold
+/// search walks (its contents on entry are ignored); reusing one
+/// buffer across calls keeps the projection free of allocations once
+/// the buffer has grown to the longest row (the std stable sort keeps
+/// its own scratch on the stack for rows of up to 512 entries).
+pub fn project_scaled_simplex(x: &mut [f64], s: f64, sorted: &mut Vec<f64>) {
     debug_assert!(s > 0.0);
     debug_assert!(!x.is_empty());
     let n = x.len();
+    // hot-closure-begin: runs once per row on every projection.
     // Sort a copy descending to find the threshold.
-    let mut u: Vec<f64> = x.to_vec();
-    u.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
+    sorted.clear();
+    sorted.extend_from_slice(x);
+    sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
     let mut cumsum = 0.0;
     let mut theta = 0.0;
     let mut rho = 0;
-    for (k, &uk) in u.iter().enumerate() {
+    for (k, &uk) in sorted.iter().enumerate() {
         cumsum += uk;
         let t = (cumsum - s) / (k + 1) as f64;
         if uk - t > 0.0 {
@@ -31,11 +38,13 @@ pub fn project_scaled_simplex(x: &mut [f64], s: f64) {
     for v in x.iter_mut() {
         *v = (*v - theta).max(0.0);
     }
+    // hot-closure-end
 }
 
-/// Projects `x` in place onto the probability simplex (sum 1).
-pub fn project_simplex(x: &mut [f64]) {
-    project_scaled_simplex(x, 1.0);
+/// Projects `x` in place onto the probability simplex (sum 1), with
+/// `sorted` as scratch (see [`project_scaled_simplex`]).
+pub fn project_simplex(x: &mut [f64], sorted: &mut Vec<f64>) {
+    project_scaled_simplex(x, 1.0, sorted);
 }
 
 #[cfg(test)]
@@ -53,7 +62,7 @@ mod tests {
     fn already_on_simplex_unchanged() {
         let mut x = vec![0.2, 0.3, 0.5];
         let orig = x.clone();
-        project_simplex(&mut x);
+        project_simplex(&mut x, &mut Vec::new());
         for (a, b) in x.iter().zip(&orig) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -62,7 +71,7 @@ mod tests {
     #[test]
     fn uniform_from_equal_inputs() {
         let mut x = vec![5.0; 4];
-        project_simplex(&mut x);
+        project_simplex(&mut x, &mut Vec::new());
         for &v in &x {
             assert!((v - 0.25).abs() < 1e-12);
         }
@@ -71,7 +80,7 @@ mod tests {
     #[test]
     fn negative_entries_clipped() {
         let mut x = vec![-1.0, 0.0, 2.0];
-        project_simplex(&mut x);
+        project_simplex(&mut x, &mut Vec::new());
         assert_on_simplex(&x);
         assert_eq!(x[0], 0.0);
         assert!(x[2] > x[1]);
@@ -80,14 +89,14 @@ mod tests {
     #[test]
     fn single_element() {
         let mut x = vec![17.0];
-        project_simplex(&mut x);
+        project_simplex(&mut x, &mut Vec::new());
         assert!((x[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn scaled_simplex() {
         let mut x = vec![1.0, 2.0, 3.0];
-        project_scaled_simplex(&mut x, 6.0);
+        project_scaled_simplex(&mut x, 6.0, &mut Vec::new());
         let sum: f64 = x.iter().sum();
         assert!((sum - 6.0).abs() < 1e-9);
         assert!((x[0] - 1.0).abs() < 1e-9); // already feasible: unchanged
@@ -101,7 +110,7 @@ mod tests {
         for _ in 0..50 {
             let x0: Vec<f64> = (0..3).map(|_| rng.uniform_range(-2.0, 2.0)).collect();
             let mut proj = x0.clone();
-            project_simplex(&mut proj);
+            project_simplex(&mut proj, &mut Vec::new());
             assert_on_simplex(&proj);
             let d_proj: f64 = proj.iter().zip(&x0).map(|(a, b)| (a - b) * (a - b)).sum();
             // Sample simplex points on a grid.
@@ -128,9 +137,9 @@ mod tests {
         let mut rng = SimRng::new(7);
         for _ in 0..100 {
             let mut x: Vec<f64> = (0..6).map(|_| rng.uniform_range(-3.0, 3.0)).collect();
-            project_simplex(&mut x);
+            project_simplex(&mut x, &mut Vec::new());
             let once = x.clone();
-            project_simplex(&mut x);
+            project_simplex(&mut x, &mut Vec::new());
             for (a, b) in x.iter().zip(&once) {
                 assert!((a - b).abs() < 1e-9);
             }

@@ -199,7 +199,7 @@ mod tests {
     fn both_engines_solve_the_simplex_lp() {
         // min c·x on the simplex → the vertex of the smallest coefficient.
         let c = [3.0, 0.5, 2.0];
-        let project = |x: &mut [f64]| project_simplex(x);
+        let project = |x: &mut [f64]| project_simplex(x, &mut Vec::new());
         for solver in [
             Box::new(ProjectedGradientSolver::default()) as Box<dyn Solver>,
             Box::new(AnnealSolver::default()),
@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn pg_engine_honors_constraints() {
         // min (x0-1)^2 on the simplex s.t. x0 ≤ 0.4 → x0 = 0.4.
-        let project = |x: &mut [f64]| project_simplex(x);
+        let project = |x: &mut [f64]| project_simplex(x, &mut Vec::new());
         let cons = [Constraint {
             g: Box::new(|x: &[f64]| x[0] - 0.4),
             grad: Box::new(|_x: &[f64], g: &mut [f64]| {
@@ -233,7 +233,7 @@ mod tests {
     fn anneal_engine_penalizes_violation() {
         // Pull toward x0 = 1 with x0 ≤ 0.4 as a penalty: the annealer
         // must settle near the constraint boundary, not the pull.
-        let project = |x: &mut [f64]| project_simplex(x);
+        let project = |x: &mut [f64]| project_simplex(x, &mut Vec::new());
         let cons = [Constraint {
             g: Box::new(|x: &[f64]| x[0] - 0.4),
             grad: Box::new(|_x: &[f64], g: &mut [f64]| {

@@ -10,7 +10,7 @@ proptest! {
         x in proptest::collection::vec(-10.0f64..10.0, 1..30),
     ) {
         let mut p = x.clone();
-        project_simplex(&mut p);
+        project_simplex(&mut p, &mut Vec::new());
         let sum: f64 = p.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-8, "sum {sum}");
         prop_assert!(p.iter().all(|&v| v >= -1e-12));
@@ -22,9 +22,9 @@ proptest! {
         x in proptest::collection::vec(-10.0f64..10.0, 1..30),
     ) {
         let mut once = x.clone();
-        project_simplex(&mut once);
+        project_simplex(&mut once, &mut Vec::new());
         let mut twice = once.clone();
-        project_simplex(&mut twice);
+        project_simplex(&mut twice, &mut Vec::new());
         for (a, b) in once.iter().zip(&twice) {
             prop_assert!((a - b).abs() < 1e-9);
         }
@@ -38,7 +38,7 @@ proptest! {
         x in proptest::collection::vec(-10.0f64..10.0, 2..30),
     ) {
         let mut p = x.clone();
-        project_simplex(&mut p);
+        project_simplex(&mut p, &mut Vec::new());
         for i in 0..x.len() {
             for j in 0..x.len() {
                 if x[i] >= x[j] {
@@ -56,7 +56,7 @@ proptest! {
         let total: f64 = raw.iter().sum();
         let feasible: Vec<f64> = raw.iter().map(|v| v / total).collect();
         let mut p = feasible.clone();
-        project_simplex(&mut p);
+        project_simplex(&mut p, &mut Vec::new());
         for (a, b) in p.iter().zip(&feasible) {
             prop_assert!((a - b).abs() < 1e-9);
         }
@@ -69,7 +69,7 @@ proptest! {
         s in 0.1f64..50.0,
     ) {
         let mut p = x.clone();
-        project_scaled_simplex(&mut p, s);
+        project_scaled_simplex(&mut p, s, &mut Vec::new());
         let sum: f64 = p.iter().sum();
         prop_assert!((sum - s).abs() < 1e-7 * s.max(1.0));
     }

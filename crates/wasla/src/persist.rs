@@ -37,6 +37,7 @@ use crate::error::WaslaError;
 use crate::pipeline::DegradedNote;
 use crate::session::AdvisorSession;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use wasla_core::StageCache;
 use wasla_simlib::hash::Fnv64;
 use wasla_simlib::json::{self, FromJson, Json, ToJson};
@@ -150,7 +151,7 @@ fn decode_controller(raw: &str) -> Result<crate::daemon::ControllerState, String
 
 /// The canonical JSON array a cache's entries serialize to; the
 /// checksum is computed over exactly this rendering.
-fn entries_json<V: ToJson>(entries: &[(u64, V)]) -> Json {
+fn entries_json<V: ToJson>(entries: &[(u64, Arc<V>)]) -> Json {
     Json::Arr(
         entries
             .iter()

@@ -18,10 +18,10 @@
 //! [`Service`] fans a batch of advise requests across the
 //! deterministic [`par`] pool: distinct calibrations are prewarmed
 //! serially first (each calibration is internally parallel, so this
-//! avoids nested fan-out), then requests run concurrently against
-//! worker-local snapshots of the session caches, and newly computed
-//! stage outputs merge back in request order — so batch results are
-//! bit-identical at any `WASLA_THREADS` setting.
+//! avoids nested fan-out), then requests run concurrently, each against
+//! a worker-local clone of the session caches that shares their values,
+//! and the stage outputs each worker added merge back in request order
+//! — so batch results are bit-identical at any `WASLA_THREADS` setting.
 
 use crate::error::WaslaError;
 use crate::persist;
@@ -32,7 +32,8 @@ use crate::stages::{
 };
 use std::path::PathBuf;
 use wasla_core::{
-    CacheStats, LayoutProblem, ObjectiveKind, Recommendation, SolveQuality, Stage, StageCache,
+    CacheMark, CacheStats, LayoutProblem, ObjectiveKind, Recommendation, SolveQuality, Stage,
+    StageCache,
 };
 use wasla_exec::DeviceEvent;
 use wasla_model::{calibration_fault, CalibrationGrid, TableModel, TargetCostModel};
@@ -363,21 +364,30 @@ impl AdvisorSession {
         })
     }
 
-    /// Folds a worker-local session (started as a clone of this one)
-    /// back into this session: new cache entries land first-write-wins
-    /// in merge order, and the counter deltas relative to `baseline`
-    /// are accumulated.
-    fn absorb(&mut self, local: AdvisorSession, baseline: &SessionStats) {
-        self.calibrations
-            .add_stats(local.calibrations.stats().since(&baseline.calibration));
-        self.fits.add_stats(local.fits.stats().since(&baseline.fit));
-        for (key, table) in local.calibrations.into_entries() {
-            self.calibrations.insert(key, table);
-        }
-        for (key, fitted) in local.fits.into_entries() {
-            self.fits.insert(key, fitted);
+    /// Where this session's caches stand now (see [`CacheMark`]).
+    fn mark(&self) -> SessionMark {
+        SessionMark {
+            calibrations: self.calibrations.mark(),
+            fits: self.fits.mark(),
         }
     }
+
+    /// Folds a worker-local session, cloned from this one at `mark`,
+    /// back into this session: the entries it added land
+    /// first-write-wins in merge order, and its counter deltas are
+    /// accumulated (see [`StageCache::absorb`]).
+    fn absorb(&mut self, local: AdvisorSession, mark: SessionMark) {
+        self.calibrations
+            .absorb(local.calibrations, mark.calibrations);
+        self.fits.absorb(local.fits, mark.fits);
+    }
+}
+
+/// An [`AdvisorSession`]'s [`CacheMark`]s.
+#[derive(Clone, Copy)]
+struct SessionMark {
+    calibrations: CacheMark,
+    fits: CacheMark,
 }
 
 /// What [`AdvisorSession::advise_from_oplog`] produced. Unlike
@@ -721,8 +731,9 @@ impl Service {
     ///
     /// Distinct member calibrations are prewarmed serially first (each
     /// is internally parallel); the fan-out then runs against
-    /// worker-local snapshots of the warm caches, and anything newly
-    /// computed merges back into the shared session in request order.
+    /// worker-local clones of the warm caches (sharing their values),
+    /// and what each worker added merges back into the shared session
+    /// in request order.
     /// Results are bit-identical at any `WASLA_THREADS` setting, and a
     /// warm service returns byte-identical recommendations to a cold
     /// one (only wall-clock timings differ).
@@ -783,8 +794,8 @@ impl Service {
         let base_seed = self.base_seed;
         let attempts_budget = policy.max_attempts.max(1);
         let plan = fault::plan();
-        let snapshot = self.session.clone();
-        let baseline = snapshot.stats();
+        let session = &self.session;
+        let mark = session.mark();
         let indices: Vec<usize> = (0..n).collect();
         type SlotRun = (
             Result<AdviseOutcome, WaslaError>,
@@ -812,7 +823,8 @@ impl Service {
                 };
                 return (Err(err), decision, None);
             }
-            let mut local = snapshot.clone();
+            // Clones share every cached value (see `StageCache`).
+            let mut local = session.clone();
             let seed = request
                 .seed
                 .unwrap_or_else(|| par::task_seed(base_seed, i as u64));
@@ -875,7 +887,7 @@ impl Service {
         let mut decisions = Vec::with_capacity(runs.len());
         for (outcome, decision, local) in runs {
             if let Some(local) = local {
-                self.session.absorb(local, &baseline);
+                self.session.absorb(local, mark);
             }
             outcomes.push(outcome);
             decisions.push(decision);

@@ -13,15 +13,34 @@
 //! budgets land on the same slots at any thread count, warm or cold,
 //! including through a persist/reopen cycle.
 //!
-//! The whole check lives in ONE test function: it mutates the
-//! `WASLA_THREADS` environment variable, which is only safe while no
-//! other test in the same binary runs concurrently.
+//! A second test pins the session a batch service is left with —
+//! cache keys in insertion order, hit/miss counters and persisted
+//! bytes — so the worker-cache merge stays first-write-wins in request
+//! order.
+//!
+//! Both tests mutate process-wide environment variables
+//! (`WASLA_THREADS`, the fault plan), so they serialize on
+//! [`ENV_LOCK`].
 
+use std::path::Path;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use wasla::persist::{CALIBRATIONS_FILE, FITS_FILE};
 use wasla::pipeline::{AdviseConfig, AdviseOutcome, Scenario};
 use wasla::simlib::fault::{self, FaultPlan};
+use wasla::simlib::hash::Fnv64;
+use wasla::simlib::json::{FromJson, Json};
 use wasla::stress;
 use wasla::workload::{SqlWorkload, SynthSpec};
 use wasla::{AdviseRequest, BatchPolicy, Service, WaslaError};
+
+/// Serializes the tests of this binary around their environment edits.
+static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+fn env_lock() -> MutexGuard<'static, ()> {
+    // A test that panicked while holding the lock restored nothing it
+    // needs; the next test resets the variables it reads itself.
+    ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn requests() -> Vec<AdviseRequest> {
     let scenario = Scenario::homogeneous_disks(4, 0.01);
@@ -82,6 +101,7 @@ fn cold_and_warm_at(threads: usize) -> (String, String) {
 
 #[test]
 fn batches_are_identical_at_any_thread_count_and_temperature() {
+    let _env = env_lock();
     std::env::remove_var(fault::ENV_VAR);
     let (cold_1, warm_1) = cold_and_warm_at(1);
     let (cold_8, warm_8) = cold_and_warm_at(8);
@@ -196,4 +216,96 @@ fn batches_are_identical_at_any_thread_count_and_temperature() {
         "persisted path diverged from in-memory"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The keys of one persisted cache file in insertion order, and an
+/// FNV-1a hash of its bytes.
+fn persisted(path: &Path) -> (Vec<u64>, u64) {
+    let raw = std::fs::read_to_string(path).expect("persisted cache file");
+    let doc = Json::parse(&raw).expect("cache file parses");
+    let Some(Json::Arr(rows)) = doc.field("entries") else {
+        panic!("{}: no entries array", path.display());
+    };
+    let keys = rows
+        .iter()
+        .map(|row| match row {
+            Json::Arr(pair) => u64::from_json(&pair[0]).expect("u64 key"),
+            other => panic!("entry is not a [key, value] pair: {other:?}"),
+        })
+        .collect();
+    (keys, Fnv64::new().write_str(&raw).finish())
+}
+
+/// Three ticks over six tenants. Tenant 0 repeats within the first
+/// tick; tenants 0, 1 and 3 repeat across ticks.
+const TICKS: [&[u64]; 3] = [&[0, 1, 0, 2], &[1, 3, 4, 0], &[5, 3, 3, 2]];
+
+/// The session a service is left with after [`TICKS`], as text.
+fn session_after_ticks(threads: usize) -> String {
+    std::env::set_var("WASLA_THREADS", threads.to_string());
+    let spec = SynthSpec {
+        tenants: 6,
+        ..SynthSpec::default()
+    };
+    let targets = stress::fleet(&spec);
+    let dir = std::env::temp_dir().join(format!(
+        "wasla-batch-merge-{}-t{threads}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut service, _) = Service::open(0x5E55, &dir).expect("open cache dir");
+    for tick in TICKS {
+        let requests: Vec<AdviseRequest> = tick
+            .iter()
+            .map(|&i| stress::tenant_request(&spec, &targets, i))
+            .collect();
+        service.advise_batch_with(&requests, &BatchPolicy::default());
+    }
+    service.persist().expect("persist");
+    std::env::remove_var("WASLA_THREADS");
+    let stats = service.session().stats();
+    let (calibration_keys, calibration_bytes) = persisted(&dir.join(CALIBRATIONS_FILE));
+    let (fit_keys, fit_bytes) = persisted(&dir.join(FITS_FILE));
+    let _ = std::fs::remove_dir_all(&dir);
+    let hex = |keys: &[u64]| {
+        keys.iter()
+            .map(|k| format!("{k:#018x}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    format!(
+        "calibration keys: {}\nfit keys: {}\ncalibration: {:?}\nfit: {:?}\nfits_cached: {}\n\
+         calibrations.json: {calibration_bytes:#018x}\nfits.json: {fit_bytes:#018x}\n",
+        hex(&calibration_keys),
+        hex(&fit_keys),
+        stats.calibration,
+        stats.fit,
+        service.session().fits_cached(),
+    )
+}
+
+/// Captured before worker caches shared their values: sharing must
+/// not move a key, a counter or a persisted byte.
+const SESSION_AFTER_TICKS: &str = "\
+calibration keys: 0x4ddbdc0e6185080b
+fit keys: 0xc472e147f08de293 0xf3050994a728dbde 0xaaf766d17900da41 0x9e89b44c70476ba9 \
+0x7ce19120ee9e8c62 0x4980af1ad93fafd3
+calibration: CacheStats { hits: 191, misses: 1 }
+fit: CacheStats { hits: 5, misses: 7 }
+fits_cached: 6
+calibrations.json: 0xda795f5521954bb5
+fits.json: 0x132abbdec364dfd5
+";
+
+#[test]
+fn merged_session_is_pinned_at_any_thread_count() {
+    let _env = env_lock();
+    std::env::remove_var(fault::ENV_VAR);
+    let serial = session_after_ticks(1);
+    let wide = session_after_ticks(8);
+    assert_eq!(serial, SESSION_AFTER_TICKS, "merged session moved");
+    assert_eq!(
+        wide, SESSION_AFTER_TICKS,
+        "merged session depends on WASLA_THREADS"
+    );
 }
