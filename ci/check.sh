@@ -84,8 +84,7 @@ step "hot-loop allocation ratchet (solver closures stay allocation-free)"
 # and fails on allocation idioms creeping back in — and on a file
 # losing its markers, so the fence can't be deleted to dodge the grep.
 hot_files="crates/core/src/optimizer.rs crates/core/src/eval/engine.rs \
-crates/core/src/eval/grad.rs crates/solver/src/pg.rs crates/solver/src/auglag.rs \
-crates/solver/src/simplex.rs"
+crates/core/src/eval/grad.rs crates/solver/src/auglag.rs crates/solver/src/simplex.rs"
 alloc_failed=0
 for f in $hot_files; do
     begins=$(grep -c 'hot-closure-begin' "$f" || true)
@@ -124,6 +123,20 @@ if grep -RnwE 'BlockTraceRecord|fit_workloads|fit_workloads_lossy|SalvageReport|
     || grep -RnE '(^|[^_a-zA-Z0-9])to_trace\(' crates/*/src; then
     echo "error: a retired block-trace path reappeared under crates/*/src (see matches above)" >&2
     echo "capture and fit the op-log (wasla_trace::oplog) instead" >&2
+    exit 1
+fi
+
+step "experiment ratchet (one solver; baselines live in wasla-bench)"
+# Production runs one solver — projected gradient through
+# `core::optimizer` — and the experiment-only baselines (the annealing
+# solver, AutoAdmin, the configuration sweep, the analytic disk model,
+# the open-loop driver) live in the experiment crate next to the
+# experiments that use them. Fail if the retired solver-selection layer
+# or a moved baseline reappears in a production crate.
+if grep -RnwE 'SolveMethod|solver_by_name|SOLVER_NAMES|AnnealSolver|ProjectedGradientSolver|SolveSpec|wants_smoothing|build_solver|autoadmin_layout|AutoAdminOptions|ResourcePool|AnalyticDiskModel|run_open_loop|OpenStream' crates/*/src \
+    | grep -v '^crates/bench/'; then
+    echo "error: an experiment-only name reappeared in a production crate (see matches above)" >&2
+    echo "keep baselines and alternative solvers in crates/bench" >&2
     exit 1
 fi
 

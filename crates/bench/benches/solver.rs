@@ -3,7 +3,8 @@
 use std::hint::black_box;
 use wasla::core::EvalEngine;
 use wasla::simlib::SimRng;
-use wasla::solver::{anneal, lse_max, minimize, project_simplex, AnnealOptions, PgOptions};
+use wasla::solver::{lse_max, minimize, project_simplex, PgOptions};
+use wasla_bench::anneal::{anneal, AnnealOptions};
 use wasla_bench::harness::{BatchSize, Harness};
 use wasla_bench::sweep::sweep_problem;
 

@@ -1,13 +1,14 @@
 //! Ablation experiments for the design choices DESIGN.md §5 calls out.
 
+use crate::analytic::AnalyticDiskModel;
+use crate::anneal::{anneal_layout, AnnealOptions};
 use crate::common::{advise, advise_config, run_settings, ExpConfig, ExperimentResult, Row};
 use std::sync::Arc;
 use std::time::Instant;
 use wasla::core::{
-    initial_layout, recommend, solve_nlp, weighted_max, AdvisorOptions, ObjectiveKind, SolveMethod,
+    initial_layout, recommend, solve_nlp, weighted_max, AdvisorOptions, NlpOutcome, ObjectiveKind,
     SolverOptions, UtilizationEstimator,
 };
-use wasla::model::AnalyticDiskModel;
 use wasla::pipeline::{self, Scenario, DISK_BYTES, SSD_BYTES};
 use wasla::storage::DiskParams;
 use wasla::workload::SqlWorkload;
@@ -21,27 +22,34 @@ pub fn ablation_solver(config: &ExpConfig) -> ExperimentResult {
     let outcome = advise(config, &scenario, &workloads);
     let problem = &outcome.problem;
     let initial = initial_layout(problem).expect("initial layout");
-    let mut rows = Vec::new();
-    for (name, method) in [
-        ("projected-gradient", SolveMethod::ProjectedGradient),
-        ("simulated-annealing", SolveMethod::Anneal),
-    ] {
-        let opts = SolverOptions {
-            method,
-            ..SolverOptions::default()
-        };
+    let timed = |solve: &dyn Fn() -> NlpOutcome| {
         let t0 = Instant::now();
-        let out = solve_nlp(problem, &initial, &opts);
-        let dt = t0.elapsed().as_secs_f64();
-        rows.push(Row::new(
-            name,
-            vec![
-                ("max_util", out.max_utilization),
-                ("solve_s", dt),
-                ("converged", f64::from(u8::from(out.converged))),
-            ],
-        ));
-    }
+        let out = solve();
+        (out, t0.elapsed().as_secs_f64())
+    };
+    let runs = [
+        (
+            "projected-gradient",
+            timed(&|| solve_nlp(problem, &initial, &SolverOptions::default())),
+        ),
+        (
+            "simulated-annealing",
+            timed(&|| anneal_layout(problem, &initial, &AnnealOptions::for_layouts())),
+        ),
+    ];
+    let rows = runs
+        .into_iter()
+        .map(|(name, (out, dt))| {
+            Row::new(
+                name,
+                vec![
+                    ("max_util", out.max_utilization),
+                    ("solve_s", dt),
+                    ("converged", f64::from(u8::from(out.converged))),
+                ],
+            )
+        })
+        .collect();
     ExperimentResult {
         id: "ablation-solver".into(),
         title: "NLP solve vs randomized local search".into(),

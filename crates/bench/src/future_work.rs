@@ -1,8 +1,9 @@
-//! Experiments for the paper's §8 future-work directions, implemented
-//! in `wasla-core::{dynamic, configurator}`.
+//! Experiments for the paper's §8 future-work directions: incremental
+//! re-advising (`wasla-core::dynamic`) and the storage-configuration
+//! sweep ([`crate::configurator`]).
 
 use crate::common::{advise, advise_config, run_settings, ExpConfig, ExperimentResult, Row};
-use wasla::core::configurator::{configure, ResourcePool};
+use crate::configurator::{configure, ResourcePool};
 use wasla::core::dynamic::{readvise, DynamicOptions};
 use wasla::core::AdvisorOptions;
 use wasla::pipeline::{self, Scenario, DISK_BYTES, LVM_STRIPE};

@@ -20,20 +20,35 @@
 //!
 //! plus the DESIGN.md §5 ablations in [`ablations`].
 //!
+//! The experiment-only baselines those experiments compare against
+//! live here too, off the advisor's production surface:
+//!
+//! | module | baseline | experiments |
+//! |--------|----------|-------------|
+//! | [`mod@anneal`] | simulated-annealing solver (§7) | `ablation-solver` |
+//! | [`autoadmin`] | the AutoAdmin layout tool (§6.6) | `fig20` |
+//! | [`configurator`] | storage-configuration sweep (§8) | `config-sweep` |
+//! | [`analytic`] | closed-form disk cost model (§5.2.2) | `ablation-costmodel` |
+//! | [`openloop`] | open-loop Poisson driver (Eq. 1) | `validate-eq1` |
+//!
 //! Experiments run at a configurable scale (default 5% of the paper's
 //! data sizes — the simulated *shapes* are scale-invariant, wall-clock
 //! isn't). Results print as text tables and are returned as
 //! serializable records so `repro all` can archive them.
 
 pub mod ablations;
+pub mod analytic;
+pub mod anneal;
 pub mod autoadmin;
 pub mod common;
+pub mod configurator;
 pub mod diff;
 pub mod drift;
 pub mod future_work;
 pub mod harness;
 pub mod layouts;
 pub mod models;
+pub mod openloop;
 pub mod runs;
 pub mod scaling;
 pub mod sweep;

@@ -10,7 +10,7 @@
 //!   advising from each and measuring both recommendations.
 
 use crate::common::{advise, advise_config, run_settings, ExpConfig, ExperimentResult, Row};
-use wasla::exec::{run_open_loop, OpenStream};
+use crate::openloop::{run_open_loop, OpenStream};
 use wasla::model::{calibrate_device, CostModel};
 use wasla::pipeline::{self, Scenario, DISK_BYTES};
 use wasla::storage::{DeviceSpec, DiskParams, IoKind, StorageSystem, TargetConfig};

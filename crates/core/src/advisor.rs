@@ -11,7 +11,7 @@ use crate::baselines;
 use crate::estimator::UtilizationEstimator;
 use crate::eval::{max_of, weighted_max};
 use crate::initial::{initial_layout, InitialLayoutError};
-use crate::optimizer::{solve_multistart, NlpOutcome, SolveMethod, SolverOptions};
+use crate::optimizer::{solve_multistart, MultistartError, NlpOutcome, SolverOptions};
 use crate::problem::{Layout, LayoutProblem};
 use crate::regularize::{regularize_with, RegularizeError};
 use std::time::Instant;
@@ -19,7 +19,6 @@ use wasla_simlib::fault::{self, SolverBudget};
 use wasla_simlib::impl_json_struct;
 use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 use wasla_simlib::SimRng;
-use wasla_solver::MultistartError;
 
 /// Advisor configuration.
 #[derive(Clone, Debug)]
@@ -211,7 +210,7 @@ pub enum SolveQuality {
     /// The configured solver ran with its normal budget.
     Full,
     /// A constrained (fault-injected) budget limited the solve: fewer
-    /// iterations or a cheaper method, anytime best-so-far result.
+    /// iterations or outer passes, anytime best-so-far result.
     Budgeted,
     /// The configured solve failed; a projected-gradient-only retry
     /// produced the layout.
@@ -386,7 +385,7 @@ pub fn solve_stage(
     starts.extend(options.extra_starts.iter().cloned());
 
     // Solver budget: a fault plan may constrain the solve (fewer
-    // iterations, cheaper method, or none at all), and deadline-driven
+    // iterations, one outer pass, or none at all), and deadline-driven
     // callers may request a ceiling of their own via
     // `options.solve_budget`; the tighter of the two applies. The
     // contract is anytime: `solve_stage` always returns a feasible
@@ -403,13 +402,12 @@ pub fn solve_stage(
         None | Some(SolverBudget::GreedyOnly) => {}
         Some(SolverBudget::Tight) => {
             quality = SolveQuality::Budgeted;
-            solver_opts.pg.max_iters = (solver_opts.pg.max_iters / 4).max(5);
+            solver_opts.auglag.inner.max_iters = (solver_opts.auglag.inner.max_iters / 4).max(5);
             solver_opts.auglag.outer_iters = 1;
             solver_opts.temperatures.truncate(1);
         }
         Some(SolverBudget::PgOnly) => {
             quality = SolveQuality::Budgeted;
-            solver_opts.method = SolveMethod::ProjectedGradient;
             solver_opts.auglag.outer_iters = 1;
         }
     }
@@ -431,7 +429,6 @@ pub fn solve_stage(
                 // that also fails, fall back to the greedy seed — the
                 // advisor degrades, it does not error out here.
                 let mut pg_opts = options.solver.clone();
-                pg_opts.method = SolveMethod::ProjectedGradient;
                 pg_opts.auglag.outer_iters = 1;
                 match solve_multistart(problem, &starts, &pg_opts) {
                     Ok(out) if good(&out) => (out.layout, out.converged, SolveQuality::FallbackPg),

@@ -25,16 +25,14 @@
 //!
 //! For evaluation, [`baselines`] provides the administrator heuristics
 //! the paper compares against (SEE, isolate-tables,
-//! isolate-tables-and-indexes, all-on-SSD) and [`autoadmin`]
-//! reimplements the Microsoft AutoAdmin two-step graph layout tool
-//! (§6.6). [`dynamic`] and [`configurator`] implement the paper's §8
-//! future-work directions (FlexVol-style incremental re-advising and
-//! storage-configuration recommendation).
+//! isolate-tables-and-indexes, all-on-SSD), and [`dynamic`] implements
+//! the paper's §8 FlexVol-style incremental re-advising. The
+//! experiment-only comparisons (the AutoAdmin tool of §6.6, the
+//! simulated-annealing solver of §7 and the §8 storage-configuration
+//! sweep) live with the experiments in `wasla-bench`.
 
 pub mod advisor;
-pub mod autoadmin;
 pub mod baselines;
-pub mod configurator;
 pub mod dynamic;
 pub mod estimator;
 pub mod eval;
@@ -50,13 +48,10 @@ pub use advisor::{
     recommend, regularize_stage, solve_stage, AdvisorError, AdvisorOptions, Recommendation,
     SolveOutcome, SolveQuality, StageReport, Timings,
 };
-pub use autoadmin::{autoadmin_layout, AutoAdminOptions};
 pub use estimator::UtilizationEstimator;
 pub use eval::{max_of, weighted_max, EvalEngine, EvalStats, LayoutObjective, ObjectiveKind};
 pub use initial::{initial_layout, InitialLayoutError};
-pub use optimizer::{
-    solve_multistart, solve_nlp, solve_with, NlpOutcome, SolveMethod, SolverOptions,
-};
+pub use optimizer::{solve_multistart, solve_nlp, MultistartError, NlpOutcome, SolverOptions};
 pub use problem::{AdminConstraint, Layout, LayoutProblem};
 pub use regularize::{regularize, regularize_with, RegularizeError};
 pub use stage::{CacheMark, CacheStats, Stage, StageCache, STAGE_NAMES};

@@ -17,56 +17,27 @@
 //!   cached state ([`EvalEngine::grad_at`], DESIGN.md §15).
 //!
 //! Every solve runs over one [`EvalEngine`], which backs the objective,
-//! the gradient and the capacity constraints alike.
-//!
-//! A simulated-annealing alternative (`SolveMethod::Anneal`) is kept
-//! for ablation, mirroring the paper's §7 remark that a DAD-style
-//! randomized search could replace the NLP solver.
+//! the gradient and the capacity constraints alike, and hands them to
+//! [`wasla_solver::minimize_constrained`]. Projected gradient is the
+//! only engine; the randomized-search comparison the paper's §7
+//! suggests lives with the experiments (`wasla-bench`).
 
 use crate::eval::{EvalEngine, EvalStats, ObjectiveKind};
 use crate::problem::{AdminConstraint, Layout, LayoutProblem};
 use std::cell::RefCell;
 use std::sync::Mutex;
 use wasla_simlib::par;
-use wasla_solver::{
-    project_simplex, AnnealOptions, AnnealSolver, AugLagOptions, Constraint, MultistartError,
-    ObjectiveFn, ObjectiveGradFn, PgOptions, ProjectedGradientSolver, SolveSpec, Solver,
-};
-
-/// Which search engine drives the solve.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SolveMethod {
-    /// Projected gradient + augmented Lagrangian + LSE smoothing.
-    ProjectedGradient,
-    /// Randomized local search (ablation baseline).
-    Anneal,
-}
-
-impl SolveMethod {
-    /// The engine's stable name (matches
-    /// [`wasla_solver::solver_by_name`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            SolveMethod::ProjectedGradient => "pg",
-            SolveMethod::Anneal => "anneal",
-        }
-    }
-}
+use wasla_solver::{minimize_constrained, project_simplex, AugLagOptions, Constraint, PgOptions};
 
 /// Options for [`solve_nlp`].
 #[derive(Clone, Debug)]
 pub struct SolverOptions {
-    /// Search engine.
-    pub method: SolveMethod,
     /// LSE temperatures relative to the current max utilization,
     /// annealed in order.
     pub temperatures: Vec<f64>,
-    /// Inner projected-gradient options.
-    pub pg: PgOptions,
-    /// Augmented-Lagrangian options (capacity constraints).
+    /// Augmented-Lagrangian options (capacity constraints); the inner
+    /// projected-gradient options are `auglag.inner`.
     pub auglag: AugLagOptions,
-    /// Annealing options (when `method` is `Anneal`).
-    pub anneal: AnnealOptions,
     /// The layout objective scored by the solve. The default
     /// `MinMax` is the paper's objective and routes through weights
     /// of exactly 1.0, bit-identical to the unweighted path.
@@ -76,26 +47,37 @@ pub struct SolverOptions {
 impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
-            method: SolveMethod::ProjectedGradient,
             temperatures: vec![0.25, 0.08, 0.02],
-            pg: PgOptions {
-                max_iters: 60,
-                tol: 1e-5,
-                ..PgOptions::default()
-            },
             auglag: AugLagOptions {
+                inner: PgOptions {
+                    max_iters: 60,
+                    tol: 1e-5,
+                    ..PgOptions::default()
+                },
                 outer_iters: 4,
                 ..AugLagOptions::default()
-            },
-            anneal: AnnealOptions {
-                steps: 20_000,
-                sigma: 0.2,
-                ..AnnealOptions::default()
             },
             objective: ObjectiveKind::MinMax,
         }
     }
 }
+
+/// Failure modes of [`solve_multistart`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MultistartError {
+    /// No starting layouts were supplied, so no solve ran.
+    NoStarts,
+}
+
+impl std::fmt::Display for MultistartError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MultistartError::NoStarts => write!(f, "multistart needs at least one start"),
+        }
+    }
+}
+
+impl std::error::Error for MultistartError {}
 
 /// Result of the NLP solve.
 #[derive(Clone, Debug)]
@@ -153,13 +135,12 @@ pub fn make_projection(problem: &LayoutProblem) -> impl Fn(&mut [f64]) + '_ {
                 allowed.clear();
                 allowed.extend((0..m).filter(|&j| !banned[j]).map(|j| row[j]));
                 project_simplex(allowed, sorted);
-                let mut it = allowed.iter();
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = if banned[j] {
-                        0.0
-                    } else {
-                        *it.next().expect("allowed coords")
-                    };
+                let kept = row.iter_mut().zip(banned).filter(|(_, &b)| !b);
+                for ((v, _), &a) in kept.zip(allowed.iter()) {
+                    *v = a;
+                }
+                for (v, _) in row.iter_mut().zip(banned).filter(|(_, &b)| b) {
+                    *v = 0.0;
                 }
             } else {
                 project_simplex(row, sorted);
@@ -169,52 +150,17 @@ pub fn make_projection(problem: &LayoutProblem) -> impl Fn(&mut [f64]) + '_ {
     }
 }
 
-/// Penalty weight on squared capacity violation for engines that fold
-/// constraints into the objective (the annealing ablation).
-const CAPACITY_PENALTY_WEIGHT: f64 = 10.0;
-
-impl SolverOptions {
-    /// Materializes the search engine this configuration selects, as a
-    /// [`Solver`] trait object the stage layer can drive.
-    pub fn build_solver(&self) -> Box<dyn Solver> {
-        match self.method {
-            SolveMethod::ProjectedGradient => {
-                let mut auglag = self.auglag.clone();
-                auglag.inner = self.pg.clone();
-                Box::new(ProjectedGradientSolver { auglag })
-            }
-            SolveMethod::Anneal => Box::new(AnnealSolver {
-                opts: self.anneal.clone(),
-                penalty_weight: CAPACITY_PENALTY_WEIGHT,
-            }),
-        }
-    }
-}
-
-/// Solves the layout NLP from one initial layout, routing through the
-/// engine `opts.method` selects.
+/// Solves the layout NLP from one initial layout.
 pub fn solve_nlp(problem: &LayoutProblem, initial: &Layout, opts: &SolverOptions) -> NlpOutcome {
-    solve_with(problem, initial, opts, opts.build_solver().as_ref())
-}
-
-/// Drives one [`Solver`] engine over the layout NLP: builds the
-/// feasible-set projection and capacity constraints, then either runs
-/// the LSE temperature schedule (engines that follow gradients and
-/// want the `max` smoothed) or hands the engine the raw min-max
-/// objective (randomized search).
-pub fn solve_with(
-    problem: &LayoutProblem,
-    initial: &Layout,
-    opts: &SolverOptions,
-    solver: &dyn Solver,
-) -> NlpOutcome {
     let engine = RefCell::new(EvalEngine::with_objective(problem, opts.objective));
-    solve_with_engine(problem, initial, opts, solver, &engine)
+    solve_with_engine(problem, initial, opts, &engine)
 }
 
-/// [`solve_with`] over a caller-supplied engine, so multistart can
-/// reuse one workspace across solves. The engine's caches are pure
-/// functions of its committed point (see
+/// [`solve_nlp`] over a caller-supplied engine, so multistart can
+/// reuse one workspace across solves: builds the feasible-set
+/// projection and capacity constraints, then runs the LSE temperature
+/// schedule through the augmented-Lagrangian loop. The engine's caches
+/// are pure functions of its committed point (see
 /// `incremental_commit_equals_rebuild`), so starting from whatever
 /// point a previous solve left committed is bit-equivalent to a fresh
 /// build. The engine must have been built for `opts.objective`.
@@ -222,7 +168,6 @@ fn solve_with_engine<'p>(
     problem: &'p LayoutProblem,
     initial: &Layout,
     opts: &SolverOptions,
-    solver: &dyn Solver,
     engine: &RefCell<EvalEngine<'p>>,
 ) -> NlpOutcome {
     debug_assert_eq!(engine.borrow().objective(), opts.objective);
@@ -230,48 +175,21 @@ fn solve_with_engine<'p>(
     let constraints = capacity_constraints(problem, engine);
     let mut x = initial.to_flat();
     project(&mut x);
-
-    if solver.wants_smoothing() {
-        let mut converged = false;
-        for &rel_temp in &opts.temperatures {
-            let current_max = engine.borrow_mut().score_at(&x).max(1e-9);
-            let temp = rel_temp * current_max;
-            // hot-closure-begin: solver objective/gradient closures —
-            // all scratch lives in the engine workspace. The gradient
-            // is one exact chain-rule pass over the cached state.
-            let f: ObjectiveFn<'_> = Box::new(|xv: &[f64]| engine.borrow_mut().lse_score(xv, temp));
-            let grad: ObjectiveGradFn<'_> =
-                Box::new(|xv: &[f64], g: &mut [f64]| engine.borrow_mut().grad_at(xv, temp, g));
-            // hot-closure-end
-            let spec = SolveSpec {
-                objective: f,
-                gradient: Some(grad),
-                constraints: &constraints,
-                project: &project,
-                x0: &x,
-            };
-            let result = solver.minimize(&spec);
-            drop(spec);
-            x = result.x;
-            converged = result.converged;
-        }
-        finish(problem, engine, x, converged)
-    } else {
-        // hot-closure-begin: raw min-max score for randomized
-        // search — same engine workspace, no allocations per call.
-        let f: ObjectiveFn<'_> = Box::new(|xv: &[f64]| engine.borrow_mut().score_at(xv));
+    let mut converged = false;
+    for &rel_temp in &opts.temperatures {
+        let current_max = engine.borrow_mut().score_at(&x).max(1e-9);
+        let temp = rel_temp * current_max;
+        // hot-closure-begin: solver objective/gradient closures —
+        // all scratch lives in the engine workspace. The gradient
+        // is one exact chain-rule pass over the cached state.
+        let f = |xv: &[f64]| engine.borrow_mut().lse_score(xv, temp);
+        let grad = |xv: &[f64], g: &mut [f64]| engine.borrow_mut().grad_at(xv, temp, g);
         // hot-closure-end
-        let spec = SolveSpec {
-            objective: f,
-            gradient: None,
-            constraints: &constraints,
-            project: &project,
-            x0: &x,
-        };
-        let result = solver.minimize(&spec);
-        drop(spec);
-        finish(problem, engine, result.x, result.converged)
+        let result = minimize_constrained(f, grad, &constraints, &project, &x, &opts.auglag);
+        x = result.x;
+        converged = result.converged;
     }
+    finish(problem, engine, x, converged)
 }
 
 /// Solves from several initial layouts and keeps the best (the
@@ -325,7 +243,7 @@ pub fn solve_multistart(
         // work, not the pool's cumulative total.
         engine.stats = EvalStats::default();
         let cell = RefCell::new(engine);
-        let outcome = solve_with_engine(problem, s, opts, opts.build_solver().as_ref(), &cell);
+        let outcome = solve_with_engine(problem, s, opts, &cell);
         pool.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .push(cell.into_inner());
@@ -511,16 +429,11 @@ mod tests {
     }
 
     #[test]
-    fn anneal_method_also_separates() {
+    fn empty_starts_is_a_typed_error() {
         let p = two_hot_objects(2);
-        let init = initial_layout(&p).unwrap();
-        let opts = SolverOptions {
-            method: SolveMethod::Anneal,
-            ..SolverOptions::default()
-        };
-        let out = solve_nlp(&p, &init, &opts);
-        let est = UtilizationEstimator::new(&p);
-        assert!(out.max_utilization <= est.max_utilization(&Layout::see(2, 2)) + 1e-9);
+        let err = solve_multistart(&p, &[], &SolverOptions::default()).unwrap_err();
+        assert_eq!(err, MultistartError::NoStarts);
+        assert!(err.to_string().contains("at least one start"));
     }
 
     /// Every field of an outcome, bitwise.

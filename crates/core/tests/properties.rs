@@ -110,7 +110,7 @@ proptest! {
         let est = UtilizationEstimator::new(&problem);
         let before = est.max_utilization(&initial);
         let mut opts = SolverOptions::default();
-        opts.pg.max_iters = 15; // keep property runs quick
+        opts.auglag.inner.max_iters = 15; // keep property runs quick
         opts.temperatures = vec![0.1];
         let out = solve_nlp(&problem, &initial, &opts);
         prop_assert!(out.layout.satisfies_integrity());

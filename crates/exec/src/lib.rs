@@ -30,14 +30,12 @@
 
 pub mod cache;
 pub mod engine;
-pub mod openloop;
 pub mod placement;
 pub mod replay;
 pub mod report;
 
 pub use cache::BufferPool;
 pub use engine::{DeviceEvent, Engine, EngineError, RunConfig, RunOutcome};
-pub use openloop::{run_open_loop, OpenLoopReport, OpenStream};
 pub use placement::{see_rows, ObjectMapping, Placement, PlacementError};
 pub use replay::{replay_oplog, ReplayReport};
 pub use report::{ObjectIoStats, RunReport};

@@ -24,6 +24,7 @@
 
 use crate::grid::{Axis, Grid3};
 use crate::table::TableModel;
+use crate::target::ModelError;
 use wasla_simlib::fault::{self, DeviceFault};
 use wasla_simlib::hash::hash_json;
 use wasla_simlib::{par, SimRng};
@@ -83,6 +84,34 @@ impl CalibrationGrid {
     }
 }
 
+/// The smallest device capacity `grid` can calibrate: room for two of
+/// its largest requests (a primary run must be able to start at a
+/// random request-aligned offset) and for one competing request.
+pub fn capacity_floor(grid: &CalibrationGrid) -> u64 {
+    let largest = grid.sizes.iter().fold(0u64, |acc, &s| acc.max(s as u64));
+    largest.saturating_mul(2).max(COMPETITOR_SIZE)
+}
+
+/// Rejects a device below [`capacity_floor`] with a typed error naming
+/// `target`. Every calibration path checks this before measuring: a
+/// smaller device has no valid request offsets.
+pub fn check_capacity(
+    spec: &DeviceSpec,
+    grid: &CalibrationGrid,
+    target: &str,
+) -> Result<(), ModelError> {
+    let floor = capacity_floor(grid);
+    let capacity = spec.capacity();
+    if capacity < floor {
+        return Err(ModelError::BelowCalibrationFloor {
+            target: target.to_string(),
+            capacity,
+            floor,
+        });
+    }
+    Ok(())
+}
+
 /// The fault-plan query for calibrating `spec` under `seed`, if the
 /// plan injects one. Public so the session layer can re-query it to
 /// record a degradation note alongside the (already scaled) tables.
@@ -90,7 +119,8 @@ pub fn calibration_fault(spec: &DeviceSpec, seed: u64) -> Option<DeviceFault> {
     fault::plan()?.device_fault(fault::calibration_key(seed, hash_json(spec)))
 }
 
-/// Calibrates a device spec into a tabulated cost model.
+/// Calibrates a device spec into a tabulated cost model. The device
+/// must pass [`check_capacity`].
 ///
 /// When the active fault plan degrades this calibration run (see
 /// [`calibration_fault`]), every tabulated service time is scaled by
@@ -279,6 +309,28 @@ mod tests {
         let disk = disk_model();
         let d = disk.request_cost(IoKind::Read, 8192.0, 1.0, 0.0);
         assert!(d > 10.0 * a);
+    }
+
+    #[test]
+    fn capacity_floor_is_twice_the_largest_request() {
+        let grid = CalibrationGrid::default();
+        assert_eq!(capacity_floor(&grid), 524_288);
+        let disk = |bytes| DeviceSpec::Disk(DiskParams::scsi_15k(bytes));
+        assert_eq!(check_capacity(&disk(524_288), &grid, "t"), Ok(()));
+        assert_eq!(
+            check_capacity(&disk(524_287), &grid, "t"),
+            Err(ModelError::BelowCalibrationFloor {
+                target: "t".to_string(),
+                capacity: 524_287,
+                floor: 524_288,
+            })
+        );
+        // At the floor a device calibrates without panicking.
+        calibrate_device(
+            &disk(capacity_floor(&CalibrationGrid::coarse())),
+            &CalibrationGrid::coarse(),
+            7,
+        );
     }
 
     #[test]

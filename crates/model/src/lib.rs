@@ -12,22 +12,19 @@
 //! counts and degrees of contention, tabulate the measured mean service
 //! times, and interpolate among nearby calibration points at query
 //! time ([`TableModel`], built by [`calibrate::calibrate_device`]).
-//! An analytic disk model ([`analytic::AnalyticDiskModel`]) is provided
-//! for ablation — the paper notes such models are "possible, but
-//! difficult" and uses tabulation for generality.
+//! The analytic disk model the cost-model ablation compares against
+//! lives with the experiments (`wasla-bench`).
 //!
 //! [`target::TargetCostModel`] lifts a per-device model to a whole
 //! target (RAID-0 width, SSD channel parallelism), producing the
 //! per-request *occupancy* of the target's bottleneck member, which is
 //! what the min-max utilization objective needs.
 
-pub mod analytic;
 pub mod calibrate;
 pub mod grid;
 pub mod table;
 pub mod target;
 
-pub use analytic::AnalyticDiskModel;
-pub use calibrate::{calibrate_device, calibration_fault, CalibrationGrid};
+pub use calibrate::{calibrate_device, calibration_fault, check_capacity, CalibrationGrid};
 pub use table::{CostGrad, CostModel, TableModel};
 pub use target::{ModelError, TargetCostModel};

@@ -17,7 +17,7 @@
 //! configuration differences ("there may be a different model for each
 //! target type", §5.2).
 
-use crate::calibrate::{calibrate_device, CalibrationGrid};
+use crate::calibrate::{calibrate_device, check_capacity, CalibrationGrid};
 use crate::table::{CostGrad, CostModel, TableModel};
 use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 use wasla_storage::{IoKind, TargetConfig, Tier};
@@ -36,32 +36,62 @@ pub enum ModelError {
         /// The offending target's name.
         target: String,
     },
+    /// A member device is too small for the calibration grid to
+    /// measure (see [`crate::calibrate::capacity_floor`]).
+    BelowCalibrationFloor {
+        /// The offending target's name.
+        target: String,
+        /// The member device's capacity in bytes.
+        capacity: u64,
+        /// The smallest capacity the grid can calibrate, in bytes.
+        floor: u64,
+    },
 }
 
 impl ToJson for ModelError {
     fn to_json(&self) -> Json {
-        let (tag, target) = match self {
-            ModelError::NoMembers { target } => ("NoMembers", target),
-            ModelError::HeterogeneousRaid { target } => ("HeterogeneousRaid", target),
+        let field = |name: &str, value: Json| (name.to_string(), value);
+        let (tag, fields) = match self {
+            ModelError::NoMembers { target } => {
+                ("NoMembers", vec![field("target", target.to_json())])
+            }
+            ModelError::HeterogeneousRaid { target } => {
+                ("HeterogeneousRaid", vec![field("target", target.to_json())])
+            }
+            ModelError::BelowCalibrationFloor {
+                target,
+                capacity,
+                floor,
+            } => (
+                "BelowCalibrationFloor",
+                vec![
+                    field("target", target.to_json()),
+                    field("capacity", capacity.to_json()),
+                    field("floor", floor.to_json()),
+                ],
+            ),
         };
-        json::variant(
-            tag,
-            Json::Obj(vec![("target".to_string(), target.to_json())]),
-        )
+        json::variant(tag, Json::Obj(fields))
     }
 }
 
 impl FromJson for ModelError {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let (tag, payload) = json::untag(v)?;
-        let target = String::from_json(
+        let field = |name: &str| {
             payload
-                .field("target")
-                .ok_or_else(|| JsonError::missing_field("target"))?,
-        )?;
+                .field(name)
+                .ok_or_else(|| JsonError::missing_field(name))
+        };
+        let target = String::from_json(field("target")?)?;
         match tag {
             "NoMembers" => Ok(ModelError::NoMembers { target }),
             "HeterogeneousRaid" => Ok(ModelError::HeterogeneousRaid { target }),
+            "BelowCalibrationFloor" => Ok(ModelError::BelowCalibrationFloor {
+                target,
+                capacity: u64::from_json(field("capacity")?)?,
+                floor: u64::from_json(field("floor")?)?,
+            }),
             other => Err(JsonError::new(format!(
                 "unknown ModelError variant: {other:?}"
             ))),
@@ -78,6 +108,14 @@ impl std::fmt::Display for ModelError {
             ModelError::HeterogeneousRaid { target } => write!(
                 f,
                 "target {target:?} mixes device types; RAID members must be homogeneous for calibration"
+            ),
+            ModelError::BelowCalibrationFloor {
+                target,
+                capacity,
+                floor,
+            } => write!(
+                f,
+                "target {target:?} has {capacity}-byte member devices; calibration needs at least {floor} bytes"
             ),
         }
     }
@@ -162,6 +200,18 @@ impl TargetCostModel {
         Ok(first)
     }
 
+    /// [`member_spec`](Self::member_spec), additionally checked against
+    /// the calibration grid's capacity floor: the spec every calibration
+    /// path measures.
+    pub fn calibratable_spec<'c>(
+        config: &'c TargetConfig,
+        grid: &CalibrationGrid,
+    ) -> Result<&'c wasla_storage::DeviceSpec, ModelError> {
+        let spec = Self::member_spec(config)?;
+        check_capacity(spec, grid, &config.name)?;
+        Ok(spec)
+    }
+
     /// Assembles the target model around an already-calibrated member
     /// table (the session layer calls this with cached tables).
     pub fn with_member(config: &TargetConfig, member: TableModel) -> Result<Self, ModelError> {
@@ -184,7 +234,7 @@ impl TargetCostModel {
         grid: &CalibrationGrid,
         seed: u64,
     ) -> Result<Self, ModelError> {
-        let first = Self::member_spec(config)?;
+        let first = Self::calibratable_spec(config, grid)?;
         let member = calibrate_device(first, grid, seed);
         Self::with_member(config, member)
     }
@@ -200,7 +250,7 @@ impl TargetCostModel {
         configs
             .iter()
             .map(|config| {
-                let first = Self::member_spec(config)?;
+                let first = Self::calibratable_spec(config, grid)?;
                 let member = match cache.iter().find(|(s, _)| s == first) {
                     Some((_, m)) => m.clone(),
                     None => {
@@ -502,6 +552,11 @@ mod tests {
             },
             ModelError::HeterogeneousRaid {
                 target: "t1".to_string(),
+            },
+            ModelError::BelowCalibrationFloor {
+                target: "t2".to_string(),
+                capacity: 100_000,
+                floor: 524_288,
             },
         ] {
             let back: ModelError = from_str(&to_string(&err)).unwrap();

@@ -1,10 +1,10 @@
 //! Projected-gradient descent with Armijo backtracking.
 //!
 //! Minimizes `f(x)` over a convex feasible set given only (a) an
-//! evaluation oracle, (b) a gradient oracle (or finite differences),
-//! and (c) a projection onto the set. This is the workhorse the layout
-//! advisor uses in place of MINOS: the feasible set is a product of
-//! simplices (one per object row), whose projection is exact and cheap.
+//! evaluation oracle, (b) a gradient oracle, and (c) a projection onto
+//! the set. This is the workhorse the layout advisor uses in place of
+//! MINOS: the feasible set is a product of simplices (one per object
+//! row), whose projection is exact and cheap.
 
 /// Options for [`minimize`].
 #[derive(Clone, Debug)]
@@ -48,34 +48,6 @@ pub struct PgResult {
     /// True if the tolerance was reached (vs. iteration cap).
     pub converged: bool,
 }
-
-// hot-closure-begin: gradient kernels run inside solver closures and
-// must not allocate (ci/check.sh greps this region for allocation
-// idioms).
-
-/// Central-difference gradient of a black-box objective. `h` is the
-/// per-coordinate step; `scratch` is a caller-owned buffer of `x`'s
-/// length (hoisted out so per-gradient calls allocate nothing).
-pub fn fd_gradient<F: Fn(&[f64]) -> f64>(
-    f: F,
-    x: &[f64],
-    h: f64,
-    scratch: &mut [f64],
-    grad: &mut [f64],
-) {
-    scratch.copy_from_slice(x);
-    for i in 0..x.len() {
-        let orig = scratch[i];
-        scratch[i] = orig + h;
-        let fp = f(scratch);
-        scratch[i] = orig - h;
-        let fm = f(scratch);
-        scratch[i] = orig;
-        grad[i] = (fp - fm) / (2.0 * h);
-    }
-}
-
-// hot-closure-end
 
 /// Minimizes `f` over the set defined by `project`, starting from `x0`
 /// (projected first if infeasible).
@@ -148,6 +120,28 @@ where
 mod tests {
     use super::*;
     use crate::simplex::project_simplex;
+
+    /// Central-difference gradient of a black-box objective. `h` is the
+    /// per-coordinate step; `scratch` is a caller-owned buffer of `x`'s
+    /// length.
+    fn fd_gradient<F: Fn(&[f64]) -> f64>(
+        f: F,
+        x: &[f64],
+        h: f64,
+        scratch: &mut [f64],
+        grad: &mut [f64],
+    ) {
+        scratch.copy_from_slice(x);
+        for i in 0..x.len() {
+            let orig = scratch[i];
+            scratch[i] = orig + h;
+            let fp = f(scratch);
+            scratch[i] = orig - h;
+            let fm = f(scratch);
+            scratch[i] = orig;
+            grad[i] = (fp - fm) / (2.0 * h);
+        }
+    }
 
     #[test]
     fn fd_gradient_of_quadratic() {

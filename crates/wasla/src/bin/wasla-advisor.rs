@@ -78,7 +78,9 @@ use wasla::cli::Flags;
 use wasla::core::report::{render_layout, render_stages};
 use wasla::core::{recommend, AdminConstraint, AdvisorOptions, LayoutProblem};
 use wasla::error::WaslaError;
-use wasla::model::{calibrate_device, CalibrationGrid, TableModel, TargetCostModel};
+use wasla::model::{
+    calibrate_device, check_capacity, CalibrationGrid, ModelError, TableModel, TargetCostModel,
+};
 use wasla::pipeline::{self, AdviseConfig, RunSettings, Scenario, LVM_STRIPE};
 use wasla::simlib::json::FromJson;
 use wasla::storage::{DeviceSpec, DiskParams, SsdParams, TargetConfig};
@@ -371,6 +373,11 @@ fn calibrate(args: &[String]) -> Result<(), WaslaError> {
     let capacity_gb: f64 = f
         .number("--capacity-gb")?
         .ok_or_else(|| WaslaError::Usage("missing required --capacity-gb".to_string()))?;
+    if !(capacity_gb.is_finite() && capacity_gb > 0.0) {
+        return Err(WaslaError::Usage(format!(
+            "--capacity-gb must be a positive number, got {capacity_gb}"
+        )));
+    }
     let capacity = (capacity_gb * 1e9) as u64;
     let spec = match device {
         "scsi15k" => DeviceSpec::Disk(DiskParams::scsi_15k(capacity)),
@@ -382,8 +389,16 @@ fn calibrate(args: &[String]) -> Result<(), WaslaError> {
             return Err(WaslaError::Usage(format!("unknown device type {other:?}")));
         }
     };
+    let grid = CalibrationGrid::default();
+    if let Err(ModelError::BelowCalibrationFloor { floor, .. }) =
+        check_capacity(&spec, &grid, device)
+    {
+        return Err(WaslaError::Usage(format!(
+            "--capacity-gb {capacity_gb} is below the calibration floor of {floor} bytes"
+        )));
+    }
     eprintln!("calibrating {device} ({capacity_gb} GB)...");
-    let model = calibrate_device(&spec, &CalibrationGrid::default(), 7);
+    let model = calibrate_device(&spec, &grid, 7);
     let json = model.to_json();
     match f.value("--out") {
         Some(path) => {

@@ -310,6 +310,11 @@ mod tests {
             WaslaError::OpLog(OpLogError::Truncated { line: 4, fields: 3 }),
             WaslaError::OpLog(OpLogError::NonMonotone { line: 9 }),
             WaslaError::Model(ModelError::NoMembers { target: "t".into() }),
+            WaslaError::Model(ModelError::BelowCalibrationFloor {
+                target: "t".into(),
+                capacity: 100_000,
+                floor: 524_288,
+            }),
             WaslaError::Json(JsonError::new("unexpected token")),
             WaslaError::Io {
                 path: "/tmp/x".into(),

@@ -334,7 +334,7 @@ impl AdviseConfig {
     pub fn fast() -> Self {
         let mut cfg = Self::full();
         cfg.grid = CalibrationGrid::coarse();
-        cfg.advisor.solver.pg.max_iters = 25;
+        cfg.advisor.solver.auglag.inner.max_iters = 25;
         cfg.advisor.solver.temperatures = vec![0.15, 0.03];
         cfg
     }

@@ -118,7 +118,7 @@ impl AdvisorSession {
         grid: &CalibrationGrid,
         seed: u64,
     ) -> Result<TableModel, WaslaError> {
-        let spec = TargetCostModel::member_spec(config)?;
+        let spec = TargetCostModel::calibratable_spec(config, grid)?;
         let stage = CalibrateStage { grid };
         let input = CalibrateInput { spec, seed };
         let key = stage

@@ -1,24 +1,25 @@
 //! Capacity planning: which storage *configuration* should you build?
 //!
 //! ```text
-//! cargo run --release --example capacity_planning
+//! cargo run --release -p wasla-bench --example capacity_planning
 //! ```
 //!
 //! The paper's §8 sketches extending the advisor toward Minerva/DAD:
 //! take unconfigured resources and recommend both the target grouping
-//! and the layout. `wasla::core::configurator` implements that sweep:
-//! it enumerates the RAID-0 groupings of a disk pool, advises a layout
-//! for each, and ranks configurations by predicted max utilization.
-//! The same module's sibling, `wasla::core::dynamic`, re-advises as
-//! objects grow (FlexVol-style) — demonstrated at the end.
+//! and the layout. The experiment crate's `wasla_bench::configurator`
+//! implements that sweep: it enumerates the RAID-0 groupings of a disk
+//! pool, advises a layout for each, and ranks configurations by
+//! predicted max utilization. The advisor's `wasla::core::dynamic`
+//! re-advises as objects grow (FlexVol-style) — demonstrated at the
+//! end.
 
-use wasla::core::configurator::{configure, ResourcePool};
 use wasla::core::dynamic::{readvise, DynamicOptions};
 use wasla::core::AdvisorOptions;
 use wasla::model::CalibrationGrid;
 use wasla::pipeline::{self, AdviseConfig, Scenario, DISK_BYTES, LVM_STRIPE};
 use wasla::storage::{DeviceSpec, DiskParams};
 use wasla::workload::{ObjectKind, SqlWorkload};
+use wasla_bench::configurator::{configure, ResourcePool};
 
 fn main() {
     let scale = 0.03;

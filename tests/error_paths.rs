@@ -14,15 +14,19 @@
 //! the same treatment: a shed request is a typed
 //! [`WaslaError::Overloaded`] (exit 5), and unknown or malformed CLI
 //! flags — stress and every `wasla-advisor` subcommand — are
-//! [`WaslaError::Usage`] (exit 2).
+//! [`WaslaError::Usage`] (exit 2). A device below the calibration
+//! grid's capacity floor is a usage error on the `calibrate` command
+//! line and a typed model error (exit 1) in a target list.
 
 use wasla::core::{AdminConstraint, AdvisorError};
 use wasla::exec::{EngineError, PlacementError};
+use wasla::model::{CalibrationGrid, ModelError, TargetCostModel};
 use wasla::persist;
 use wasla::pipeline::{self, AdviseConfig, Scenario};
+use wasla::simlib::json;
 use wasla::storage::{DeviceSpec, DiskParams, TargetConfig};
-use wasla::workload::{Catalog, SqlWorkload};
-use wasla::{Service, WaslaError};
+use wasla::workload::{Catalog, SqlWorkload, WorkloadSet, WorkloadSpec};
+use wasla::{AdvisorSession, Service, WaslaError};
 
 fn workloads() -> [SqlWorkload; 1] {
     [SqlWorkload::olap1_21(3)]
@@ -169,6 +173,93 @@ fn unknown_flags_and_malformed_numbers_are_usage_errors() {
         assert_eq!(code, 2, "{line}: stderr {stderr}");
         assert!(stderr.contains("usage:"), "{line}: stderr {stderr}");
     }
+}
+
+#[test]
+fn undersized_calibration_device_is_a_usage_error() {
+    // The default grid's largest request is 256 KiB, so calibration
+    // needs at least 524,288 bytes: one byte less (or a non-finite,
+    // zero or negative size) is a usage error (exit 2) raised before
+    // any measurement, never a panic inside a calibration worker.
+    for line in [
+        "calibrate --device scsi15k --capacity-gb 0.000524287",
+        "calibrate --device ssd --capacity-gb 0.000524287",
+        "calibrate --device scsi15k --capacity-gb 0",
+        "calibrate --device scsi15k --capacity-gb -1",
+        "calibrate --device ssd --capacity-gb nan",
+        "calibrate --device ssd --capacity-gb inf",
+    ] {
+        let (code, stderr) = advisor_cli(line);
+        assert_eq!(code, 2, "{line}: stderr {stderr}");
+        assert!(stderr.contains("--capacity-gb"), "{line}: stderr {stderr}");
+    }
+    // Exactly at the floor the device calibrates.
+    let out = std::env::temp_dir().join(format!("wasla-floor-model-{}.json", std::process::id()));
+    let line = format!(
+        "calibrate --device ssd --capacity-gb 0.000524288 --out {}",
+        out.display()
+    );
+    let (code, stderr) = advisor_cli(&line);
+    assert_eq!(code, 0, "{line}: stderr {stderr}");
+    std::fs::remove_file(&out).unwrap();
+}
+
+#[test]
+fn undersized_target_member_is_a_typed_model_error() {
+    // A target whose member device is below the calibration floor is
+    // refused with a typed model error (exit 1) on every calibration
+    // path: the library's batch calibration, a session, and the CLI.
+    let tiny = vec![TargetConfig::single(
+        "tiny".to_string(),
+        DeviceSpec::Disk(DiskParams::scsi_15k(100_000)),
+    )];
+    let expected = ModelError::BelowCalibrationFloor {
+        target: "tiny".to_string(),
+        capacity: 100_000,
+        floor: 524_288,
+    };
+    let grid = CalibrationGrid::default();
+    assert_eq!(
+        TargetCostModel::for_targets(&tiny, &grid, 7).err(),
+        Some(expected.clone())
+    );
+    let err = AdvisorSession::new()
+        .models_for(&tiny, &grid, 7)
+        .err()
+        .expect("session calibration should fail");
+    assert_eq!(err, WaslaError::Model(expected));
+    let back: WaslaError = json::from_str(&json::to_string(&err)).unwrap();
+    assert_eq!(back, err);
+    assert_eq!(err.exit_code(), 1);
+
+    let dir = std::env::temp_dir().join(format!("wasla-tiny-target-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let workloads = WorkloadSet {
+        names: vec!["t".to_string()],
+        sizes: vec![4096],
+        specs: vec![WorkloadSpec {
+            read_size: 8192.0,
+            write_size: 8192.0,
+            read_rate: 10.0,
+            write_rate: 0.0,
+            run_count: 1.0,
+            overlaps: vec![0.0],
+        }],
+    };
+    let (w, t) = (dir.join("w.json"), dir.join("t.json"));
+    std::fs::write(&w, json::to_string(&workloads)).unwrap();
+    std::fs::write(&t, json::to_string(&tiny)).unwrap();
+    let (code, stderr) = advisor_cli(&format!(
+        "advise --workloads {} --targets {}",
+        w.display(),
+        t.display()
+    ));
+    assert_eq!(code, 1, "stderr {stderr}");
+    assert!(
+        stderr.contains("calibration needs at least 524288 bytes"),
+        "stderr {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -1,7 +1,9 @@
-//! Solve determinism: `solve_nlp` and `solve_multistart` outcomes are
-//! pinned by a committed golden fixture, byte-identical at any
-//! `WASLA_THREADS` setting, and their utilizations equal the Eq. 1
-//! `UtilizationEstimator`'s bit for bit (DESIGN.md §10). The fixture
+//! Solve determinism: `solve_nlp` and `solve_multistart` outcomes, and
+//! those of the experiment crate's simulated-annealing baseline
+//! (`wasla_bench::anneal`), are pinned by a committed golden fixture,
+//! byte-identical at any `WASLA_THREADS` setting, and their
+//! utilizations equal the Eq. 1 `UtilizationEstimator`'s bit for bit
+//! (DESIGN.md §10). The fixture
 //! was captured while a from-scratch solve path still ran beside the
 //! incremental engine and matched it byte for byte. Work counters
 //! (`NlpOutcome::stats`) measure the machinery, not the result, so
@@ -11,17 +13,18 @@
 //! `WASLA_THREADS` environment variable, which is only safe while no
 //! other test in the same binary runs concurrently. Regenerate the
 //! fixture (only for an intentional change to solve trajectories) with
-//! `WASLA_REGEN_FIXTURES=1 cargo test -p wasla --test eval_determinism`.
+//! `WASLA_REGEN_FIXTURES=1 cargo test -p wasla-bench --test eval_determinism`.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use wasla::core::{
-    initial_layout, solve_multistart, solve_nlp, Layout, LayoutProblem, NlpOutcome, SolveMethod,
-    SolverOptions, UtilizationEstimator,
+    initial_layout, solve_multistart, solve_nlp, Layout, LayoutProblem, NlpOutcome, SolverOptions,
+    UtilizationEstimator,
 };
 use wasla::model::CostModel;
 use wasla::storage::IoKind;
 use wasla::workload::{ObjectKind, WorkloadSet, WorkloadSpec};
+use wasla_bench::anneal::{anneal_layout, AnnealOptions};
 
 /// Contention-sensitive analytic model: cheap, deterministic, and
 /// enough structure that the solver meaningfully moves mass around.
@@ -110,26 +113,33 @@ fn multistart_pool_matches_fresh_engines() {
     );
 }
 
-/// Single-start and multistart outcomes of both solve methods at 6×3.
+/// Single-start and multistart outcomes at 6×3 of the NLP solve and
+/// of the annealing baseline.
 fn solve_report() -> String {
-    let mut report = String::new();
-    for (method, tag) in [
-        (SolveMethod::ProjectedGradient, "pg"),
-        (SolveMethod::Anneal, "anneal"),
-    ] {
-        let p = problem(6, 3);
-        let init = initial_layout(&p).expect("ample capacity");
-        let opts = SolverOptions {
-            method,
-            ..SolverOptions::default()
-        };
-        let single = solve_nlp(&p, &init, &opts);
-        report.push_str(&format!("[{tag}] {}", outcome_bytes(&p, &single)));
-        let multi =
-            solve_multistart(&p, &[init, Layout::see(6, 3)], &opts).expect("starts supplied");
-        report.push_str(&format!("[{tag}/multi] {}", outcome_bytes(&p, &multi)));
-    }
-    report
+    let p = problem(6, 3);
+    let init = initial_layout(&p).expect("ample capacity");
+    let starts = [init.clone(), Layout::see(6, 3)];
+    let opts = SolverOptions::default();
+    let anneal = AnnealOptions::for_layouts();
+    let runs = [
+        ("pg", solve_nlp(&p, &init, &opts)),
+        (
+            "pg/multi",
+            solve_multistart(&p, &starts, &opts).expect("starts supplied"),
+        ),
+        ("anneal", anneal_layout(&p, &init, &anneal)),
+        (
+            "anneal/multi",
+            starts
+                .iter()
+                .map(|s| anneal_layout(&p, s, &anneal))
+                .reduce(|best, out| if out.score < best.score { out } else { best })
+                .expect("starts supplied"),
+        ),
+    ];
+    runs.iter()
+        .map(|(tag, out)| format!("[{tag}] {}", outcome_bytes(&p, out)))
+        .collect()
 }
 
 fn at_threads(t: usize) -> String {
