@@ -58,6 +58,29 @@ else
 fi
 
 echo
+echo "== daemon re-plan gate (drifted-tick re-plan vs full re-solve) =="
+# A drifted tick re-plans from three starts, each solved and
+# regularized on its own (the rate-greedy initial layout, the deployed
+# layout and SEE over the live targets; DESIGN.md §14), not the cold
+# multistart plus the deployed layout. The re-plan, scheduler included, must stay
+# <= 0.75x a cold recommend on the same problem, or the daemon is back
+# to paying a full multistart per drifted tick. In-run comparison, so
+# machine drift cancels out.
+replan_ns=$(median_of "daemon/replan" daemon)
+if [ -z "$replan_ns" ]; then
+    echo "error: daemon/replan missing from results/BENCH_daemon.json" >&2
+    exit 1
+fi
+ratio=$(awk -v p="$replan_ns" -v r="$resolve_ns" 'BEGIN { printf "%.2f", p / r }')
+echo "daemon: replan ${replan_ns} ns / full_resolve ${resolve_ns} ns = ${ratio}x"
+if awk -v p="$replan_ns" -v r="$resolve_ns" 'BEGIN { exit !(p / r <= 0.75) }'; then
+    echo "daemon re-plan gate passed (re-plan <= 0.75x a full re-solve)"
+else
+    echo "error: a drifted-tick re-plan costs ${ratio}x a full re-solve (gate: 0.75x)" >&2
+    exit 1
+fi
+
+echo
 echo "== stress admission-control gate (rejected tick vs served tick) =="
 # Load shedding only defends the service if rejecting a request is
 # nearly free: a shed slot must skip calibration, the trace run, and

@@ -1,14 +1,19 @@
-//! Daemon tick-cost benchmarks: what a no-drift tick costs versus a
-//! full re-solve, plus the per-tick windowed-ingestion overhead.
+//! Daemon tick-cost benchmarks: what a no-drift tick and a drifted
+//! tick's re-plan cost versus a full cold re-solve, plus the per-tick
+//! windowed-ingestion overhead.
 //!
 //! The control loop's economics rest on drift detection being cheap:
 //! a quiet tick runs one `EvalEngine` pass over the deployed layout
 //! (`detect_drift`), while a drifted tick pays for a warm-started
-//! solve. `ci/bench_diff.sh` gates on the no-drift tick staying ≥50×
-//! cheaper than the full re-solve (`results/BENCH_daemon.json`).
+//! re-plan (`readvise_incremental`: the rate-greedy, deployed and SEE
+//! starts each solved and regularized, the best kept, then the
+//! budgeted scheduler).
+//! `ci/bench_diff.sh` gates on the no-drift tick staying ≥50× cheaper
+//! than the full re-solve, and on the re-plan staying ≤0.75× of it
+//! (`results/BENCH_daemon.json`).
 
 use std::hint::black_box;
-use wasla::core::dynamic::detect_drift;
+use wasla::core::dynamic::{detect_drift, readvise_incremental, DynamicOptions, MigrationBudget};
 use wasla::core::recommend;
 use wasla::pipeline::{assemble_problem, AdviseConfig, Scenario};
 use wasla::simlib::SimTime;
@@ -55,12 +60,36 @@ fn bench_daemon(c: &mut Harness) {
     let models = session
         .models_for(&scenario.targets, &config.grid, scenario.seed)
         .expect("targets calibrate");
-    let problem = assemble_problem(&scenario, fitted, models, vec![]);
+    let problem = assemble_problem(&scenario, fitted, models.clone(), vec![]);
     let advisor = config.advisor.clone();
     let rec = recommend(&problem, &advisor).expect("baseline solve");
     let deployed = rec.final_layout().clone();
     // Score the deployed layout once to anchor the drift baseline.
     let baseline = detect_drift(&problem, &deployed, 1.0, 0.10).current_max_utilization;
+
+    let plan = WindowPlan {
+        pane_s: 2.0,
+        panes_per_window: 2,
+    };
+    // A drifted tick: the layout deployed for the stream's first
+    // window, re-planned against the whole stream's workloads.
+    let windows = wasla::trace::oplog::windowed_workloads(&log, &names, &sizes, &config.fit, &plan)
+        .expect("windows fit");
+    let early = assemble_problem(&scenario, windows[0].workloads.clone(), models, vec![]);
+    let drifted = recommend(&early, &advisor)
+        .expect("first-window solve")
+        .final_layout()
+        .clone();
+    // The daemon's re-plan settings: the drift detector is the
+    // hysteresis, so the plan runs with no extra improvement gate.
+    let dynamic = DynamicOptions {
+        migrate_threshold: 0.0,
+    };
+    let budget = MigrationBudget {
+        bytes: 64 << 20,
+        carry_in: 0,
+        alpha: 0.0,
+    };
 
     let mut group = c.benchmark_group("daemon");
     group.bench_function("no_drift_tick", |b| {
@@ -69,10 +98,14 @@ fn bench_daemon(c: &mut Harness) {
     group.bench_function("full_resolve", |b| {
         b.iter(|| black_box(recommend(&problem, &advisor).expect("solve")))
     });
-    let plan = WindowPlan {
-        pane_s: 2.0,
-        panes_per_window: 2,
-    };
+    group.bench_function("replan", |b| {
+        b.iter(|| {
+            black_box(
+                readvise_incremental(&problem, &drifted, &advisor, &dynamic, &budget)
+                    .expect("re-plan"),
+            )
+        })
+    });
     group.bench_function("windowed_ingest", |b| {
         b.iter(|| {
             black_box(

@@ -6,6 +6,9 @@
 //! it — regularize. Reports predicted utilizations at every stage (the
 //! paper's Figure 13 shows exactly these four bars) plus wall-clock
 //! timings (Figure 19 reports solver vs. regularization time).
+//! [`replan`] is the online re-plan's variant of the pipeline: the
+//! same stages run once per start (the rate-greedy layout, the deployed
+//! layout, SEE), keeping the best regularized result.
 
 use crate::baselines;
 use crate::estimator::UtilizationEstimator;
@@ -18,7 +21,7 @@ use std::time::Instant;
 use wasla_simlib::fault::{self, SolverBudget};
 use wasla_simlib::impl_json_struct;
 use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
-use wasla_simlib::SimRng;
+use wasla_simlib::{par, SimRng};
 
 /// Advisor configuration.
 #[derive(Clone, Debug)]
@@ -34,9 +37,11 @@ pub struct AdvisorOptions {
     /// Automatically generated additional starts: one interference-
     /// aware greedy start (co-accessed objects separated) plus this
     /// many randomized single-assignment starts. The paper's Figure 4
-    /// `repeat?` loop: more starts trade time for layout quality.
+    /// `repeat?` loop: more starts trade time for layout quality. Only
+    /// the cold solve draws them; [`replan`] uses none.
     pub random_starts: usize,
-    /// Seed for the randomized starts.
+    /// Seed for the randomized starts and for the fault plan's solver
+    /// budget.
     pub seed: u64,
     /// Deliberate solve-budget ceiling (deadline-driven callers): the
     /// solve runs under the *tighter* of this and any fault-injected
@@ -136,6 +141,25 @@ fn random_start(problem: &LayoutProblem, rng: &mut SimRng) -> Option<Layout> {
         remaining[j] -= size;
     }
     Some(layout)
+}
+
+/// SEE over the live targets: every object striped evenly across the
+/// targets with capacity, so a failed target (capacity 0) gets none;
+/// `None` when that layout does not fit or breaks a constraint.
+fn live_see_start(problem: &LayoutProblem) -> Option<Layout> {
+    let live: Vec<usize> = (0..problem.m())
+        .filter(|&j| problem.capacities[j] > 0)
+        .collect();
+    let share = 1.0 / live.len() as f64;
+    let mut layout = Layout::zero(problem.n(), problem.m());
+    for i in 0..problem.n() {
+        for &j in &live {
+            layout.set(i, j, share);
+        }
+    }
+    (layout.is_valid(&problem.workloads.sizes, &problem.capacities)
+        && problem.satisfies_constraints(&layout))
+    .then_some(layout)
 }
 
 /// Advisor failure modes.
@@ -325,21 +349,33 @@ pub struct SolveOutcome {
     pub solver_s: f64,
     /// How the solve arrived at the layout.
     pub quality: SolveQuality,
+    /// Objective score `max_j wⱼ·µⱼ` of the SEE layout (the "see"
+    /// stage), for the SEE sanity fallback.
+    see_score: f64,
+    /// Objective score of the solver layout (the "solver" stage).
+    solver_score: f64,
 }
 
+/// Records one stage report and returns its objective score
+/// `max_j wⱼ·µⱼ` under the weights `obj_w` — under the default
+/// objective the weights are 1.0 and this is the report's
+/// `max_utilization`, bit for bit.
 fn record_stage(
     est: &UtilizationEstimator,
     stages: &mut Vec<StageReport>,
     name: &str,
     layout: &Layout,
-) {
+    obj_w: &[f64],
+) -> f64 {
     let utilizations = est.utilizations(layout);
     let max_utilization = max_of(&utilizations);
+    let score = weighted_max(&utilizations, obj_w);
     stages.push(StageReport {
         stage: name.to_string(),
         utilizations,
         max_utilization,
     });
+    score
 }
 
 /// The pipeline's solve stage: validates the problem, builds the
@@ -350,45 +386,115 @@ pub fn solve_stage(
     problem: &LayoutProblem,
     options: &AdvisorOptions,
 ) -> Result<SolveOutcome, AdvisorError> {
+    solve_from(problem, options, |initial| {
+        let mut starts = vec![initial.clone()];
+        if let Some(sep) = separation_start(problem) {
+            starts.push(sep);
+        }
+        // Expert-style start (§4.1): tables isolated on the largest target.
+        if let Some(big) = (0..problem.m()).max_by_key(|&j| problem.capacities[j]) {
+            let iso = baselines::isolate_tables(problem, big);
+            if iso.is_valid(&problem.workloads.sizes, &problem.capacities)
+                && problem.satisfies_constraints(&iso)
+            {
+                starts.push(iso);
+            }
+        }
+        let mut rng = SimRng::new(options.seed);
+        for _ in 0..options.random_starts {
+            if let Some(r) = random_start(problem, &mut rng) {
+                starts.push(r);
+            }
+        }
+        starts.extend(options.extra_starts.iter().cloned());
+        starts
+    })
+}
+
+/// The online re-plan: the pipeline run once per start — the paper's
+/// rate-greedy initial layout (§4.2), the deployed layout
+/// (`incumbent`), SEE over the live targets when it fits, then
+/// `options.extra_starts` — each start solved and regularized on its
+/// own, keeping the recommendation whose final layout scores best
+/// under the objective (ties go to the earlier start).
+///
+/// A re-layout is a move from the current layout, so the incumbent is
+/// the warm start; the rate-greedy and SEE starts keep a way out of its
+/// basin. Candidates are compared after regularization rather than by
+/// solver score because regularization is not monotone in that score:
+/// the start with the best solver layout can give a regular layout up
+/// to 17% worse than another start's. No random starts are drawn, so
+/// `options.seed` only feeds the fault plan's solver budget. Each
+/// candidate runs [`solve_stage`]'s validation, stage reports and
+/// anytime budget chain and [`regularize_stage`]'s SEE fallback; the
+/// returned stages, timings and quality are the chosen candidate's.
+pub fn replan(
+    problem: &LayoutProblem,
+    options: &AdvisorOptions,
+    incumbent: &Layout,
+) -> Result<Recommendation, AdvisorError> {
+    let est = UtilizationEstimator::new(problem);
+    let obj_w = options.solver.objective.weights(problem);
+    // `None` stands for the rate-greedy initial layout, which the
+    // solve stage builds itself.
+    let run = |start: Option<&Layout>| -> Result<(f64, Recommendation), AdvisorError> {
+        let solved = solve_from(problem, options, |initial| {
+            vec![start.unwrap_or(initial).clone()]
+        })?;
+        let rec = regularize_stage(problem, options, solved)?;
+        let score = weighted_max(&est.utilizations(rec.final_layout()), &obj_w);
+        Ok((score, rec))
+    };
+
+    let see = live_see_start(problem);
+    let mut starts = vec![None, Some(incumbent)];
+    starts.extend(see.as_ref().map(Some));
+    starts.extend(options.extra_starts.iter().map(Some));
+
+    // The candidates are independent, so they run concurrently on the
+    // `par` pool; the pick runs in start order, so the result is the
+    // serial loop's at any thread count.
+    let mut best: Option<(f64, Recommendation)> = None;
+    for candidate in par::par_map(&starts, |&start| run(start)) {
+        let candidate = candidate?;
+        if best.as_ref().map_or(true, |b| candidate.0 < b.0) {
+            best = Some(candidate);
+        }
+    }
+    best.map(|b| b.1)
+        .ok_or(AdvisorError::Multistart(MultistartError::NoStarts))
+}
+
+/// The solve stage around a start list: validates the problem, builds
+/// the rate-greedy initial layout, asks `starts` for the layouts to
+/// multi-start from (given that initial layout), and solves them under
+/// the anytime budget chain.
+fn solve_from(
+    problem: &LayoutProblem,
+    options: &AdvisorOptions,
+    starts: impl FnOnce(&Layout) -> Vec<Layout>,
+) -> Result<SolveOutcome, AdvisorError> {
     problem.validate().map_err(AdvisorError::InvalidProblem)?;
     let est = UtilizationEstimator::new(problem);
+    let obj_w = options.solver.objective.weights(problem);
     let mut stages = Vec::new();
 
-    record_stage(&est, &mut stages, "see", &baselines::see(problem));
+    let see_score = record_stage(&est, &mut stages, "see", &baselines::see(problem), &obj_w);
 
     let t0 = Instant::now();
     let initial = initial_layout(problem).map_err(AdvisorError::Initial)?;
     let initial_s = t0.elapsed().as_secs_f64();
-    record_stage(&est, &mut stages, "initial", &initial);
+    record_stage(&est, &mut stages, "initial", &initial, &obj_w);
 
     let t1 = Instant::now();
-    let fallback = initial.clone();
-    let mut starts = vec![initial];
-    if let Some(sep) = separation_start(problem) {
-        starts.push(sep);
-    }
-    // Expert-style start (§4.1): tables isolated on the largest target.
-    if let Some(big) = (0..problem.m()).max_by_key(|&j| problem.capacities[j]) {
-        let iso = baselines::isolate_tables(problem, big);
-        if iso.is_valid(&problem.workloads.sizes, &problem.capacities)
-            && problem.satisfies_constraints(&iso)
-        {
-            starts.push(iso);
-        }
-    }
-    let mut rng = SimRng::new(options.seed);
-    for _ in 0..options.random_starts {
-        if let Some(r) = random_start(problem, &mut rng) {
-            starts.push(r);
-        }
-    }
-    starts.extend(options.extra_starts.iter().cloned());
+    let starts = starts(&initial);
+    let fallback = initial;
 
     // Solver budget: a fault plan may constrain the solve (fewer
     // iterations, one outer pass, or none at all), and deadline-driven
     // callers may request a ceiling of their own via
     // `options.solve_budget`; the tighter of the two applies. The
-    // contract is anytime: `solve_stage` always returns a feasible
+    // contract is anytime: the solve stage always returns a feasible
     // layout, with `quality` recording how it got there.
     let injected = fault::plan().and_then(|p| p.solver_budget(options.seed));
     let budget = if budget_rank(options.solve_budget) >= budget_rank(injected) {
@@ -438,7 +544,7 @@ pub fn solve_stage(
         }
     };
     let solver_s = t1.elapsed().as_secs_f64();
-    record_stage(&est, &mut stages, "solver", &solver_layout);
+    let solver_score = record_stage(&est, &mut stages, "solver", &solver_layout, &obj_w);
 
     Ok(SolveOutcome {
         solver_layout,
@@ -447,18 +553,22 @@ pub fn solve_stage(
         initial_s,
         solver_s,
         quality,
+        see_score,
+        solver_score,
     })
 }
 
 /// The pipeline's regularize stage: optionally regularizes the solver
 /// layout, applies the SEE sanity fallback, and assembles the final
-/// [`Recommendation`].
+/// [`Recommendation`]. The fallback compares the objective scores
+/// `solved` carries, so pass the `options` its solve ran with.
 pub fn regularize_stage(
     problem: &LayoutProblem,
     options: &AdvisorOptions,
     solved: SolveOutcome,
 ) -> Result<Recommendation, AdvisorError> {
     let est = UtilizationEstimator::new(problem);
+    let obj_w = options.solver.objective.weights(problem);
     let SolveOutcome {
         solver_layout,
         converged,
@@ -466,17 +576,21 @@ pub fn regularize_stage(
         initial_s,
         solver_s,
         quality,
+        see_score,
+        solver_score,
     } = solved;
 
-    let (mut regular_layout, regularize_s) = if options.regularize {
+    // The score the SEE fallback compares against: the regular
+    // layout's when regularizing, else the solver layout's.
+    let (mut regular_layout, final_score, regularize_s) = if options.regularize {
         let t2 = Instant::now();
         let reg = regularize_with(problem, &solver_layout, options.solver.objective)
             .map_err(AdvisorError::Regularize)?;
         let dt = t2.elapsed().as_secs_f64();
-        record_stage(&est, &mut stages, "regular", &reg);
-        (Some(reg), dt)
+        let reg_score = record_stage(&est, &mut stages, "regular", &reg, &obj_w);
+        (Some(reg), reg_score, dt)
     } else {
-        (None, 0.0)
+        (None, solver_score, 0.0)
     };
 
     // Never recommend a layout the model itself rates worse than the
@@ -485,35 +599,19 @@ pub fn regularize_stage(
     // The comparison runs in objective-score space — under the default
     // objective the weights are 1.0 and this is exactly the recorded
     // `max_utilization` comparison, bit for bit.
-    let obj_w = options.solver.objective.weights(problem);
-    let stage_score = |s: &StageReport| weighted_max(&s.utilizations, &obj_w);
     let see_layout = baselines::see(problem);
-    let see_score = stage_score(&stages[0]);
     let mut solver_layout = solver_layout;
     let mut fell_back_to_see = false;
-    if options.regularize {
-        let final_score = stage_score(stages.last().expect("stages recorded"));
-        if problem.satisfies_constraints(&see_layout)
-            && see_layout.satisfies_capacity(&problem.workloads.sizes, &problem.capacities)
-            && see_score < final_score
-        {
+    if problem.satisfies_constraints(&see_layout)
+        && see_layout.satisfies_capacity(&problem.workloads.sizes, &problem.capacities)
+        && see_score < final_score
+    {
+        if options.regularize {
             regular_layout = Some(see_layout);
-            fell_back_to_see = true;
-        }
-    } else {
-        let solver_score = stage_score(
-            stages
-                .iter()
-                .find(|s| s.stage == "solver")
-                .expect("solver stage recorded"),
-        );
-        if problem.satisfies_constraints(&see_layout)
-            && see_layout.satisfies_capacity(&problem.workloads.sizes, &problem.capacities)
-            && see_score < solver_score
-        {
+        } else {
             solver_layout = see_layout;
-            fell_back_to_see = true;
         }
+        fell_back_to_see = true;
     }
 
     Ok(Recommendation {
@@ -624,6 +722,42 @@ mod tests {
         assert!(solver < see, "solver {solver} vs see {see}");
         // Regularization may cost a little but not catastrophically.
         assert!(regular < see * 1.2, "regular {regular} vs see {see}");
+    }
+
+    #[test]
+    fn replan_keeps_the_best_candidate_including_extra_starts() {
+        let p = problem();
+        let opts = AdvisorOptions {
+            regularize: true,
+            ..AdvisorOptions::default()
+        };
+        let est = UtilizationEstimator::new(&p);
+        let incumbent = baselines::isolate_tables(&p, 0);
+        let base = replan(&p, &opts, &incumbent).unwrap();
+        let base_score = est.max_utilization(base.final_layout());
+        assert!(base.final_layout().is_regular());
+        assert!(base_score <= est.max_utilization(&incumbent));
+
+        // An expert-injected start is one more candidate: the re-plan
+        // with it scores exactly the better of the two.
+        let extra = random_start(&p, &mut SimRng::new(7)).unwrap();
+        let alone = solve_from(&p, &opts, |_| vec![extra.clone()]).unwrap();
+        let alone = regularize_stage(&p, &opts, alone).unwrap();
+        let with = replan(
+            &p,
+            &AdvisorOptions {
+                extra_starts: vec![extra],
+                ..opts.clone()
+            },
+            &incumbent,
+        )
+        .unwrap();
+        assert_eq!(
+            est.max_utilization(with.final_layout()).to_bits(),
+            base_score
+                .min(est.max_utilization(alone.final_layout()))
+                .to_bits()
+        );
     }
 
     #[test]

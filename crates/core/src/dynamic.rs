@@ -19,16 +19,24 @@
 //!   rounds via [`MigrationPlan::budget_left`].
 //! * [`readvise_incremental`] is the one re-plan entry point: a
 //!   warm-started re-solve, then a budgeted [`MigrationPlan`] toward
-//!   the solution. Evacuation is the same call over
-//!   [`problem_without`] under [`MigrationBudget::unbounded`]: moves
-//!   off failed targets come back *forced* and bypass the budget.
+//!   the solution. The re-solve ([`replan`]) runs the pipeline once
+//!   per start — the paper's rate-greedy initial layout (§4.2), the
+//!   deployed layout and SEE over the live targets — and keeps the
+//!   best regularized result, rather than regularizing the winner of
+//!   the cold multistart: a re-layout is a move away from what is
+//!   deployed, the other two starts keep a way out of the deployed
+//!   layout's basin, and comparing after regularization keeps a
+//!   slightly better solver layout that regularizes badly from
+//!   winning. Evacuation is the same call over [`problem_without`] under
+//!   [`MigrationBudget::unbounded`]: moves off failed targets come back
+//!   *forced* and bypass the budget.
 //! * [`readvise`] keeps the one-shot behavior the dynamic-growth
-//!   experiment reports: re-optimize warm-started from the deployed
-//!   layout and migrate wholesale only when the win clears a
-//!   threshold — reporting the new layout's predicted utilization even
-//!   when it declines to migrate.
+//!   experiment reports: re-optimize with the full cold multistart
+//!   plus the deployed layout as an extra start, and migrate wholesale
+//!   only when the win clears a threshold — reporting the new layout's
+//!   predicted utilization even when it declines to migrate.
 
-use crate::advisor::{recommend, AdvisorError, AdvisorOptions};
+use crate::advisor::{recommend, replan, AdvisorError, AdvisorOptions};
 use crate::estimator::UtilizationEstimator;
 use crate::eval::EvalEngine;
 use crate::problem::{AdminConstraint, Layout, LayoutProblem};
@@ -317,10 +325,22 @@ pub fn plan_migration(
     desired: &Layout,
     budget: &MigrationBudget,
 ) -> MigrationPlan {
-    plan_with(problem, deployed, desired, budget, true)
+    plan_with(
+        &mut EvalEngine::new(problem),
+        problem,
+        deployed,
+        desired,
+        budget,
+        true,
+    )
 }
 
+/// [`plan_migration`] over a caller-supplied engine for `problem`,
+/// re-pointed at `deployed` first. Engine caches are pure functions of
+/// the committed point, so the plan is bit-identical to one over a
+/// fresh engine whatever point the engine held before.
 fn plan_with(
+    engine: &mut EvalEngine,
     problem: &LayoutProblem,
     deployed: &Layout,
     desired: &Layout,
@@ -329,7 +349,6 @@ fn plan_with(
 ) -> MigrationPlan {
     let sizes = &problem.workloads.sizes;
     let m = deployed.n_targets();
-    let mut engine = EvalEngine::new(problem);
     engine.set_layout(deployed);
     let current_max = engine.committed_max_utilization();
 
@@ -393,7 +412,7 @@ fn plan_with(
     for c in candidates {
         if c.forced {
             forced_bytes = forced_bytes.saturating_add(c.bytes);
-            admit(&c, true, &mut engine, &mut layout, &mut moves);
+            admit(&c, true, engine, &mut layout, &mut moves);
             continue;
         }
         let remaining = available.saturating_sub(admitted_bytes);
@@ -402,7 +421,7 @@ fn plan_with(
         let worth = win >= budget.alpha * c.bytes as f64;
         if voluntary && c.bytes <= remaining && worth {
             admitted_bytes = admitted_bytes.saturating_add(c.bytes);
-            admit(&c, false, &mut engine, &mut layout, &mut moves);
+            admit(&c, false, engine, &mut layout, &mut moves);
         } else {
             deferred.push(c);
         }
@@ -420,7 +439,7 @@ fn plan_with(
         if block_bytes <= remaining && block_win >= budget.alpha * block_bytes as f64 {
             for c in std::mem::take(&mut deferred) {
                 admitted_bytes = admitted_bytes.saturating_add(c.bytes);
-                admit(&c, false, &mut engine, &mut layout, &mut moves);
+                admit(&c, false, engine, &mut layout, &mut moves);
             }
         }
     }
@@ -436,7 +455,7 @@ fn plan_with(
                 continue;
             }
             forced_bytes = forced_bytes.saturating_add(c.bytes);
-            admit(&c, true, &mut engine, &mut layout, &mut moves);
+            admit(&c, true, engine, &mut layout, &mut moves);
         }
         deferred = rest;
     }
@@ -455,14 +474,21 @@ fn plan_with(
     }
 }
 
-/// One online planning round: warm-started re-solve, then a budgeted
-/// [`MigrationPlan`] toward the solution.
+/// One online planning round: a warm-started re-solve, then a
+/// budgeted [`MigrationPlan`] toward the solution.
+///
+/// The re-solve is [`replan`] — the rate-greedy initial layout, the
+/// deployed layout and SEE over the live targets, each solved and
+/// regularized alone, the best kept — not the cold multistart of
+/// [`recommend`]. Each candidate keeps the pipeline's SEE sanity
+/// fallback and anytime budget chain.
 ///
 /// The threshold gate mirrors [`readvise`]: when the deployed layout
 /// still fits and full migration would not improve max utilization by
 /// at least `options.migrate_threshold`, voluntary moves are withheld
 /// (their bytes are reported as deferred — the churn avoided); forced
-/// evacuation/repair moves are planned regardless.
+/// evacuation/repair moves are planned regardless. The gate and the
+/// scheduler share one [`EvalEngine`].
 pub fn readvise_incremental(
     problem: &LayoutProblem,
     deployed: &Layout,
@@ -471,9 +497,7 @@ pub fn readvise_incremental(
     budget: &MigrationBudget,
 ) -> Result<MigrationPlan, AdvisorError> {
     let still_fits = deployed.is_valid(&problem.workloads.sizes, &problem.capacities);
-    let mut opts = advisor_options.clone();
-    opts.extra_starts.push(deployed.clone());
-    let rec = recommend(problem, &opts)?;
+    let rec = replan(problem, advisor_options, deployed)?;
     let desired = rec.final_layout();
 
     let mut engine = EvalEngine::new(problem);
@@ -482,7 +506,14 @@ pub fn readvise_incremental(
     let new_max = engine.max_utilization_at(&desired.to_flat());
     let improvement = (current_max - new_max) / current_max.max(1e-12);
     let voluntary = !still_fits || improvement >= options.migrate_threshold;
-    Ok(plan_with(problem, deployed, desired, budget, voluntary))
+    Ok(plan_with(
+        &mut engine,
+        problem,
+        deployed,
+        desired,
+        budget,
+        voluntary,
+    ))
 }
 
 /// Re-advises a (possibly grown/drifted) problem given the currently
@@ -917,6 +948,26 @@ mod tests {
             plan.moves.iter().any(|m| m.forced),
             "repair moves are forced"
         );
+    }
+
+    #[test]
+    fn reused_engine_plans_bit_identically() {
+        let p = problem(vec![1 << 20, 1 << 20, 1 << 19], vec![80.0, 60.0, 20.0]);
+        let deployed = Layout::from_rows(vec![vec![1.0, 0.0], vec![1.0, 0.0], vec![0.3, 0.7]]);
+        let desired = Layout::from_rows(vec![vec![0.0, 1.0], vec![1.0, 0.0], vec![0.6, 0.4]]);
+        let budget = MigrationBudget {
+            bytes: 1 << 20,
+            carry_in: 0,
+            alpha: 0.0,
+        };
+        let fresh = plan_migration(&p, &deployed, &desired, &budget);
+        // An engine left committed at another point, as the threshold
+        // gate in `readvise_incremental` leaves it.
+        let mut engine = EvalEngine::new(&p);
+        engine.set_layout(&desired);
+        let reused = plan_with(&mut engine, &p, &deployed, &desired, &budget, true);
+        assert_eq!(to_string(&reused), to_string(&fresh));
+        assert!(!fresh.moves.is_empty());
     }
 
     #[test]

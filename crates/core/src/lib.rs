@@ -45,7 +45,7 @@ pub mod report;
 pub mod stage;
 
 pub use advisor::{
-    recommend, regularize_stage, solve_stage, AdvisorError, AdvisorOptions, Recommendation,
+    recommend, regularize_stage, replan, solve_stage, AdvisorError, AdvisorOptions, Recommendation,
     SolveOutcome, SolveQuality, StageReport, Timings,
 };
 pub use estimator::UtilizationEstimator;

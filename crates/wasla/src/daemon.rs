@@ -20,8 +20,11 @@
 //!   no solve. A tick re-plans only when the score clears
 //!   [`DaemonConfig::drift_threshold`] or the deployed layout no
 //!   longer fits (growth, failure).
-//! * **Plan** runs [`readvise_incremental`]: a warm-started solve
-//!   followed by the budgeted migration scheduler. Voluntary moves are
+//! * **Plan** runs [`readvise_incremental`]: a warm-started re-plan
+//!   (no cold multistart) that solves and regularizes the rate-greedy
+//!   initial layout, the deployed layout and SEE over the live targets
+//!   each on its own and keeps the best, followed by the budgeted
+//!   migration scheduler. Voluntary moves are
 //!   charged against a per-tick byte allowance
 //!   ([`DaemonConfig::budget_bytes_per_tick`]) under the
 //!   `win ≥ α · bytes` rule; unspent allowance carries forward (capped
@@ -38,10 +41,12 @@
 //!
 //! Determinism contract: pane boundaries depend only on record issue
 //! times and the pane length, per-pane statistics merge in pane order,
-//! and the per-tick solver seed derives from
+//! and the per-tick advisor seed derives from
 //! `par::task_seed(scenario.seed, tick)` — so decision logs are
 //! byte-identical at any `WASLA_THREADS` setting and under any
 //! fault plan (`simlib::fault::ENV_VAR`) replayed with the same seed.
+//! A re-plan draws no random starts, so the tick seed only selects
+//! the fault plan's solver budget for that tick.
 
 use crate::error::WaslaError;
 use crate::persist;
