@@ -108,10 +108,31 @@ fi
 step "oracle ratchet (one evaluator, one gradient on the production surface)"
 # Production runs one evaluator (EvalEngine), one gradient (grad_at)
 # and one re-plan entry point (readvise_incremental); the equivalence
-# oracles live in tests. Fail if a retired oracle path reappears.
+# oracles live in tests. Fail if a retired oracle path reappears, or
+# if non-test code scores with the from-scratch UtilizationEstimator
+# outside its own module and the crate-root re-export (the reference
+# the engine is tested against; the experiment crate may use it).
+# Like the panic-site ratchet, `#[cfg(test)]` cuts each file and
+# comment lines are skipped.
 if grep -RnwE 'EvalPath|GradPath|ScratchEval|DeltaOracle|EngineOracle|parse_grad_path' crates/*/src; then
     echo "error: a retired oracle path reappeared under crates/*/src (see matches above)" >&2
     echo "keep equivalence oracles in tests; production has one evaluator and one gradient" >&2
+    exit 1
+fi
+oracle_sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do
+    case "$f" in
+        crates/bench/*|crates/core/src/estimator.rs) continue ;;
+    esac
+    awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
+        | grep -w 'UtilizationEstimator' \
+        | grep -vE '^[^:]+:[0-9]+: [[:space:]]*//' \
+        | grep -vE '^crates/core/src/lib\.rs:[0-9]+: pub use estimator::UtilizationEstimator;$' \
+        || true
+done)
+if [ -n "$oracle_sites" ]; then
+    echo "$oracle_sites" >&2
+    echo "error: non-test code scores with UtilizationEstimator (see matches above)" >&2
+    echo "score through wasla_core::EvalEngine (set_layout, committed_utilizations, committed_score)" >&2
     exit 1
 fi
 
@@ -130,13 +151,27 @@ step "experiment ratchet (one solver; baselines live in wasla-bench)"
 # Production runs one solver — projected gradient through
 # `core::optimizer` — and the experiment-only baselines (the annealing
 # solver, AutoAdmin, the configuration sweep, the analytic disk model,
-# the open-loop driver) live in the experiment crate next to the
-# experiments that use them. Fail if the retired solver-selection layer
+# the open-loop driver, the one-shot wholesale `readvise`) live in the
+# experiment crate next to the experiments that use them. Fail if the retired solver-selection layer
 # or a moved baseline reappears in a production crate.
-if grep -RnwE 'SolveMethod|solver_by_name|SOLVER_NAMES|AnnealSolver|ProjectedGradientSolver|SolveSpec|wants_smoothing|build_solver|autoadmin_layout|AutoAdminOptions|ResourcePool|AnalyticDiskModel|run_open_loop|OpenStream' crates/*/src \
+if grep -RnwE 'SolveMethod|solver_by_name|SOLVER_NAMES|AnnealSolver|ProjectedGradientSolver|SolveSpec|wants_smoothing|build_solver|autoadmin_layout|AutoAdminOptions|ResourcePool|AnalyticDiskModel|run_open_loop|OpenStream|ReadviseOutcome|readvise' crates/*/src \
     | grep -v '^crates/bench/'; then
     echo "error: an experiment-only name reappeared in a production crate (see matches above)" >&2
     echo "keep baselines and alternative solvers in crates/bench" >&2
+    exit 1
+fi
+
+step "coarse-grain parallelism ratchet (ingestion and generation stay serial)"
+# `par` fans out only where the work per task pays for the pool: the
+# multistart solve, the re-plan's candidates, calibration and the
+# batch service. The op-log fit, the windowed fit and the synthetic
+# tenant generator are serial folds; `par::task_seed` (a pure seed
+# derivation) stays allowed. A grep, not a timing gate: identical
+# serial code times ~15% apart at different pool widths on a noisy
+# host, so a ratio gate would flake.
+if grep -RnE 'par_map' crates/trace/src crates/workload/src; then
+    echo "error: par_map under crates/trace/src or crates/workload/src (see matches above)" >&2
+    echo "keep ingestion and tenant generation serial; parallelize at the coarse sites" >&2
     exit 1
 fi
 
@@ -237,8 +272,8 @@ fi
 echo "advise --grad fd is a usage error (exit 2)"
 
 step "op-log replay-validation gate (streamed fit == committed golden)"
-# The streaming contract (DESIGN.md §12): the chunked fit of a captured
-# op-log is byte-identical at any pool width. Capture a small log with
+# The fit contract (DESIGN.md §12): the fit of a captured op-log is
+# byte-identical at any pool width. Capture a small log with
 # the release binary, fit it at WASLA_THREADS=1/2/8, and byte-compare
 # every output against the committed golden fit; then check the replay
 # report itself is byte-identical across pool widths. The golden

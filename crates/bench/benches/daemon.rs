@@ -18,7 +18,7 @@ use wasla::core::recommend;
 use wasla::pipeline::{assemble_problem, AdviseConfig, Scenario};
 use wasla::simlib::SimTime;
 use wasla::storage::IoKind;
-use wasla::trace::oplog::{fit_oplog_streamed, OpLog, OpRecord, WindowPlan, DEFAULT_CHUNK};
+use wasla::trace::oplog::{fit_oplog_streamed, OpLog, OpRecord, WindowPlan};
 use wasla_bench::harness::Harness;
 
 /// A drifting synthetic stream, sized like one daemon observation
@@ -54,8 +54,7 @@ fn bench_daemon(c: &mut Harness) {
     let names = scenario.catalog.names();
     let sizes = scenario.catalog.sizes();
     let log = sample_log(&sizes);
-    let fitted = fit_oplog_streamed(&log, &names, &sizes, &config.fit, DEFAULT_CHUNK)
-        .expect("synthetic log fits");
+    let fitted = fit_oplog_streamed(&log, &names, &sizes, &config.fit).expect("synthetic log fits");
     let mut session = wasla::AdvisorSession::new();
     let models = session
         .models_for(&scenario.targets, &config.grid, scenario.seed)

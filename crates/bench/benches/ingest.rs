@@ -1,11 +1,12 @@
-//! Op-log ingestion benchmarks: the chunked streamed fit at 1/2/4/8
-//! threads, plus the strict TSV reader.
+//! Op-log ingestion benchmarks: the fit at 1/2/4/8 threads, plus the
+//! strict TSV reader.
 //!
-//! The streaming contract (DESIGN.md §12) says the fit through
-//! `fit_oplog_streamed` is bit-identical at any thread count — so the
-//! only thing allowed to differ is wall-clock, and this suite records
-//! it (`results/BENCH_ingest.json`). The parse bench times the strict
-//! TSV reader, which is serial, so it runs at one thread only.
+//! The fit (`fit_oplog_streamed`, DESIGN.md §12) is one serial pass, so
+//! its rows across the thread sweep should read flat: a row that moves
+//! with the pool width means parallel work crept back into ingestion.
+//! The suite records the wall-clock in `results/BENCH_ingest.json`. The
+//! parse bench times the strict TSV reader, which is serial too, so it
+//! runs at one thread only.
 //!
 //! Thread counts are pinned by setting `WASLA_THREADS` around each
 //! case (the bench main is single-threaded, so the writes cannot race
@@ -14,7 +15,7 @@
 use std::hint::black_box;
 use wasla::simlib::SimTime;
 use wasla::storage::{IoKind, GIB};
-use wasla::trace::oplog::{fit_oplog_streamed, OpLog, OpRecord, DEFAULT_CHUNK};
+use wasla::trace::oplog::{fit_oplog_streamed, OpLog, OpRecord};
 use wasla::trace::FitConfig;
 use wasla_bench::harness::Harness;
 
@@ -76,7 +77,7 @@ fn bench_streamed(c: &mut Harness) {
             group.bench_function(format!("threads{t}"), |b| {
                 b.iter(|| {
                     black_box(
-                        fit_oplog_streamed(&log, &names, &sizes, &config, DEFAULT_CHUNK)
+                        fit_oplog_streamed(&log, &names, &sizes, &config)
                             .expect("streamed fit succeeds"),
                     )
                 })

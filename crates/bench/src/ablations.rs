@@ -275,7 +275,6 @@ pub fn ablation_contention(config: &ExpConfig) -> ExperimentResult {
         &scenario.catalog.names(),
         &scenario.catalog.sizes(),
         &wasla::trace::FitConfig::default(),
-        wasla::trace::oplog::DEFAULT_CHUNK,
     )
     .expect("fit succeeds");
     let duty = fit_duty_cycles(trace, scenario.catalog.len(), 5.0).expect("duty cycles fit");

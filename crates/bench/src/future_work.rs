@@ -1,10 +1,11 @@
-//! Experiments for the paper's §8 future-work directions: incremental
-//! re-advising (`wasla-core::dynamic`) and the storage-configuration
-//! sweep ([`crate::configurator`]).
+//! Experiments for the paper's §8 future-work directions: one-shot
+//! re-advising under data growth ([`crate::dynamic`]) and the
+//! storage-configuration sweep ([`crate::configurator`]).
 
 use crate::common::{advise, advise_config, run_settings, ExpConfig, ExperimentResult, Row};
 use crate::configurator::{configure, ResourcePool};
-use wasla::core::dynamic::{readvise, DynamicOptions};
+use crate::dynamic::readvise;
+use wasla::core::dynamic::DynamicOptions;
 use wasla::core::AdvisorOptions;
 use wasla::pipeline::{self, Scenario, DISK_BYTES, LVM_STRIPE};
 use wasla::storage::{DeviceSpec, DiskParams};

@@ -28,6 +28,7 @@
 //! | [`mod@anneal`] | simulated-annealing solver (§7) | `ablation-solver` |
 //! | [`autoadmin`] | the AutoAdmin layout tool (§6.6) | `fig20` |
 //! | [`configurator`] | storage-configuration sweep (§8) | `config-sweep` |
+//! | [`dynamic`] | one-shot wholesale re-advising (§8) | `dynamic-growth` |
 //! | [`analytic`] | closed-form disk cost model (§5.2.2) | `ablation-costmodel` |
 //! | [`openloop`] | open-loop Poisson driver (Eq. 1) | `validate-eq1` |
 //!
@@ -44,6 +45,7 @@ pub mod common;
 pub mod configurator;
 pub mod diff;
 pub mod drift;
+pub mod dynamic;
 pub mod future_work;
 pub mod harness;
 pub mod layouts;

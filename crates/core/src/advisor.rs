@@ -11,8 +11,7 @@
 //! layout, SEE), keeping the best regularized result.
 
 use crate::baselines;
-use crate::estimator::UtilizationEstimator;
-use crate::eval::{max_of, weighted_max};
+use crate::eval::{max_of, EvalEngine};
 use crate::initial::{initial_layout, InitialLayoutError};
 use crate::optimizer::{solve_multistart, MultistartError, NlpOutcome, SolverOptions};
 use crate::problem::{Layout, LayoutProblem};
@@ -357,25 +356,23 @@ pub struct SolveOutcome {
 }
 
 /// Records one stage report and returns its objective score
-/// `max_j wⱼ·µⱼ` under the weights `obj_w` — under the default
+/// `max_j wⱼ·µⱼ` under the engine's objective — under the default
 /// objective the weights are 1.0 and this is the report's
 /// `max_utilization`, bit for bit.
 fn record_stage(
-    est: &UtilizationEstimator,
+    engine: &mut EvalEngine,
     stages: &mut Vec<StageReport>,
     name: &str,
     layout: &Layout,
-    obj_w: &[f64],
 ) -> f64 {
-    let utilizations = est.utilizations(layout);
-    let max_utilization = max_of(&utilizations);
-    let score = weighted_max(&utilizations, obj_w);
+    engine.set_layout(layout);
+    let utilizations = engine.committed_utilizations().to_vec();
     stages.push(StageReport {
         stage: name.to_string(),
+        max_utilization: max_of(&utilizations),
         utilizations,
-        max_utilization,
     });
-    score
+    engine.committed_score()
 }
 
 /// The pipeline's solve stage: validates the problem, builds the
@@ -433,17 +430,13 @@ pub fn replan(
     options: &AdvisorOptions,
     incumbent: &Layout,
 ) -> Result<Recommendation, AdvisorError> {
-    let est = UtilizationEstimator::new(problem);
-    let obj_w = options.solver.objective.weights(problem);
     // `None` stands for the rate-greedy initial layout, which the
     // solve stage builds itself.
-    let run = |start: Option<&Layout>| -> Result<(f64, Recommendation), AdvisorError> {
+    let run = |start: Option<&Layout>| -> Result<Recommendation, AdvisorError> {
         let solved = solve_from(problem, options, |initial| {
             vec![start.unwrap_or(initial).clone()]
         })?;
-        let rec = regularize_stage(problem, options, solved)?;
-        let score = weighted_max(&est.utilizations(rec.final_layout()), &obj_w);
-        Ok((score, rec))
+        regularize_stage(problem, options, solved)
     };
 
     let see = live_see_start(problem);
@@ -452,13 +445,16 @@ pub fn replan(
     starts.extend(options.extra_starts.iter().map(Some));
 
     // The candidates are independent, so they run concurrently on the
-    // `par` pool; the pick runs in start order, so the result is the
-    // serial loop's at any thread count.
+    // `par` pool; scoring and the pick run in start order, so the
+    // result is the serial loop's at any thread count.
+    let mut engine = EvalEngine::with_objective(problem, options.solver.objective);
     let mut best: Option<(f64, Recommendation)> = None;
     for candidate in par::par_map(&starts, |&start| run(start)) {
-        let candidate = candidate?;
-        if best.as_ref().map_or(true, |b| candidate.0 < b.0) {
-            best = Some(candidate);
+        let rec = candidate?;
+        engine.set_layout(rec.final_layout());
+        let score = engine.committed_score();
+        if best.as_ref().map_or(true, |b| score < b.0) {
+            best = Some((score, rec));
         }
     }
     best.map(|b| b.1)
@@ -475,16 +471,15 @@ fn solve_from(
     starts: impl FnOnce(&Layout) -> Vec<Layout>,
 ) -> Result<SolveOutcome, AdvisorError> {
     problem.validate().map_err(AdvisorError::InvalidProblem)?;
-    let est = UtilizationEstimator::new(problem);
-    let obj_w = options.solver.objective.weights(problem);
+    let mut engine = EvalEngine::with_objective(problem, options.solver.objective);
     let mut stages = Vec::new();
 
-    let see_score = record_stage(&est, &mut stages, "see", &baselines::see(problem), &obj_w);
+    let see_score = record_stage(&mut engine, &mut stages, "see", &baselines::see(problem));
 
     let t0 = Instant::now();
     let initial = initial_layout(problem).map_err(AdvisorError::Initial)?;
     let initial_s = t0.elapsed().as_secs_f64();
-    record_stage(&est, &mut stages, "initial", &initial, &obj_w);
+    record_stage(&mut engine, &mut stages, "initial", &initial);
 
     let t1 = Instant::now();
     let starts = starts(&initial);
@@ -544,7 +539,7 @@ fn solve_from(
         }
     };
     let solver_s = t1.elapsed().as_secs_f64();
-    let solver_score = record_stage(&est, &mut stages, "solver", &solver_layout, &obj_w);
+    let solver_score = record_stage(&mut engine, &mut stages, "solver", &solver_layout);
 
     Ok(SolveOutcome {
         solver_layout,
@@ -567,8 +562,6 @@ pub fn regularize_stage(
     options: &AdvisorOptions,
     solved: SolveOutcome,
 ) -> Result<Recommendation, AdvisorError> {
-    let est = UtilizationEstimator::new(problem);
-    let obj_w = options.solver.objective.weights(problem);
     let SolveOutcome {
         solver_layout,
         converged,
@@ -587,7 +580,8 @@ pub fn regularize_stage(
         let reg = regularize_with(problem, &solver_layout, options.solver.objective)
             .map_err(AdvisorError::Regularize)?;
         let dt = t2.elapsed().as_secs_f64();
-        let reg_score = record_stage(&est, &mut stages, "regular", &reg, &obj_w);
+        let mut engine = EvalEngine::with_objective(problem, options.solver.objective);
+        let reg_score = record_stage(&mut engine, &mut stages, "regular", &reg);
         (Some(reg), reg_score, dt)
     } else {
         (None, solver_score, 0.0)
@@ -642,6 +636,7 @@ pub fn recommend(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::UtilizationEstimator;
     use std::sync::Arc;
     use wasla_model::CostModel;
     use wasla_storage::IoKind;

@@ -30,49 +30,13 @@
 //!   winning. Evacuation is the same call over [`problem_without`] under
 //!   [`MigrationBudget::unbounded`]: moves off failed targets come back
 //!   *forced* and bypass the budget.
-//! * [`readvise`] keeps the one-shot behavior the dynamic-growth
-//!   experiment reports: re-optimize with the full cold multistart
-//!   plus the deployed layout as an extra start, and migrate wholesale
-//!   only when the win clears a threshold — reporting the new layout's
-//!   predicted utilization even when it declines to migrate.
 
-use crate::advisor::{recommend, replan, AdvisorError, AdvisorOptions};
-use crate::estimator::UtilizationEstimator;
+use crate::advisor::{replan, AdvisorError, AdvisorOptions};
 use crate::eval::EvalEngine;
 use crate::problem::{AdminConstraint, Layout, LayoutProblem};
 use wasla_simlib::impl_json_struct;
 
-/// Outcome of one re-advising round.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReadviseOutcome {
-    /// The layout to deploy going forward.
-    pub layout: Layout,
-    /// True if the advisor recommends migrating to a new layout;
-    /// false if the deployed layout should be kept.
-    pub migrate: bool,
-    /// Bytes that the migration moves between targets.
-    pub migration_bytes: u64,
-    /// Bytes a migration *would* have moved when the advisor decided
-    /// against it (`migrate == false`): the churn avoided. Zero when
-    /// migrating.
-    pub deferred_migration_bytes: u64,
-    /// Predicted max utilization of the deployed layout (at the new
-    /// sizes/workloads).
-    pub current_max_utilization: f64,
-    /// Predicted max utilization after migrating.
-    pub new_max_utilization: f64,
-}
-
-impl_json_struct!(ReadviseOutcome {
-    layout,
-    migrate,
-    migration_bytes,
-    deferred_migration_bytes,
-    current_max_utilization,
-    new_max_utilization,
-});
-
-/// Options for [`readvise`].
+/// Options for [`readvise_incremental`].
 #[derive(Clone, Debug)]
 pub struct DynamicOptions {
     /// Minimum relative utilization improvement that justifies moving
@@ -480,12 +444,12 @@ fn plan_with(
 /// The re-solve is [`replan`] — the rate-greedy initial layout, the
 /// deployed layout and SEE over the live targets, each solved and
 /// regularized alone, the best kept — not the cold multistart of
-/// [`recommend`]. Each candidate keeps the pipeline's SEE sanity
-/// fallback and anytime budget chain.
+/// [`crate::advisor::recommend`]. Each candidate keeps the pipeline's
+/// SEE sanity fallback and anytime budget chain.
 ///
-/// The threshold gate mirrors [`readvise`]: when the deployed layout
-/// still fits and full migration would not improve max utilization by
-/// at least `options.migrate_threshold`, voluntary moves are withheld
+/// The threshold gate: when the deployed layout still fits and full
+/// migration would not improve max utilization by at least
+/// `options.migrate_threshold`, voluntary moves are withheld
 /// (their bytes are reported as deferred — the churn avoided); forced
 /// evacuation/repair moves are planned regardless. The gate and the
 /// scheduler share one [`EvalEngine`].
@@ -514,49 +478,6 @@ pub fn readvise_incremental(
         budget,
         voluntary,
     ))
-}
-
-/// Re-advises a (possibly grown/drifted) problem given the currently
-/// deployed layout.
-///
-/// The deployed layout is validated against the *new* sizes first; if
-/// it no longer fits (an object outgrew its targets), migration is
-/// forced regardless of the threshold. When the advisor decides
-/// against migrating, the bytes the migration would have moved are
-/// reported in `deferred_migration_bytes` instead of being discarded.
-pub fn readvise(
-    problem: &LayoutProblem,
-    deployed: &Layout,
-    advisor_options: &AdvisorOptions,
-    options: &DynamicOptions,
-) -> Result<ReadviseOutcome, AdvisorError> {
-    let est = UtilizationEstimator::new(problem);
-    let still_fits = deployed.is_valid(&problem.workloads.sizes, &problem.capacities);
-    let current_max = est.max_utilization(deployed);
-
-    // Warm-start the solver from the deployed layout alongside the
-    // usual rate-greedy start.
-    let mut opts = advisor_options.clone();
-    opts.extra_starts.push(deployed.clone());
-    let rec = recommend(problem, &opts)?;
-    let new_layout = rec.final_layout().clone();
-    let new_max = est.max_utilization(&new_layout);
-
-    let improvement = (current_max - new_max) / current_max.max(1e-12);
-    let migrate = !still_fits || improvement >= options.migrate_threshold;
-    let bytes = migration_bytes(deployed, &new_layout, &problem.workloads.sizes);
-    Ok(ReadviseOutcome {
-        layout: if migrate {
-            new_layout
-        } else {
-            deployed.clone()
-        },
-        migrate,
-        migration_bytes: if migrate { bytes } else { 0 },
-        deferred_migration_bytes: if migrate { 0 } else { bytes },
-        current_max_utilization: current_max,
-        new_max_utilization: new_max,
-    })
 }
 
 /// The given problem with every failed target forbidden for every
@@ -659,72 +580,6 @@ mod tests {
         assert!(got >= u64::MAX - 2048, "got {got}");
     }
 
-    #[test]
-    fn keeps_good_deployed_layout() {
-        let p = problem(vec![1 << 20, 1 << 20], vec![50.0, 50.0]);
-        // Deploy the isolated layout, which is already near-optimal for
-        // two overlapping objects.
-        let deployed = Layout::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let out = readvise(
-            &p,
-            &deployed,
-            &AdvisorOptions {
-                regularize: true,
-                ..AdvisorOptions::default()
-            },
-            &DynamicOptions::default(),
-        )
-        .unwrap();
-        assert!(!out.migrate, "should keep the deployed layout");
-        assert_eq!(out.layout, deployed);
-        assert_eq!(out.migration_bytes, 0);
-    }
-
-    #[test]
-    fn migrates_away_from_bad_layout() {
-        let p = problem(vec![1 << 20, 1 << 20], vec![80.0, 80.0]);
-        // Deployed: both hot, overlapping objects piled on one target.
-        let deployed = Layout::from_rows(vec![vec![1.0, 0.0], vec![1.0, 0.0]]);
-        let out = readvise(
-            &p,
-            &deployed,
-            &AdvisorOptions {
-                regularize: true,
-                ..AdvisorOptions::default()
-            },
-            &DynamicOptions::default(),
-        )
-        .unwrap();
-        assert!(out.migrate);
-        assert!(out.new_max_utilization < out.current_max_utilization);
-        assert!(out.migration_bytes > 0);
-        assert_eq!(out.deferred_migration_bytes, 0);
-    }
-
-    #[test]
-    fn declined_migration_reports_deferred_bytes() {
-        let p = problem(vec![1 << 20, 1 << 20], vec![80.0, 80.0]);
-        let deployed = Layout::from_rows(vec![vec![1.0, 0.0], vec![1.0, 0.0]]);
-        let out = readvise(
-            &p,
-            &deployed,
-            &AdvisorOptions {
-                regularize: true,
-                ..AdvisorOptions::default()
-            },
-            &DynamicOptions {
-                migrate_threshold: 10.0, // impossible: migration declined
-            },
-        )
-        .unwrap();
-        assert!(!out.migrate);
-        assert_eq!(out.migration_bytes, 0);
-        assert!(
-            out.deferred_migration_bytes > 0,
-            "the would-be migration cost must be reported, not discarded"
-        );
-    }
-
     /// The evacuation path the daemon runs: re-plan over the problem
     /// without the failed targets, under an unbounded budget.
     fn evacuate(
@@ -792,34 +647,6 @@ mod tests {
                 plan.layout.get(i, 0)
             );
         }
-    }
-
-    #[test]
-    fn readvise_around_failures_evacuates_failed_target() {
-        let p = problem(vec![1 << 20, 1 << 20], vec![50.0, 50.0]);
-        // Everything deployed on target 0, which then fails.
-        let deployed = Layout::from_rows(vec![vec![1.0, 0.0], vec![1.0, 0.0]]);
-        let out = readvise(
-            &problem_without(&p, &[0]),
-            &deployed,
-            &AdvisorOptions {
-                regularize: true,
-                ..AdvisorOptions::default()
-            },
-            &DynamicOptions {
-                migrate_threshold: 10.0, // impossible threshold: failure must still force it
-            },
-        )
-        .unwrap();
-        assert!(out.migrate, "a failed target must force migration");
-        for i in 0..2 {
-            assert!(
-                out.layout.get(i, 0) < 1e-3,
-                "object {i} still has mass {} on the failed target",
-                out.layout.get(i, 0)
-            );
-        }
-        assert!(out.migration_bytes > 0);
     }
 
     #[test]
@@ -895,29 +722,6 @@ mod tests {
         assert_eq!(plan.admitted_bytes, 0);
         assert_eq!(plan.layout, deployed);
         assert!(plan.deferred_bytes > 0, "churn avoided must be visible");
-    }
-
-    #[test]
-    fn outgrown_layout_forces_migration() {
-        // Both objects grew to 0.7 GiB; together they no longer fit the
-        // 1 GiB target they were deployed on (though each still fits a
-        // target by itself).
-        let p = problem(vec![700 << 20, 700 << 20], vec![10.0, 10.0]);
-        let deployed = Layout::from_rows(vec![vec![1.0, 0.0], vec![1.0, 0.0]]);
-        let out = readvise(
-            &p,
-            &deployed,
-            &AdvisorOptions {
-                regularize: true,
-                ..AdvisorOptions::default()
-            },
-            &DynamicOptions {
-                migrate_threshold: 10.0, // impossible threshold
-            },
-        )
-        .unwrap();
-        assert!(out.migrate, "capacity violation must force migration");
-        assert!(out.layout.is_valid(&p.workloads.sizes, &p.capacities));
     }
 
     #[test]
@@ -998,10 +802,6 @@ mod tests {
             regularize: true,
             ..AdvisorOptions::default()
         };
-        let out = readvise(&p, &deployed, &opts, &DynamicOptions::default()).unwrap();
-        let back: ReadviseOutcome = from_str(&to_string(&out)).unwrap();
-        assert_eq!(back, out);
-
         let plan = readvise_incremental(
             &p,
             &deployed,

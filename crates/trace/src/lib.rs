@@ -16,13 +16,12 @@
 //!   fraction of windows in which `i` is active where `j` is also
 //!   active.
 //!
-//! There is one fit, [`oplog::fit_oplog_streamed`]: the log is cut into
-//! fixed-size record chunks, each chunk folds into mergeable per-object
-//! statistics ([`oplog::ChunkStats`]) on the [`wasla_simlib::par`]
-//! pool, and the partials merge in log order. The merge is exact, so
-//! the result is bit-identical to one serial pass at any
-//! `WASLA_THREADS` setting. The control loop's per-tick snapshots
-//! ([`oplog::windowed_workloads`]) merge the same statistics per pane.
+//! There is one fit, [`oplog::fit_oplog_streamed`]: one serial pass
+//! folds the log, in issue order, into per-object statistics
+//! ([`oplog::ChunkStats`]). The control loop's per-tick snapshots
+//! ([`oplog::windowed_workloads`]) accumulate the same statistics per
+//! pane and merge them per window; the merge is exact, so a window
+//! fits bit-identically to one pass over its records.
 
 use oplog::{OpLog, OpRecord};
 use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
@@ -311,9 +310,8 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oplog::{fit_oplog_streamed, DEFAULT_CHUNK};
+    use oplog::fit_oplog_streamed as fit;
     use wasla_simlib::SimTime;
-    use wasla_workload::WorkloadSet;
 
     fn rec(t: f64, stream: u32, kind: IoKind, offset: u64, len: u64) -> OpRecord {
         OpRecord {
@@ -328,15 +326,6 @@ mod tests {
 
     fn two_obj_names() -> (Vec<String>, Vec<u64>) {
         (vec!["A".into(), "B".into()], vec![1 << 30, 1 << 30])
-    }
-
-    fn fit(
-        log: &OpLog,
-        names: &[String],
-        sizes: &[u64],
-        config: &FitConfig,
-    ) -> Result<WorkloadSet, FitError> {
-        fit_oplog_streamed(log, names, sizes, config, DEFAULT_CHUNK)
     }
 
     #[test]

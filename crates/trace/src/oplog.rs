@@ -4,9 +4,10 @@
 //! engine records it, the TSV reader below loads it from disk, and
 //! every fit reads it. This module holds the compact line-oriented
 //! *op-log* format, a single-pass reader, and per-object sufficient
-//! statistics that are **mergeable**, so fits stream through
-//! [`wasla_simlib::par`] chunk by chunk and come out bit-identical to
-//! one serial pass at any `WASLA_THREADS` setting.
+//! statistics. The fit is one serial fold of the log into a
+//! [`ChunkStats`]; the statistics are also **mergeable**, so the
+//! windowed fit of the control loop accumulates each pane once and
+//! builds every sliding window as an in-order merge of its panes.
 //!
 //! # Record format (TSV, one op per line)
 //!
@@ -27,37 +28,31 @@
 //!
 //! A [`ChunkStats`] is the per-object fitting state over one contiguous
 //! record range: request/byte counters, the sequential-run count, the
-//! trailing `next_expected` offset, the chunk's first request shape,
+//! trailing `next_expected` offset, the range's first request shape,
 //! and the deduplicated activity-window list. Merging two adjacent
-//! partials is exact:
+//! ranges is exact:
 //!
 //! * counters add;
-//! * the later chunk's run count is decremented iff its first request
-//!   continues the earlier chunk's trailing run (same `continues`
+//! * the later range's run count is decremented iff its first request
+//!   continues the earlier range's trailing run (same `continues`
 //!   predicate as the serial pass);
 //! * window lists concatenate with one boundary dedup;
 //! * `next_expected` and the span endpoints carry over.
 //!
 //! Every operation is integer arithmetic (or an f64 carried verbatim),
 //! so the merged state equals the serial single-pass state *bitwise*,
-//! and the specs built from it are byte-identical to folding the whole
-//! log into one [`ChunkStats`].
+//! and a window's specs are byte-identical to folding the window's
+//! records into one [`ChunkStats`].
 
 use crate::{build_spec, observe, Accum, FitConfig, FitError};
 use wasla_simlib::impl_json_struct;
 use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
-use wasla_simlib::par;
 use wasla_simlib::SimTime;
 use wasla_storage::IoKind;
 use wasla_workload::WorkloadSet;
 
 /// First line of every op-log file.
 pub const FORMAT_HEADER: &str = "#wasla-oplog v1";
-
-/// Records per chunk for the streamed fit. Chunk boundaries depend
-/// only on this constant — never on the thread count — so the streamed
-/// result is reproducible at any `WASLA_THREADS`.
-pub const DEFAULT_CHUNK: usize = 4096;
 
 /// Longest well-formed line (a full record is ≈100 bytes); anything
 /// longer is corruption and is rejected before field parsing.
@@ -702,7 +697,7 @@ impl ChunkStats {
                 *a = b.clone();
                 continue;
             }
-            // The later chunk counted its first request as a run start
+            // The later range counted its first request as a run start
             // (its local `next_expected` was None). Undo that iff the
             // request actually continues our trailing run.
             let continues = match (b.first, a.next_expected) {
@@ -730,9 +725,8 @@ impl ChunkStats {
     }
 
     /// Builds the fitted workload set from the accumulated statistics.
-    /// Spec construction fans over [`par`]: each spec reads every
-    /// object's window list (for its overlap row) but writes only its
-    /// own.
+    /// Each spec reads every object's window list (for its overlap
+    /// row).
     pub fn finish(&self, names: &[String], sizes: &[u64]) -> Result<WorkloadSet, FitError> {
         if names.len() != sizes.len() || names.len() != self.accums.len() {
             return Err(FitError::ShapeMismatch {
@@ -745,8 +739,9 @@ impl ChunkStats {
             _ => 0.0,
         }
         .max(1e-9);
-        let object_ids: Vec<usize> = (0..self.accums.len()).collect();
-        let specs = par::par_map(&object_ids, |&i| build_spec(&self.accums, i, span));
+        let specs = (0..self.accums.len())
+            .map(|i| build_spec(&self.accums, i, span))
+            .collect();
         Ok(WorkloadSet {
             names: names.to_vec(),
             sizes: sizes.to_vec(),
@@ -755,22 +750,16 @@ impl ChunkStats {
     }
 }
 
-/// The fit: Rome workload descriptions from an op-log, by
-/// accumulating fixed-size record chunks in parallel and merging the
-/// partial statistics in order. `names` and `sizes` describe the
-/// objects; the log's stream ids index into them. Objects with no
-/// logged requests get an idle spec.
-///
-/// Bit-identical to folding the whole log into one [`ChunkStats`] at
-/// any `WASLA_THREADS` setting: chunk boundaries depend only on
-/// `chunk_records`, accumulation is integer-exact, and the merged
-/// state equals the serial pass (see the module docs).
+/// The fit: Rome workload descriptions from an op-log, by folding
+/// every record, in issue order, into one [`ChunkStats`]. `names` and
+/// `sizes` describe the objects; the log's stream ids index into them.
+/// Objects with no logged requests get an idle spec. Fails on the
+/// first record whose stream id is outside the catalog.
 pub fn fit_oplog_streamed(
     log: &OpLog,
     names: &[String],
     sizes: &[u64],
     config: &FitConfig,
-    chunk_records: usize,
 ) -> Result<WorkloadSet, FitError> {
     if names.len() != sizes.len() {
         return Err(FitError::ShapeMismatch {
@@ -778,25 +767,11 @@ pub fn fit_oplog_streamed(
             sizes: sizes.len(),
         });
     }
-    let n = names.len();
-    let chunk = chunk_records.max(1);
-    let records = log.records();
-    let ranges: Vec<(usize, usize)> = (0..records.len())
-        .step_by(chunk)
-        .map(|start| (start, (start + chunk).min(records.len())))
-        .collect();
-    let partials: Vec<Result<ChunkStats, FitError>> = par::par_map(&ranges, |&(start, end)| {
-        let mut stats = ChunkStats::new(n);
-        for rec in &records[start..end] {
-            stats.observe(rec, config)?;
-        }
-        Ok(stats)
-    });
-    let mut merged = ChunkStats::new(n);
-    for partial in partials {
-        merged.merge(&partial?, config);
+    let mut stats = ChunkStats::new(names.len());
+    for rec in log.records() {
+        stats.observe(rec, config)?;
     }
-    merged.finish(names, sizes)
+    stats.finish(names, sizes)
 }
 
 /// Most panes [`windowed_workloads`] will cut one log into. Panes count
@@ -856,14 +831,13 @@ pub struct WindowSnapshot {
 
 /// Slices an op-log into pane-aligned sliding windows and fits a
 /// [`WorkloadSet`] snapshot per tick, reusing the mergeable
-/// [`ChunkStats`] machinery: each pane is accumulated once (panes fan
-/// over [`par`]), and a tick's window is the in-order merge of its
-/// panes — identical to observing the window's records serially.
+/// [`ChunkStats`] machinery: one forward pass over the records
+/// accumulates each pane once, and a tick's window is the in-order
+/// merge of its panes — identical to observing the window's records
+/// serially.
 ///
-/// Determinism contract: pane boundaries depend only on record issue
-/// times and `plan.pane_s` — never on the thread count or on how the
-/// stream was chunked on arrival — so the snapshot sequence is
-/// byte-identical at any `WASLA_THREADS` setting.
+/// Pane boundaries depend only on record issue times and
+/// `plan.pane_s`, never on how the stream was chunked on arrival.
 ///
 /// Fails with [`FitError::TooManyPanes`] when the log reaches past
 /// pane [`MAX_PANES`]` - 1`.
@@ -896,38 +870,28 @@ pub fn windowed_workloads(
         });
     }
 
-    // Contiguous record range per pane (records arrive in issue order).
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(last_pane as usize + 1);
+    // One cursor cuts the panes (records arrive in issue order) and
+    // folds each pane's records into its statistics.
+    let mut panes: Vec<(ChunkStats, u64)> = Vec::with_capacity(last_pane as usize + 1);
     let mut cursor = 0usize;
     for pane in 0..=last_pane {
+        let mut stats = ChunkStats::new(n);
         let start = cursor;
         while cursor < records.len() && pane_of(records[cursor].issue) == pane {
+            stats.observe(&records[cursor], config)?;
             cursor += 1;
         }
-        ranges.push((start, cursor));
+        panes.push((stats, (cursor - start) as u64));
     }
 
-    let panes: Vec<Result<ChunkStats, FitError>> = par::par_map(&ranges, |&(start, end)| {
-        let mut stats = ChunkStats::new(n);
-        for rec in &records[start..end] {
-            stats.observe(rec, config)?;
-        }
-        Ok(stats)
-    });
-    let mut pane_stats = Vec::with_capacity(panes.len());
-    for pane in panes {
-        pane_stats.push(pane?);
-    }
-
-    let mut snapshots = Vec::with_capacity(pane_stats.len());
+    let mut snapshots = Vec::with_capacity(panes.len());
     for tick in 0..=last_pane {
         let first_pane = (tick + 1).saturating_sub(width);
         let mut merged = ChunkStats::new(n);
         let mut in_window = 0u64;
-        for pane in first_pane..=tick {
-            merged.merge(&pane_stats[pane as usize], config);
-            let (start, end) = ranges[pane as usize];
-            in_window += (end - start) as u64;
+        for (stats, count) in &panes[first_pane as usize..=tick as usize] {
+            merged.merge(stats, config);
+            in_window += count;
         }
         snapshots.push(WindowSnapshot {
             tick,
@@ -945,19 +909,22 @@ mod tests {
     use super::*;
     use wasla_simlib::json::to_string;
 
-    /// The reference fit: the whole log folded serially into one
-    /// [`ChunkStats`], with no chunking and no merge.
-    fn serial_fit(
-        log: &OpLog,
-        names: &[String],
-        sizes: &[u64],
-        config: &FitConfig,
-    ) -> Result<WorkloadSet, FitError> {
-        let mut stats = ChunkStats::new(names.len());
-        for rec in log.records() {
-            stats.observe(rec, config)?;
+    /// Observes the pieces `log[0..cuts[0]]`, `log[cuts[0]..cuts[1]]`,
+    /// …, `log[cuts[last]..]` each on its own and merges them in order.
+    /// `cuts` must be non-decreasing; repeated cuts give empty pieces.
+    fn split_and_merge(log: &OpLog, cuts: &[usize], n: usize, config: &FitConfig) -> ChunkStats {
+        let records = log.records();
+        let mut merged = ChunkStats::new(n);
+        let mut start = 0;
+        for end in cuts.iter().copied().chain([records.len()]) {
+            let mut piece = ChunkStats::new(n);
+            for rec in &records[start..end] {
+                piece.observe(rec, config).unwrap();
+            }
+            merged.merge(&piece, config);
+            start = end;
         }
-        stats.finish(names, sizes)
+        merged
     }
 
     fn rec(t: f64, stream: u32, kind: IoKind, offset: u64, len: u64) -> OpRecord {
@@ -1027,17 +994,23 @@ mod tests {
     }
 
     #[test]
-    fn streamed_fit_matches_materialized_at_many_chunk_sizes() {
+    fn merge_of_random_splits_matches_serial_pass() {
         let log = sample_log(500);
         let (names, sizes) = catalog();
         let config = FitConfig::default();
-        let materialized = serial_fit(&log, &names, &sizes, &config).unwrap();
-        for chunk in [1, 2, 3, 7, 64, 499, 500, 5000] {
-            let streamed = fit_oplog_streamed(&log, &names, &sizes, &config, chunk).unwrap();
+        let serial = fit_oplog_streamed(&log, &names, &sizes, &config).unwrap();
+        let mut rng = wasla_simlib::SimRng::new(17);
+        for round in 0..40 {
+            let pieces = 1 + rng.index(12);
+            let mut cuts: Vec<usize> = (1..pieces).map(|_| rng.index(log.len() + 1)).collect();
+            cuts.sort_unstable();
+            let merged = split_and_merge(&log, &cuts, names.len(), &config)
+                .finish(&names, &sizes)
+                .unwrap();
             assert_eq!(
-                to_string(&streamed),
-                to_string(&materialized),
-                "chunk={chunk}"
+                to_string(&merged),
+                to_string(&serial),
+                "round {round}: cuts {cuts:?}"
             );
         }
     }
@@ -1047,14 +1020,18 @@ mod tests {
         let log = OpLog::new();
         let (names, sizes) = catalog();
         let config = FitConfig::default();
-        let streamed = fit_oplog_streamed(&log, &names, &sizes, &config, 16).unwrap();
-        let materialized = serial_fit(&log, &names, &sizes, &config).unwrap();
-        assert_eq!(to_string(&streamed), to_string(&materialized));
+        let fitted = fit_oplog_streamed(&log, &names, &sizes, &config).unwrap();
+        let merged = split_and_merge(&log, &[0, 0], names.len(), &config);
+        assert_eq!(
+            to_string(&fitted),
+            to_string(&merged.finish(&names, &sizes).unwrap())
+        );
+        assert!(fitted.specs.iter().all(|s| s.total_rate() == 0.0));
     }
 
     #[test]
     fn merge_preserves_runs_split_across_chunks() {
-        // One long sequential run split across a chunk boundary must
+        // One long sequential run split across piece boundaries must
         // still count as a single run.
         let mut log = OpLog::new();
         for k in 0..10u64 {
@@ -1062,11 +1039,13 @@ mod tests {
         }
         let (names, sizes) = catalog();
         let config = FitConfig::default();
-        for chunk in [1, 3, 5] {
-            let set = fit_oplog_streamed(&log, &names, &sizes, &config, chunk).unwrap();
+        for cuts in [vec![1, 2, 3, 4, 5, 6, 7, 8, 9], vec![3, 6, 9], vec![5]] {
+            let set = split_and_merge(&log, &cuts, names.len(), &config)
+                .finish(&names, &sizes)
+                .unwrap();
             assert!(
                 (set.specs[0].run_count - 10.0).abs() < 1e-9,
-                "chunk={chunk} run_count={}",
+                "cuts={cuts:?} run_count={}",
                 set.specs[0].run_count
             );
         }
@@ -1124,7 +1103,7 @@ mod tests {
         let mut log = sample_log(10);
         log.push(rec(1.0, 99, IoKind::Read, 0, 8192));
         let (names, sizes) = catalog();
-        let err = fit_oplog_streamed(&log, &names, &sizes, &FitConfig::default(), 4).unwrap_err();
+        let err = fit_oplog_streamed(&log, &names, &sizes, &FitConfig::default()).unwrap_err();
         assert_eq!(
             err,
             FitError::StreamOutOfRange {

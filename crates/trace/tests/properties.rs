@@ -3,10 +3,10 @@
 //! with typed errors (never a panic).
 
 use wasla_simlib::proptest::prelude::*;
-use wasla_simlib::{json, SimTime};
+use wasla_simlib::{json, SimRng, SimTime};
 use wasla_storage::IoKind;
 use wasla_trace::oplog::{
-    fit_oplog_streamed, ChunkStats, OpLog, OpLogError, OpRecord, DEFAULT_CHUNK, FORMAT_HEADER,
+    fit_oplog_streamed, ChunkStats, OpLog, OpLogError, OpRecord, FORMAT_HEADER,
 };
 use wasla_trace::{FitConfig, FitError};
 use wasla_workload::WorkloadSet;
@@ -25,7 +25,7 @@ fn op(t: f64, stream: u32, kind: IoKind, offset: u64, len: u64) -> OpRecord {
 }
 
 fn fit(log: &OpLog, names: &[String], sizes: &[u64]) -> Result<WorkloadSet, FitError> {
-    fit_oplog_streamed(log, names, sizes, &FitConfig::default(), DEFAULT_CHUNK)
+    fit_oplog_streamed(log, names, sizes, &FitConfig::default())
 }
 
 proptest! {
@@ -261,25 +261,36 @@ proptest! {
         }
     }
 
-    /// The streamed fit is bit-identical to the materialized single
-    /// pass — the whole log folded into one `ChunkStats`, no merge — at
-    /// *any* chunk size, not just the default.
+    /// Cutting the log at random points, observing each piece on its
+    /// own and merging the pieces in order gives exactly the one-pass
+    /// fit (the windowed fit builds every window this way).
     #[test]
-    fn streamed_fit_matches_materialized_at_any_chunk(
+    fn merge_of_random_splits_matches_serial_pass(
         n in 1u64..200,
         seed in 0u64..1_000_000,
-        chunk in 1usize..300,
+        cut_seed in 0u64..1_000_000,
+        pieces in 1usize..12,
     ) {
         let log = synth_log(n, seed);
         let names: Vec<String> = (0..LOG_OBJECTS).map(|k| format!("o{k}")).collect();
         let sizes = vec![1u64 << 30; LOG_OBJECTS as usize];
         let config = FitConfig::default();
-        let streamed = fit_oplog_streamed(&log, &names, &sizes, &config, chunk).unwrap();
-        let mut serial = ChunkStats::new(names.len());
-        for rec in log.records() {
-            serial.observe(rec, &config).unwrap();
+        let serial = fit_oplog_streamed(&log, &names, &sizes, &config).unwrap();
+        let mut rng = SimRng::new(cut_seed);
+        let mut cuts: Vec<usize> = (1..pieces).map(|_| rng.index(log.len() + 1)).collect();
+        cuts.sort_unstable();
+        cuts.push(log.len());
+        let mut merged = ChunkStats::new(names.len());
+        let mut start = 0;
+        for end in cuts {
+            let mut piece = ChunkStats::new(names.len());
+            for rec in &log.records()[start..end] {
+                piece.observe(rec, &config).unwrap();
+            }
+            merged.merge(&piece, &config);
+            start = end;
         }
-        let materialized = serial.finish(&names, &sizes).unwrap();
-        prop_assert_eq!(json::to_string(&streamed), json::to_string(&materialized));
+        let merged = merged.finish(&names, &sizes).unwrap();
+        prop_assert_eq!(json::to_string(&merged), json::to_string(&serial));
     }
 }

@@ -172,13 +172,7 @@ fn fit(args: &[String]) -> Result<(), WaslaError> {
     let names: Vec<String> = objects.iter().map(|o| o.name.clone()).collect();
     let sizes: Vec<u64> = objects.iter().map(|o| o.size).collect();
     let log = wasla::trace::oplog::OpLog::parse_tsv(&read_file(f.require("--oplog")?)?)?;
-    let set = wasla::trace::oplog::fit_oplog_streamed(
-        &log,
-        &names,
-        &sizes,
-        &fit_config,
-        wasla::trace::oplog::DEFAULT_CHUNK,
-    )?;
+    let set = wasla::trace::oplog::fit_oplog_streamed(&log, &names, &sizes, &fit_config)?;
     let records = log.len();
     set.validate()
         .map_err(|e| WaslaError::Internal(format!("fitted set is inconsistent: {e}")))?;

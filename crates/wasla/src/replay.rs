@@ -21,7 +21,7 @@ use crate::error::WaslaError;
 use crate::pipeline::{AdviseConfig, RunSettings, Scenario, LVM_STRIPE};
 use crate::session::{AdvisorSession, OpLogAdvice};
 use crate::stages::{TraceInput, TraceStage};
-use wasla_core::{Layout, Stage, UtilizationEstimator};
+use wasla_core::{EvalEngine, Layout, Stage};
 use wasla_exec::{Placement, ReplayReport, RunReport};
 use wasla_trace::oplog::OpLog;
 
@@ -146,15 +146,19 @@ pub fn replay_validate(
     let see = Layout::see(n, m);
     let advised = advice.recommendation.final_layout();
 
-    let est = UtilizationEstimator::new(&advice.problem);
+    let mut engine = EvalEngine::new(&advice.problem);
+    let mut predict = |layout: &Layout| {
+        engine.set_layout(layout);
+        engine.committed_utilizations().to_vec()
+    };
     let baseline = LayoutReplay {
         label: "see",
-        predicted_utilization: est.utilizations(&see),
+        predicted_utilization: predict(&see),
         observed: replay_layout(log, scenario, see.rows())?,
     };
     let advised_replay = LayoutReplay {
         label: "advised",
-        predicted_utilization: est.utilizations(advised),
+        predicted_utilization: predict(advised),
         observed: replay_layout(log, scenario, advised.rows())?,
     };
 

@@ -35,7 +35,7 @@ use wasla_exec::{Placement, RunOutcome};
 use wasla_model::{calibrate_device, CalibrationGrid, TableModel};
 use wasla_simlib::hash::{hash_json, Fnv64};
 use wasla_storage::DeviceSpec;
-use wasla_trace::oplog::{fit_oplog_streamed, OpLog, DEFAULT_CHUNK};
+use wasla_trace::oplog::{fit_oplog_streamed, OpLog};
 use wasla_trace::FitConfig;
 use wasla_workload::SqlWorkload;
 
@@ -154,14 +154,8 @@ impl<'a> Stage for FitStage<'a> {
     }
 
     fn run(&self, input: &FitInput<'a>) -> Result<wasla_workload::WorkloadSet, WaslaError> {
-        fit_oplog_streamed(
-            input.trace,
-            input.names,
-            input.sizes,
-            self.config,
-            DEFAULT_CHUNK,
-        )
-        .map_err(WaslaError::from)
+        fit_oplog_streamed(input.trace, input.names, input.sizes, self.config)
+            .map_err(WaslaError::from)
     }
 
     fn cache_key(&self, input: &FitInput<'a>) -> Option<u64> {

@@ -10,11 +10,11 @@
 //! object-size distributions, read/write mix, burstiness, and a
 //! per-tenant deadline class.
 //!
-//! Determinism contract: for a fixed [`SynthSpec`] the output is
-//! bit-identical at any `WASLA_THREADS`. Tenant generation fans out
-//! through [`wasla_simlib::par::par_map`] and every tenant derives its
-//! private RNG stream from `par::task_seed(spec.seed, tenant_index)`,
-//! so no randomness is threaded sequentially across tenants.
+//! Determinism contract: for a fixed [`SynthSpec`] the output is a
+//! pure function of the spec. Every tenant derives its private RNG
+//! stream from `par::task_seed(spec.seed, tenant_index)`, so no
+//! randomness is threaded sequentially across tenants and any one
+//! tenant can be generated alone ([`generate_tenant`]).
 
 use crate::catalog::Catalog;
 use crate::object::{DbObject, ObjectKind};
@@ -205,12 +205,12 @@ pub struct SynthTenant {
     pub deadline: DeadlineClass,
 }
 
-/// Generates the full tenant population for a spec. Fans out through
-/// `par::par_map`; bit-identical at any `WASLA_THREADS`.
+/// Generates the full tenant population for a spec, tenant by tenant.
 pub fn generate(spec: &SynthSpec) -> Result<Vec<SynthTenant>, String> {
     spec.validate()?;
-    let indices: Vec<u64> = (0..spec.tenants as u64).collect();
-    Ok(par::par_map(&indices, |&i| generate_tenant(spec, i)))
+    Ok((0..spec.tenants as u64)
+        .map(|i| generate_tenant(spec, i))
+        .collect())
 }
 
 /// Generates tenant `index` alone (used by the stress driver to avoid

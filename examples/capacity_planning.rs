@@ -9,17 +9,18 @@
 //! and the layout. The experiment crate's `wasla_bench::configurator`
 //! implements that sweep: it enumerates the RAID-0 groupings of a disk
 //! pool, advises a layout for each, and ranks configurations by
-//! predicted max utilization. The advisor's `wasla::core::dynamic`
-//! re-advises as objects grow (FlexVol-style) — demonstrated at the
-//! end.
+//! predicted max utilization. The experiment crate's one-shot
+//! `wasla_bench::dynamic::readvise` re-advises as objects grow
+//! (FlexVol-style) — demonstrated at the end.
 
-use wasla::core::dynamic::{readvise, DynamicOptions};
+use wasla::core::dynamic::DynamicOptions;
 use wasla::core::AdvisorOptions;
 use wasla::model::CalibrationGrid;
 use wasla::pipeline::{self, AdviseConfig, Scenario, DISK_BYTES, LVM_STRIPE};
 use wasla::storage::{DeviceSpec, DiskParams};
 use wasla::workload::{ObjectKind, SqlWorkload};
 use wasla_bench::configurator::{configure, ResourcePool};
+use wasla_bench::dynamic::readvise;
 
 fn main() {
     let scale = 0.03;

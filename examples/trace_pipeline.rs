@@ -15,7 +15,7 @@ use wasla::exec::{see_rows, Engine, Placement, RunConfig};
 use wasla::model::{CalibrationGrid, CostModel, TargetCostModel};
 use wasla::pipeline::{build_problem, Scenario, LVM_STRIPE};
 use wasla::storage::IoKind;
-use wasla::trace::oplog::{fit_oplog_streamed, DEFAULT_CHUNK};
+use wasla::trace::oplog::fit_oplog_streamed;
 use wasla::trace::FitConfig;
 use wasla::workload::SqlWorkload;
 
@@ -65,7 +65,6 @@ fn main() {
         &scenario.catalog.names(),
         &scenario.catalog.sizes(),
         &FitConfig::default(),
-        DEFAULT_CHUNK,
     )
     .expect("fit succeeds");
     let mut hot: Vec<usize> = (0..fitted.len()).collect();

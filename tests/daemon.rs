@@ -14,11 +14,11 @@
 //!   targets are always admitted, even at budget zero;
 //! * a corrupt controller checkpoint is quarantined and the loop
 //!   restarts cold, never panics;
-//! * `ReadviseOutcome` and `MigrationPlan` JSON is pinned by golden
-//!   fixtures (regenerate with `WASLA_REGEN_FIXTURES=1`).
+//! * `MigrationPlan` JSON is pinned by a golden fixture (regenerate
+//!   with `WASLA_REGEN_FIXTURES=1`).
 
 use std::path::PathBuf;
-use wasla::core::dynamic::{MigrationMove, MigrationPlan, ReadviseOutcome};
+use wasla::core::dynamic::{MigrationMove, MigrationPlan};
 use wasla::core::Layout;
 use wasla::daemon::{DaemonConfig, TargetFailure};
 use wasla::pipeline::{AdviseConfig, DegradedNote, Scenario};
@@ -301,20 +301,9 @@ fn corrupt_controller_checkpoint_is_quarantined() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Canonical hand-built values pinning the JSON schema of the
-/// planning-layer reports. Golden files are committed; regenerate
-/// with `WASLA_REGEN_FIXTURES=1` after an intentional schema change.
-fn golden_outcome() -> ReadviseOutcome {
-    ReadviseOutcome {
-        layout: Layout::from_rows(vec![vec![0.5, 0.5], vec![1.0, 0.0]]),
-        migrate: true,
-        migration_bytes: 1 << 30,
-        deferred_migration_bytes: 4096,
-        current_max_utilization: 0.75,
-        new_max_utilization: 0.5,
-    }
-}
-
+/// A canonical hand-built value pinning the JSON schema of the
+/// re-plan report. The golden file is committed; regenerate with
+/// `WASLA_REGEN_FIXTURES=1` after an intentional schema change.
 fn golden_plan() -> MigrationPlan {
     MigrationPlan {
         moves: vec![MigrationMove {
@@ -354,11 +343,6 @@ where
     );
     let parsed = T::from_json(&Json::parse(&golden).expect("parse fixture")).expect("decode");
     assert_eq!(&parsed, value, "{name} must round-trip through JSON");
-}
-
-#[test]
-fn readvise_outcome_matches_golden_fixture() {
-    check_golden("readvise_outcome.golden", &golden_outcome());
 }
 
 #[test]

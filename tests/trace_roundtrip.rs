@@ -6,7 +6,7 @@ use wasla::exec::{see_rows, Engine, Placement, RunConfig};
 use wasla::pipeline::{Scenario, LVM_STRIPE};
 use wasla::simlib::SimTime;
 use wasla::storage::IoKind;
-use wasla::trace::oplog::{fit_oplog_streamed, OpLog, OpRecord, DEFAULT_CHUNK};
+use wasla::trace::oplog::{fit_oplog_streamed, OpLog, OpRecord};
 use wasla::trace::{FitConfig, FitError};
 use wasla::workload::{SqlWorkload, WorkloadSet};
 
@@ -16,7 +16,7 @@ fn fit_log(
     sizes: &[u64],
     config: &FitConfig,
 ) -> Result<WorkloadSet, FitError> {
-    fit_oplog_streamed(log, names, sizes, config, DEFAULT_CHUNK)
+    fit_oplog_streamed(log, names, sizes, config)
 }
 
 fn op(t: f64, stream: u32, kind: IoKind, offset: u64, len: u64) -> OpRecord {
