@@ -124,3 +124,26 @@ else
     echo "error: a 1,000-fit session makes a tick ${ratio}x slower (gate: 1.15x)" >&2
     exit 1
 fi
+
+echo
+echo "== calibration demand gate (demanded columns vs the whole grid) =="
+# A cold advise calibrates only the (size, run) columns its fitted
+# workloads can reach (DESIGN.md §9). The OLAP1-21 demand on four disks
+# must stay <= 0.6x a whole default-grid calibration, or the demand has
+# drifted back toward a full sweep. In-run comparison, so machine drift
+# cancels out.
+full_ns=$(median_of "calibrate_disk_default_full" models)
+demanded_ns=$(median_of "calibrate_disk_default_demanded" models)
+if [ -z "$full_ns" ] || [ -z "$demanded_ns" ]; then
+    echo "error: calibration demand rows missing from results/BENCH_models.json" >&2
+    echo "(expected calibrate_disk_default_full and calibrate_disk_default_demanded)" >&2
+    exit 1
+fi
+ratio=$(awk -v d="$demanded_ns" -v f="$full_ns" 'BEGIN { printf "%.2f", d / f }')
+echo "models: calibrate_disk_default_demanded ${demanded_ns} ns / calibrate_disk_default_full ${full_ns} ns = ${ratio}x"
+if awk -v d="$demanded_ns" -v f="$full_ns" 'BEGIN { exit !(d / f <= 0.6) }'; then
+    echo "calibration demand gate passed (demanded <= 0.6x the whole grid)"
+else
+    echo "error: the demanded calibration costs ${ratio}x the whole grid (gate: 0.6x)" >&2
+    exit 1
+fi

@@ -245,7 +245,10 @@ step "fault matrix (offline)"
 # plan, so an outer one must not break them. The small-tenant `repro
 # stress` smoke re-proves the every-request-resolves contract
 # end-to-end (CLI included) per seed, with admission control and
-# brownout both engaged.
+# brownout both engaged. `calibration_demand` rides it because its
+# claim is relational: the demand-driven advise and the advise on
+# whole tables see the same plan, so they must agree bit for bit on
+# degraded answers and typed errors too.
 for fault_seed in 7 11 23 42 99 1337 2024 31337; do
     echo "-- fault seed $fault_seed --"
     WASLA_FAULTS=$fault_seed cargo test -q --offline -p wasla \
@@ -253,7 +256,7 @@ for fault_seed in 7 11 23 42 99 1337 2024 31337; do
         --test fault_injection --test batch_determinism \
         --test oplog_stream --test objective_equivalence \
         --test daemon --test gradient_equivalence \
-        --test synth_stress
+        --test synth_stress --test calibration_demand
     WASLA_FAULTS=$fault_seed target/release/repro drift > /dev/null
     WASLA_FAULTS=$fault_seed target/release/repro stress \
         --tenants 48 --batch 16 --queue-cap 12 --brownout 8 > /dev/null

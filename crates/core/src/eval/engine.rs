@@ -148,7 +148,10 @@ impl<'a> EvalEngine<'a> {
                 (0..m).map(move |_| layout_model::apply(&specs[i], 0.0, problem.stripe_size))
             })
             .collect();
-        let mut engine = EvalEngine {
+        // Every cache below is already what a rebuild at the all-zero
+        // layout writes: a gated cell prices to 0 before any model is
+        // read and every competing sum is +0.0.
+        EvalEngine {
             problem,
             n,
             m,
@@ -175,14 +178,7 @@ impl<'a> EvalEngine<'a> {
             grad_du: vec![0.0; n],
             grad_cs: vec![0.0; n],
             stats: EvalStats::default(),
-        };
-        // The zero layout's caches are all zeros already, except the
-        // workload memos (set above) — but run one rebuild so the
-        // counters and invariants start from a committed state.
-        let zeros = vec![0.0; n * m];
-        engine.rebuild(&zeros);
-        engine.stats = EvalStats::default();
-        engine
+        }
     }
 
     /// The objective this engine scores for.
@@ -686,6 +682,26 @@ mod tests {
             }
         }
         x
+    }
+
+    #[test]
+    fn fresh_engine_is_the_zero_layout_rebuild() {
+        let p = problem(7, 3);
+        let fresh = EvalEngine::new(&p);
+        let mut rebuilt = EvalEngine::new(&p);
+        rebuilt.rebuild(&vec![0.0; 7 * 3]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fresh.roots), bits(&rebuilt.roots));
+        assert_eq!(bits(&fresh.mu), bits(&rebuilt.mu));
+        assert_eq!(
+            bits(fresh.committed_utilizations()),
+            bits(rebuilt.committed_utilizations())
+        );
+        assert_eq!(
+            fresh.committed_score().to_bits(),
+            rebuilt.committed_score().to_bits()
+        );
+        assert_eq!(fresh.stats, EvalStats::default());
     }
 
     #[test]

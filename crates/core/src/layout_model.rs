@@ -18,6 +18,8 @@
 //! interleaves across targets and each target sees a share `Lᵢⱼ` of it;
 //! in between, runs are clipped at stripe boundaries.
 
+use wasla_model::{ColumnDemand, TargetCostModel};
+use wasla_storage::{IoKind, TargetConfig};
 use wasla_workload::WorkloadSpec;
 
 /// The per-target workload `Wᵢⱼ` of one object under a layout.
@@ -74,6 +76,64 @@ pub fn run_count(spec: &WorkloadSpec, fraction: f64, stripe_size: f64) -> f64 {
         (q * fraction).max(1.0)
     } else {
         (stripe_size / b).max(1.0)
+    }
+}
+
+/// The smallest and largest [`run_count`] over every fraction
+/// `Lᵢⱼ ∈ (0, 1]`: the run counts a priced cell can see. (A cell at
+/// `Lᵢⱼ = 0` is gated to zero utilization before any cost model is
+/// read, so its run count of 1 is never priced.)
+///
+/// Below the smallest fraction that takes the long-run branch the run
+/// clips at the stripe; from it on, the branch gives `(Qᵢ·Lᵢⱼ).max(1)`,
+/// non-decreasing in `Lᵢⱼ`. That boundary fraction is found by
+/// bisection over the floating-point values in `(0, 1]`, so both ends
+/// are the exact values `run_count` returns, not a real-number
+/// approximation of them.
+pub fn run_count_range(spec: &WorkloadSpec, stripe_size: f64) -> (f64, f64) {
+    let q = spec.run_count;
+    let b = spec.mean_size().max(1.0);
+    let run_bytes = q * b;
+    if run_bytes < stripe_size {
+        return (q, q);
+    }
+    let clipped = (stripe_size / b).max(1.0);
+    // `stripe_size / f` is non-increasing in f, so the long-run
+    // fractions form an upward-closed set. Positive doubles order like
+    // their bit patterns: bisect on those.
+    let long = |f: f64| run_bytes > stripe_size / f;
+    if !long(1.0) {
+        return (clipped, clipped);
+    }
+    let (mut lo, mut hi) = (0u64, 1.0f64.to_bits());
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if long(f64::from_bits(mid)) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    let first_long = run_count(spec, f64::from_bits(hi), stripe_size);
+    (clipped.min(first_long), clipped.max(q.max(1.0)))
+}
+
+/// Adds to `demand` every member-table column that pricing `specs` on
+/// `target` can read under any layout: each active object's read and
+/// write request sizes at every run count [`run_count_range`] allows,
+/// pushed through the target's RAID transform. Both directions are
+/// priced for every active object (a zero rate multiplies a cost that
+/// is still read); idle objects are gated before any model is read.
+pub fn add_calibration_demand(
+    demand: &mut ColumnDemand,
+    target: &TargetConfig,
+    specs: &[WorkloadSpec],
+    stripe_size: f64,
+) {
+    for spec in specs.iter().filter(|s| s.total_rate() > 0.0) {
+        let (lo, hi) = run_count_range(spec, stripe_size);
+        TargetCostModel::add_demand(demand, target, IoKind::Read, spec.read_size, lo, hi);
+        TargetCostModel::add_demand(demand, target, IoKind::Write, spec.write_size, lo, hi);
     }
 }
 

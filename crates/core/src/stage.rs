@@ -94,8 +94,9 @@ pub struct CacheMark {
 /// lookups are a short scan, and iteration order stays deterministic
 /// for diagnostics and persistence. Values sit behind [`Arc`], so a
 /// clone copies `(key, Arc)` pairs and shares every cached value with
-/// the cache it came from; the table is append-only, and a value is
-/// never mutated once cached.
+/// the cache it came from. A value is never mutated once cached: an
+/// entry is appended, or [`StageCache::get_or_update_with`] puts a new
+/// `Arc` in its place.
 #[derive(Debug)]
 pub struct StageCache<V> {
     entries: Vec<(u64, Arc<V>)>,
@@ -199,8 +200,9 @@ impl<V> StageCache<V> {
     /// appended to since. The entries `local` appended after the mark
     /// land first-write-wins in their order, and its counter deltas
     /// since the mark are accumulated. The entries before the mark
-    /// are this cache's own, so skipping them is exact, and a merge
-    /// costs one key scan per appended entry.
+    /// are this cache's own and the worker must not have replaced
+    /// them, so skipping them is exact, and a merge costs one key scan
+    /// per appended entry.
     pub fn absorb(&mut self, local: StageCache<V>, mark: CacheMark) {
         debug_assert!(
             local.entries.len() >= mark.len
@@ -208,8 +210,8 @@ impl<V> StageCache<V> {
                 && local.entries[..mark.len]
                     .iter()
                     .zip(&self.entries)
-                    .all(|(a, b)| a.0 == b.0),
-            "absorbed cache is not a clone of this one taken at the mark"
+                    .all(|(a, b)| a.0 == b.0 && Arc::ptr_eq(&a.1, &b.1)),
+            "absorbed cache is not a clone of this one taken at the mark, appended to only"
         );
         let delta = local.stats.since(&mark.stats);
         self.stats.hits += delta.hits;
@@ -222,13 +224,37 @@ impl<V> StageCache<V> {
     /// Returns the cached output for `key`, computing and caching it
     /// on a miss.
     pub fn get_or_insert_with(&mut self, key: u64, compute: impl FnOnce() -> V) -> &V {
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
+        self.get_or_update_with(key, |_| true, |_| compute())
+    }
+
+    /// Returns the cached output for `key` if `fresh` accepts it (a
+    /// hit). Otherwise (a miss) computes `update` from whatever is
+    /// cached under `key` and stores the result in that entry's place,
+    /// or appends it when the key is new.
+    pub fn get_or_update_with(
+        &mut self,
+        key: u64,
+        fresh: impl FnOnce(&V) -> bool,
+        update: impl FnOnce(Option<&V>) -> V,
+    ) -> &V {
+        let pos = self.entries.iter().position(|(k, _)| *k == key);
+        if let Some(pos) = pos.filter(|&p| fresh(&self.entries[p].1)) {
             self.stats.hits += 1;
             return &self.entries[pos].1;
         }
         self.stats.misses += 1;
-        self.entries.push((key, Arc::new(compute())));
-        &self.entries[self.entries.len() - 1].1
+        let value = Arc::new(update(pos.map(|p| self.entries[p].1.as_ref())));
+        let pos = match pos {
+            Some(pos) => {
+                self.entries[pos].1 = value;
+                pos
+            }
+            None => {
+                self.entries.push((key, value));
+                self.entries.len() - 1
+            }
+        };
+        &self.entries[pos].1
     }
 }
 
@@ -261,6 +287,43 @@ mod tests {
         }
         assert_eq!(calls, 1);
         assert_eq!(c.stats(), CacheStats { hits: 2, misses: 1 });
+    }
+
+    #[test]
+    fn get_or_update_replaces_stale_entries_in_place() {
+        let mut c: StageCache<Vec<u32>> = StageCache::new();
+        c.insert(1, vec![1]);
+        c.insert(2, vec![2]);
+        let before = c.clone();
+        // Fresh: a hit, nothing computed.
+        let v = c.get_or_update_with(1, |v| v.contains(&1), |_| unreachable!());
+        assert_eq!(v, &vec![1]);
+        // Stale: a miss, extended from the cached value, same slot.
+        let v = c.get_or_update_with(
+            1,
+            |v| v.contains(&3),
+            |old| {
+                let mut v = old.cloned().unwrap_or_default();
+                v.push(3);
+                v
+            },
+        );
+        assert_eq!(v, &vec![1, 3]);
+        // New key: a miss, computed from nothing, appended.
+        c.get_or_update_with(
+            9,
+            |_| true,
+            |old| {
+                assert!(old.is_none());
+                vec![9]
+            },
+        );
+        let keys: Vec<u64> = c.entries().iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, [1, 2, 9]);
+        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 2 });
+        // The replaced value is a new allocation; clones taken before
+        // keep the old one.
+        assert_eq!(before.peek(1), Some(&vec![1]));
     }
 
     #[test]

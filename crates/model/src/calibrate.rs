@@ -21,6 +21,13 @@
 //! grid coordinates ([`point_seed`]), so the tabulated values are
 //! bit-identical at any `WASLA_THREADS` setting — and identical to
 //! what the serial loop produced.
+//!
+//! A calibration need not cover the whole grid. [`calibrate_columns`]
+//! measures only the (size, run) columns a [`ColumnDemand`] names,
+//! each across the whole χ axis, and can extend a partial table later;
+//! [`calibrate_device`] is its all-columns demand. Because every cell
+//! is point-seeded, a cell measured on demand is bit-identical to the
+//! same cell of a full sweep.
 
 use crate::grid::{Axis, Grid3};
 use crate::table::TableModel;
@@ -119,31 +126,144 @@ pub fn calibration_fault(spec: &DeviceSpec, seed: u64) -> Option<DeviceFault> {
     fault::plan()?.device_fault(fault::calibration_key(seed, hash_json(spec)))
 }
 
-/// Calibrates a device spec into a tabulated cost model. The device
-/// must pass [`check_capacity`].
-///
-/// When the active fault plan degrades this calibration run (see
-/// [`calibration_fault`]), every tabulated service time is scaled by
-/// the fault's latency factor — the table honestly describes the
-/// slower device the advisor must plan around. With no plan or no
-/// fault the values are untouched, bit-for-bit.
+/// Which (size, run) columns of a calibration grid to measure, per
+/// request direction. A column always spans the whole contention axis:
+/// the solver moves χ freely, while each object's request sizes and
+/// run-count range are fixed once its workload is fitted.
+#[derive(Clone, Debug)]
+pub struct ColumnDemand {
+    sizes: Axis,
+    runs: Axis,
+    /// Demanded flags for reads and writes, each row-major
+    /// `[size][run]`.
+    columns: [Vec<bool>; 2],
+}
+
+impl ColumnDemand {
+    /// No column of `grid`.
+    pub fn none(grid: &CalibrationGrid) -> Self {
+        let cells = grid.sizes.len() * grid.runs.len();
+        ColumnDemand {
+            sizes: Axis::new(grid.sizes.clone()),
+            runs: Axis::new(grid.runs.clone()),
+            columns: [vec![false; cells], vec![false; cells]],
+        }
+    }
+
+    /// Every column of `grid`, in both directions: a full calibration.
+    pub fn all(grid: &CalibrationGrid) -> Self {
+        let mut demand = ColumnDemand::none(grid);
+        for columns in &mut demand.columns {
+            columns.fill(true);
+        }
+        demand
+    }
+
+    /// Adds the columns an interpolated `kind` query reads at request
+    /// size `size` and any run count in `[run_lo, run_hi]`. Each axis
+    /// is bracketed by [`Axis::locate`], as [`Grid3::interpolate`]
+    /// brackets it, and a bracket's upper neighbour is read even at
+    /// weight 0. Brackets are monotone in the query, so the two ends
+    /// of the run range bound every bracket in between.
+    pub fn add_query(&mut self, kind: IoKind, size: f64, run_lo: f64, run_hi: f64) {
+        let upper = |axis: &Axis, i: usize| (i + 1).min(axis.len() - 1);
+        let (si, _) = self.sizes.locate(size);
+        let (lo, _) = self.runs.locate(run_lo);
+        let (hi, _) = self.runs.locate(run_hi);
+        let (s_hi, r_hi) = (upper(&self.sizes, si), upper(&self.runs, hi));
+        let nr = self.runs.len();
+        let columns = &mut self.columns[kind_index(kind)];
+        for s in si..=s_hi {
+            columns[s * nr + lo..=s * nr + r_hi].fill(true);
+        }
+    }
+
+    /// Whether the (size `si`, run `ri`) column of `kind` is demanded.
+    pub fn contains(&self, kind: IoKind, si: usize, ri: usize) -> bool {
+        self.columns[kind_index(kind)][si * self.runs.len() + ri]
+    }
+}
+
+fn kind_index(kind: IoKind) -> usize {
+    match kind {
+        IoKind::Read => 0,
+        IoKind::Write => 1,
+    }
+}
+
+/// Calibrates a device spec into a fully tabulated cost model: the
+/// all-columns demand of [`calibrate_columns`]. The device must pass
+/// [`check_capacity`].
 pub fn calibrate_device(spec: &DeviceSpec, grid: &CalibrationGrid, seed: u64) -> TableModel {
-    let name = match spec {
-        DeviceSpec::Disk(_) => "disk",
-        DeviceSpec::Ssd(_) => "ssd",
+    calibrate_columns(spec, grid, seed, &ColumnDemand::all(grid), None)
+}
+
+/// The calibration routine: `base` (or, when `None`, a table with no
+/// column measured) plus every column `demand` names that it has not
+/// measured yet, each across the whole contention axis. Cells outside
+/// the demand and outside `base` stay NaN. The device must pass
+/// [`check_capacity`].
+///
+/// Every cell draws from its own point-indexed RNG ([`point_seed`]),
+/// and when the active fault plan degrades this calibration run (see
+/// [`calibration_fault`]) each new cell is scaled by the fault's
+/// latency factor — the table honestly describes the slower device
+/// the advisor must plan around. So every measured value is
+/// bit-identical to the same cell of a full sweep, whatever the demand
+/// and whatever `base` already held.
+pub fn calibrate_columns(
+    spec: &DeviceSpec,
+    grid: &CalibrationGrid,
+    seed: u64,
+    demand: &ColumnDemand,
+    base: Option<&TableModel>,
+) -> TableModel {
+    let mut table = match base {
+        Some(table) => table.clone(),
+        None => {
+            let axes = || {
+                Grid3::unmeasured(
+                    Axis::new(grid.sizes.clone()),
+                    Axis::new(grid.runs.clone()),
+                    Axis::new(grid.contentions.clone()),
+                )
+            };
+            TableModel {
+                device: match spec {
+                    DeviceSpec::Disk(_) => "disk",
+                    DeviceSpec::Ssd(_) => "ssd",
+                }
+                .to_string(),
+                tier: spec.tier(),
+                reads: axes(),
+                writes: axes(),
+            }
+        }
     };
-    let mut reads = calibrate_kind(spec, grid, IoKind::Read, seed);
-    let mut writes = calibrate_kind(spec, grid, IoKind::Write, seed ^ 0x5eed);
-    if let Some(f) = calibration_fault(spec, seed) {
-        reads.scale_values(f.latency_factor());
-        writes.scale_values(f.latency_factor());
+    let mut points = Vec::new();
+    for (kind, kind_seed) in [(IoKind::Read, seed), (IoKind::Write, seed ^ 0x5eed)] {
+        let measured = table.grid(kind);
+        for si in 0..grid.sizes.len() {
+            for ri in 0..grid.runs.len() {
+                if !demand.contains(kind, si, ri) || measured.column_measured(si, ri) {
+                    continue;
+                }
+                for ci in 0..grid.contentions.len() {
+                    points.push((kind, si, ri, ci, point_seed(kind_seed, si, ri, ci)));
+                }
+            }
+        }
     }
-    TableModel {
-        device: name.to_string(),
-        tier: spec.tier(),
-        reads,
-        writes,
+    let values = par::par_map(&points, |&(kind, si, ri, ci, point_seed)| {
+        let (size, run, chi) = (grid.sizes[si], grid.runs[ri], grid.contentions[ci]);
+        measure_point(spec, size as u64, run, chi, kind, grid, point_seed)
+    });
+    let factor = calibration_fault(spec, seed).map(|f| f.latency_factor());
+    for (&(kind, si, ri, ci, _), value) in points.iter().zip(values) {
+        let value = factor.map_or(value, |f| value * f);
+        table.grid_mut(kind).set(si, ri, ci, value);
     }
+    table
 }
 
 /// The fixed (base seed, grid coordinates) → RNG seed map.
@@ -152,31 +272,12 @@ pub fn calibrate_device(spec: &DeviceSpec, grid: &CalibrationGrid, seed: u64) ->
 /// own coordinates only — the RNG is *point-indexed*, never threaded
 /// sequentially from one measurement into the next — which is what
 /// makes the parallel sweep observationally equivalent to the serial
-/// one. The formula is the seed repository's original derivation, so
-/// calibration tables also stay bit-identical across this refactor.
+/// one, and a column measured alone bit-identical to the same column
+/// in a full sweep. The formula is the seed repository's original
+/// derivation, so calibration tables also stay bit-identical across
+/// refactors.
 fn point_seed(seed: u64, si: usize, ri: usize, ci: usize) -> u64 {
     seed ^ ((si as u64) << 40) ^ ((ri as u64) << 20) ^ (ci as u64 + 1)
-}
-
-fn calibrate_kind(spec: &DeviceSpec, grid: &CalibrationGrid, kind: IoKind, seed: u64) -> Grid3 {
-    let mut points =
-        Vec::with_capacity(grid.sizes.len() * grid.runs.len() * grid.contentions.len());
-    for (si, &size) in grid.sizes.iter().enumerate() {
-        for (ri, &run) in grid.runs.iter().enumerate() {
-            for (ci, &chi) in grid.contentions.iter().enumerate() {
-                points.push((size, run, chi, point_seed(seed, si, ri, ci)));
-            }
-        }
-    }
-    let values = par::par_map(&points, |&(size, run, chi, point_seed)| {
-        measure_point(spec, size as u64, run, chi, kind, grid, point_seed)
-    });
-    Grid3::new(
-        Axis::new(grid.sizes.clone()),
-        Axis::new(grid.runs.clone()),
-        Axis::new(grid.contentions.clone()),
-        values,
-    )
 }
 
 /// Competing-request size (small random probes, as interfering
@@ -331,6 +432,26 @@ mod tests {
             &CalibrationGrid::coarse(),
             7,
         );
+    }
+
+    #[test]
+    fn demanded_columns_extend_to_the_full_sweep() {
+        let spec = DeviceSpec::Disk(DiskParams::scsi_15k(18 * GIB));
+        let grid = CalibrationGrid::coarse();
+        let mut demand = ColumnDemand::none(&grid);
+        demand.add_query(IoKind::Read, 8192.0, 1.0, 4.0);
+        demand.add_query(IoKind::Write, 131072.0, 64.0, 64.0);
+        let partial = calibrate_columns(&spec, &grid, 7, &demand, None);
+        assert!(partial.covers(&demand));
+        assert!(!partial.is_complete());
+        assert!(!partial.covers(&ColumnDemand::all(&grid)));
+        // Extending keeps the measured cells and measures the rest; the
+        // result is the full sweep bit for bit, so the partial table's
+        // cells were too.
+        let all = ColumnDemand::all(&grid);
+        let extended = calibrate_columns(&spec, &grid, 7, &all, Some(&partial));
+        assert!(extended.is_complete());
+        assert_eq!(extended, calibrate_device(&spec, &grid, 7));
     }
 
     #[test]

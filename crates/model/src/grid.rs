@@ -43,7 +43,7 @@ impl Axis {
         if x <= pts[0] || pts.len() == 1 {
             return (0, 0.0);
         }
-        if x >= *pts.last().expect("non-empty") {
+        if x >= pts[pts.len() - 1] {
             return (pts.len() - 1, 0.0);
         }
         let hi = pts.partition_point(|&p| p <= x);
@@ -88,6 +88,12 @@ impl_json_struct!(Axis { points });
 
 /// A dense 3-D table over (size, run count, contention) with trilinear
 /// interpolation.
+///
+/// A table may be partly calibrated: the cells of a (size, run) column
+/// are measured together across the whole contention axis, and the
+/// cells of an unmeasured column hold NaN, so an interpolation that
+/// reads one returns NaN (and trips a debug assertion) instead of a
+/// plausible number.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Grid3 {
     /// Request-size axis (bytes).
@@ -119,18 +125,33 @@ impl Grid3 {
         }
     }
 
-    #[inline]
-    fn at(&self, i: usize, j: usize, k: usize) -> f64 {
-        let (nr, nc) = (self.runs.len(), self.contentions.len());
-        self.values[(i * nr + j) * nc + k]
+    /// A grid over the given axes with no column measured yet: every
+    /// cell is NaN.
+    pub(crate) fn unmeasured(sizes: Axis, runs: Axis, contentions: Axis) -> Self {
+        let cells = sizes.len() * runs.len() * contentions.len();
+        Grid3::new(sizes, runs, contentions, vec![f64::NAN; cells])
     }
 
-    /// Multiplies every tabulated value by `factor` (fault-injected
-    /// device degradation scales whole tables uniformly).
-    pub fn scale_values(&mut self, factor: f64) {
-        for v in &mut self.values {
-            *v *= factor;
-        }
+    #[inline]
+    fn index(&self, i: usize, j: usize, k: usize) -> usize {
+        (i * self.runs.len() + j) * self.contentions.len() + k
+    }
+
+    #[inline]
+    fn at(&self, i: usize, j: usize, k: usize) -> f64 {
+        self.values[self.index(i, j, k)]
+    }
+
+    /// Whether the (size `i`, run `j`) column has been measured. A
+    /// column is measured whole, so its first cell decides.
+    pub(crate) fn column_measured(&self, i: usize, j: usize) -> bool {
+        !self.at(i, j, 0).is_nan()
+    }
+
+    /// Stores one measured cell.
+    pub(crate) fn set(&mut self, i: usize, j: usize, k: usize, value: f64) {
+        let idx = self.index(i, j, k);
+        self.values[idx] = value;
     }
 
     /// Trilinear interpolation at (size, run, contention), clamped to
@@ -156,7 +177,12 @@ impl Grid3 {
         let c11 = c110 * (1.0 - wk) + c111 * wk;
         let c0 = c00 * (1.0 - wj) + c01 * wj;
         let c1 = c10 * (1.0 - wj) + c11 * wj;
-        c0 * (1.0 - wi) + c1 * wi
+        let value = c0 * (1.0 - wi) + c1 * wi;
+        debug_assert!(
+            value.is_finite(),
+            "interpolation at ({size}, {run}, {contention}) read an unmeasured cell"
+        );
+        value
     }
 
     /// Trilinear interpolation plus the exact gradient w.r.t.
@@ -188,6 +214,10 @@ impl Grid3 {
         let c0 = c00 * (1.0 - wj) + c01 * wj;
         let c1 = c10 * (1.0 - wj) + c11 * wj;
         let value = c0 * (1.0 - wi) + c1 * wi;
+        debug_assert!(
+            value.is_finite(),
+            "interpolation at ({size}, {run}, {contention}) read an unmeasured cell"
+        );
         let d_size = (c1 - c0) * dwi;
         let d_run = ((c01 - c00) * (1.0 - wi) + (c11 - c10) * wi) * dwj;
         let d_con = (((c001 - c000) * (1.0 - wj) + (c011 - c010) * wj) * (1.0 - wi)
@@ -252,14 +282,6 @@ mod tests {
             let got = g.interpolate(s, r, c);
             assert!((got - expect).abs() < 1e-9, "({s},{r},{c}) got {got}");
         }
-    }
-
-    #[test]
-    fn scale_values_multiplies_uniformly() {
-        let mut g = linear_grid();
-        let before = g.interpolate(1.5, 2.0, 2.0);
-        g.scale_values(3.0);
-        assert!((g.interpolate(1.5, 2.0, 2.0) - 3.0 * before).abs() < 1e-9);
     }
 
     #[test]

@@ -25,6 +25,9 @@ pub mod grid;
 pub mod table;
 pub mod target;
 
-pub use calibrate::{calibrate_device, calibration_fault, check_capacity, CalibrationGrid};
+pub use calibrate::{
+    calibrate_columns, calibrate_device, calibration_fault, check_capacity, CalibrationGrid,
+    ColumnDemand,
+};
 pub use table::{CostGrad, CostModel, TableModel};
 pub use target::{ModelError, TargetCostModel};

@@ -1,5 +1,6 @@
 //! Tabulated cost models with interpolation.
 
+use crate::calibrate::ColumnDemand;
 use crate::grid::Grid3;
 use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 use wasla_storage::{IoKind, Tier};
@@ -84,6 +85,10 @@ pub trait CostModel: Send + Sync {
 /// A black-box tabulated model: one 3-D grid per request direction,
 /// built from calibration measurements and interpolated at query time
 /// (paper §5.2.2, Figure 8 shows one slice of such a model).
+///
+/// A table may hold only the (size, run) columns a [`ColumnDemand`]
+/// asked for ([`crate::calibrate_columns`]); its other cells are NaN,
+/// and [`TableModel::covers`] tells which demands it can serve.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TableModel {
     /// Device name the model was calibrated for (diagnostic).
@@ -131,20 +136,13 @@ impl FromJson for TableModel {
 
 impl CostModel for TableModel {
     fn request_cost(&self, kind: IoKind, size: f64, run_count: f64, contention: f64) -> f64 {
-        let grid = match kind {
-            IoKind::Read => &self.reads,
-            IoKind::Write => &self.writes,
-        };
-        grid.interpolate(size, run_count, contention)
+        self.grid(kind).interpolate(size, run_count, contention)
     }
 
     fn cost_with_grad(&self, kind: IoKind, size: f64, run_count: f64, contention: f64) -> CostGrad {
-        let grid = match kind {
-            IoKind::Read => &self.reads,
-            IoKind::Write => &self.writes,
-        };
-        let (value, [d_size, d_run, d_contention]) =
-            grid.interpolate_with_grad(size, run_count, contention);
+        let (value, [d_size, d_run, d_contention]) = self
+            .grid(kind)
+            .interpolate_with_grad(size, run_count, contention);
         CostGrad {
             value,
             d_size,
@@ -159,6 +157,41 @@ impl CostModel for TableModel {
 }
 
 impl TableModel {
+    /// The grid for one request direction.
+    pub(crate) fn grid(&self, kind: IoKind) -> &Grid3 {
+        match kind {
+            IoKind::Read => &self.reads,
+            IoKind::Write => &self.writes,
+        }
+    }
+
+    pub(crate) fn grid_mut(&mut self, kind: IoKind) -> &mut Grid3 {
+        match kind {
+            IoKind::Read => &mut self.reads,
+            IoKind::Write => &mut self.writes,
+        }
+    }
+
+    /// Whether every column `demand` names has been measured (the
+    /// demand must be over this table's grid).
+    pub fn covers(&self, demand: &ColumnDemand) -> bool {
+        [IoKind::Read, IoKind::Write].into_iter().all(|kind| {
+            let grid = self.grid(kind);
+            (0..grid.sizes.len()).all(|si| {
+                (0..grid.runs.len())
+                    .all(|ri| !demand.contains(kind, si, ri) || grid.column_measured(si, ri))
+            })
+        })
+    }
+
+    /// Whether every column of both grids has been measured.
+    pub fn is_complete(&self) -> bool {
+        [&self.reads, &self.writes].into_iter().all(|grid| {
+            (0..grid.sizes.len())
+                .all(|si| (0..grid.runs.len()).all(|ri| grid.column_measured(si, ri)))
+        })
+    }
+
     /// Serializes the model to JSON (models are expensive to calibrate
     /// on real hardware; persisting them is standard practice).
     pub fn to_json(&self) -> String {

@@ -17,7 +17,7 @@
 //! configuration differences ("there may be a different model for each
 //! target type", §5.2).
 
-use crate::calibrate::{calibrate_device, check_capacity, CalibrationGrid};
+use crate::calibrate::{calibrate_device, check_capacity, CalibrationGrid, ColumnDemand};
 use crate::table::{CostGrad, CostModel, TableModel};
 use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 use wasla_storage::{IoKind, TargetConfig, Tier};
@@ -265,75 +265,95 @@ impl TargetCostModel {
     }
 }
 
+/// One target-level query mapped onto the member table.
+#[derive(Clone, Copy, Debug)]
+struct MemberQuery {
+    /// Member-level request size.
+    size: f64,
+    /// Member-level run count.
+    run: f64,
+    /// Members one request splits across (`k`; 1 unless the request
+    /// spans several stripes).
+    pieces: f64,
+    /// ∂(member run)/∂(target run); zero where the one-run clamp
+    /// holds.
+    run_slope: f64,
+}
+
+/// The RAID-0 split/run transform: how a request of `size` bytes at
+/// target-level run count `run_count` reaches the members of a
+/// `width`-wide group striped at `stripe_unit` bytes. The member run
+/// count is non-decreasing in `run_count`.
+fn member_query(width: usize, stripe_unit: u64, size: f64, run_count: f64) -> MemberQuery {
+    if width == 1 {
+        return MemberQuery {
+            size,
+            run: run_count,
+            pieces: 1.0,
+            run_slope: 1.0,
+        };
+    }
+    let w = width as f64;
+    let stripe = stripe_unit as f64;
+    // A request no larger than the stripe unit lands on one member,
+    // and round-robin shortens member runs; a larger one splits into
+    // k concurrent pieces of size/k. The size sensitivity is then
+    // only through the piece size (k is piecewise constant).
+    let k = if size <= stripe {
+        1.0
+    } else {
+        (size / stripe).ceil().min(w)
+    };
+    let scaled = run_count * k / w;
+    MemberQuery {
+        size: size / k,
+        run: scaled.max(1.0),
+        pieces: k,
+        run_slope: if scaled > 1.0 { k / w } else { 0.0 },
+    }
+}
+
+impl TargetCostModel {
+    /// Adds to `demand` the member-table columns a target built from
+    /// `config` reads when it prices `kind` requests of `size` bytes at
+    /// any target-level run count in `[run_lo, run_hi]`. The member
+    /// transform is monotone in the run count, so the two ends bound
+    /// every query in between.
+    pub fn add_demand(
+        demand: &mut ColumnDemand,
+        config: &TargetConfig,
+        kind: IoKind,
+        size: f64,
+        run_lo: f64,
+        run_hi: f64,
+    ) {
+        let (width, stripe_unit) = (config.members.len(), config.stripe_unit);
+        let lo = member_query(width, stripe_unit, size, run_lo);
+        let hi = member_query(width, stripe_unit, size, run_hi);
+        demand.add_query(kind, lo.size, lo.run, hi.run);
+    }
+
+    /// The member-occupancy divisor: members times channels.
+    fn divisor(&self) -> f64 {
+        self.width as f64 * self.parallelism as f64
+    }
+}
+
 impl CostModel for TargetCostModel {
     fn request_cost(&self, kind: IoKind, size: f64, run_count: f64, contention: f64) -> f64 {
-        let w = self.width as f64;
-        let par = self.parallelism as f64;
-        if self.width == 1 {
-            return self.member.request_cost(kind, size, run_count, contention) / par;
-        }
-        let stripe = self.stripe_unit as f64;
-        if size <= stripe {
-            // One member per request; round-robin shortens member runs.
-            let member_run = (run_count / w).max(1.0);
-            self.member.request_cost(kind, size, member_run, contention) / (w * par)
-        } else {
-            // Split across k members servicing pieces concurrently.
-            let k = (size / stripe).ceil().min(w);
-            let piece = size / k;
-            let member_run = (run_count * k / w).max(1.0);
-            self.member
-                .request_cost(kind, piece, member_run, contention)
-                * k
-                / (w * par)
-        }
+        let q = member_query(self.width, self.stripe_unit, size, run_count);
+        self.member.request_cost(kind, q.size, q.run, contention) * q.pieces / self.divisor()
     }
 
     fn cost_with_grad(&self, kind: IoKind, size: f64, run_count: f64, contention: f64) -> CostGrad {
-        let w = self.width as f64;
-        let par = self.parallelism as f64;
-        if self.width == 1 {
-            let g = self
-                .member
-                .cost_with_grad(kind, size, run_count, contention);
-            return CostGrad {
-                value: g.value / par,
-                d_size: g.d_size / par,
-                d_run: g.d_run / par,
-                d_contention: g.d_contention / par,
-            };
-        }
-        let stripe = self.stripe_unit as f64;
-        if size <= stripe {
-            // member_run = (run/w).max(1.0): the clamp kills the run
-            // sensitivity below one member-level run.
-            let member_run = (run_count / w).max(1.0);
-            let g = self
-                .member
-                .cost_with_grad(kind, size, member_run, contention);
-            let run_gate = if run_count / w > 1.0 { 1.0 / w } else { 0.0 };
-            CostGrad {
-                value: g.value / (w * par),
-                d_size: g.d_size / (w * par),
-                d_run: g.d_run * run_gate / (w * par),
-                d_contention: g.d_contention / (w * par),
-            }
-        } else {
-            // k = ceil(size/stripe) is piecewise-constant in size, so
-            // only the piece size `size/k` carries size sensitivity.
-            let k = (size / stripe).ceil().min(w);
-            let piece = size / k;
-            let member_run = (run_count * k / w).max(1.0);
-            let g = self
-                .member
-                .cost_with_grad(kind, piece, member_run, contention);
-            let run_gate = if run_count * k / w > 1.0 { k / w } else { 0.0 };
-            CostGrad {
-                value: g.value * k / (w * par),
-                d_size: g.d_size / (w * par),
-                d_run: g.d_run * run_gate * k / (w * par),
-                d_contention: g.d_contention * k / (w * par),
-            }
+        let q = member_query(self.width, self.stripe_unit, size, run_count);
+        let g = self.member.cost_with_grad(kind, q.size, q.run, contention);
+        let div = self.divisor();
+        CostGrad {
+            value: g.value * q.pieces / div,
+            d_size: g.d_size / div,
+            d_run: g.d_run * q.run_slope * q.pieces / div,
+            d_contention: g.d_contention * q.pieces / div,
         }
     }
 

@@ -27,6 +27,9 @@
 //!   computed ones (the in-tree JSON codec round-trips `u64` keys and
 //!   `f64` table values exactly), so a restarted service reproduces
 //!   warm results byte-for-byte.
+//! * **Whole tables only** — a calibration the advise path measured on
+//!   demand is completed in the copy written, so `calibrations.json`
+//!   holds the same bytes whatever demands the session served.
 //!
 //! The only hard error is failing to move damage out of the way: if
 //! the quarantine rename itself fails (e.g. the quarantine path is
@@ -59,9 +62,9 @@ pub const CONTROLLER_FILE: &str = "controller.json";
 /// with an atomic tmp-file-then-rename write.
 pub fn save_session(dir: &Path, session: &AdvisorSession) -> Result<(), WaslaError> {
     std::fs::create_dir_all(dir).map_err(|e| WaslaError::io(dir.display().to_string(), &e))?;
-    let (calibrations, fits) = session.caches();
-    save_cache(dir, CALIBRATIONS_FILE, "calibrations", calibrations)?;
-    save_cache(dir, FITS_FILE, "fits", fits)
+    let calibrations = session.complete_calibrations();
+    save_cache(dir, CALIBRATIONS_FILE, "calibrations", &calibrations)?;
+    save_cache(dir, FITS_FILE, "fits", session.fits_cache().entries())
 }
 
 /// Loads a session from `dir`. Missing files mean cold caches; bad
@@ -168,9 +171,9 @@ fn save_cache<V: ToJson>(
     dir: &Path,
     file: &str,
     kind: &str,
-    cache: &StageCache<V>,
+    entries: &[(u64, Arc<V>)],
 ) -> Result<(), WaslaError> {
-    let entries = entries_json(cache.entries());
+    let entries = entries_json(entries);
     let doc = Json::Obj(vec![
         ("version".to_string(), CACHE_VERSION.to_json()),
         ("kind".to_string(), kind.to_json()),
@@ -271,7 +274,7 @@ mod tests {
         let mut cache: StageCache<u64> = StageCache::new();
         cache.insert(u64::MAX, 1); // extreme keys must survive JSON
         cache.insert(0x1234_5678_9abc_def0, 2);
-        save_cache(&dir, "test.json", "test", &cache).unwrap();
+        save_cache(&dir, "test.json", "test", cache.entries()).unwrap();
         let mut notes = Vec::new();
         let back: StageCache<u64> = load_cache(&dir, "test.json", "test", &mut notes).unwrap();
         assert!(notes.is_empty());
@@ -306,7 +309,7 @@ mod tests {
                 r#"{"version": 1, "kind": "other", "checksum": 0, "entries": []}"#.to_string(),
             ),
             ("checksum mismatch", {
-                save_cache(&dir, "test.json", "test", &cache).unwrap();
+                save_cache(&dir, "test.json", "test", cache.entries()).unwrap();
                 let good = std::fs::read_to_string(dir.join("test.json")).unwrap();
                 good.replace("[[1,10]]", "[[1,99]]")
             }),

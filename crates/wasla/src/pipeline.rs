@@ -28,12 +28,13 @@
 use crate::error::WaslaError;
 use crate::session::AdvisorSession;
 use std::sync::Arc;
+use wasla_core::layout_model::add_calibration_demand;
 use wasla_core::{
     AdminConstraint, AdvisorOptions, Layout, LayoutProblem, ObjectiveKind, Recommendation,
     SolveQuality,
 };
 use wasla_exec::{Engine, Placement, RunConfig, RunOutcome, RunReport};
-use wasla_model::{CalibrationGrid, TargetCostModel};
+use wasla_model::{CalibrationGrid, ColumnDemand, ModelError, TargetCostModel};
 use wasla_storage::{DeviceSpec, DiskParams, SsdParams, StorageSystem, TargetConfig};
 use wasla_trace::FitConfig;
 use wasla_workload::{Catalog, SqlWorkload, WorkloadSet};
@@ -443,6 +444,14 @@ pub struct AdviseOutcome {
     /// The fitted per-object workload descriptions.
     pub fitted: WorkloadSet,
     /// The assembled layout problem (with calibrated models).
+    ///
+    /// Its member tables cover only the (size, run) columns the fitted
+    /// workloads can reach ([`calibration_demands`]); every other cell
+    /// is NaN. Re-solving with other object sizes or rates is fine when
+    /// each object's rate-weighted mean request size is unchanged (as
+    /// when every rate of an object scales alike). A caller that
+    /// changes request sizes, run counts or that mix must rebuild the
+    /// models with [`AdvisorSession::models_for`].
     pub problem: LayoutProblem,
     /// The advisor's recommendation.
     pub recommendation: Recommendation,
@@ -455,6 +464,38 @@ impl AdviseOutcome {
     pub fn is_degraded(&self) -> bool {
         !self.degraded.is_empty()
     }
+}
+
+/// The calibration columns each target's member table must hold so
+/// that pricing `fitted` on `targets` under any layout reads only
+/// measured cells: per target, the union over every target built from
+/// the same member spec (targets sharing a spec share one table), for
+/// the LVM stripe [`assemble_problem`] lays objects out with. Fails
+/// like [`TargetCostModel::calibratable_spec`] on the first target that
+/// cannot be calibrated.
+pub fn calibration_demands(
+    targets: &[TargetConfig],
+    fitted: &WorkloadSet,
+    grid: &CalibrationGrid,
+) -> Result<Vec<ColumnDemand>, ModelError> {
+    let mut specs: Vec<(&DeviceSpec, ColumnDemand)> = Vec::new();
+    let mut slots = Vec::with_capacity(targets.len());
+    for config in targets {
+        let spec = TargetCostModel::calibratable_spec(config, grid)?;
+        let slot = specs
+            .iter()
+            .position(|(s, _)| *s == spec)
+            .unwrap_or_else(|| {
+                specs.push((spec, ColumnDemand::none(grid)));
+                specs.len() - 1
+            });
+        add_calibration_demand(&mut specs[slot].1, config, &fitted.specs, LVM_STRIPE as f64);
+        slots.push(slot);
+    }
+    Ok(slots
+        .into_iter()
+        .map(|slot| specs[slot].1.clone())
+        .collect())
 }
 
 /// Assembles a [`LayoutProblem`] from a scenario, fitted workloads,

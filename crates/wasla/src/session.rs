@@ -5,7 +5,11 @@
 //! stages in [`StageCache`]s:
 //!
 //! * calibration tables, keyed by `(DeviceSpec, CalibrationGrid,
-//!   seed)` content hash — the dominant cost of a cold advise;
+//!   seed)` content hash — the dominant cost of a cold advise. The
+//!   advise path asks only for the (size, run) columns its fitted
+//!   workloads can reach and extends a cached table when a later
+//!   problem reaches further; [`AdvisorSession::models_for`], the
+//!   batch prewarm and the daemon ask for whole tables;
 //! * fitted workload sets, keyed by `(op-log content hash, fit config,
 //!   object inventory)`.
 //!
@@ -25,21 +29,27 @@
 
 use crate::error::WaslaError;
 use crate::persist;
-use crate::pipeline::{assemble_problem, AdviseConfig, AdviseOutcome, DegradedNote, Scenario};
+use crate::pipeline::{
+    assemble_problem, calibration_demands, AdviseConfig, AdviseOutcome, DegradedNote, Scenario,
+};
 use crate::stages::{
     CalibrateInput, CalibrateStage, FitInput, FitStage, RegularizeInput, RegularizeStage,
     SolveStage, TraceInput, TraceStage,
 };
 use std::path::PathBuf;
+use std::sync::Arc;
 use wasla_core::{
     CacheMark, CacheStats, LayoutProblem, ObjectiveKind, Recommendation, SolveQuality, Stage,
     StageCache,
 };
 use wasla_exec::DeviceEvent;
-use wasla_model::{calibration_fault, CalibrationGrid, TableModel, TargetCostModel};
+use wasla_model::{
+    calibrate_columns, calibration_fault, CalibrationGrid, ColumnDemand, TableModel,
+    TargetCostModel,
+};
 use wasla_simlib::fault::{self, SolverBudget};
 use wasla_simlib::par;
-use wasla_storage::TargetConfig;
+use wasla_storage::{DeviceSpec, TargetConfig};
 use wasla_trace::oplog::{OpLog, OpLogSalvage};
 use wasla_trace::{FitConfig, FitError};
 use wasla_workload::{DeadlineClass, SqlWorkload, WorkloadSet};
@@ -63,12 +73,24 @@ pub(crate) fn fault_keep(log: &OpLog) -> Option<usize> {
     Some(((log.len() as f64) * tf.keep_fraction) as usize)
 }
 
+/// The inputs behind a calibration cache key: what measures the rest
+/// of a partial table.
+#[derive(Clone, Debug)]
+struct CalibrationSource {
+    spec: DeviceSpec,
+    grid: CalibrationGrid,
+    seed: u64,
+}
+
 /// A stateful advisor: the staged pipeline plus memoized outputs of
 /// the cacheable stages.
 #[derive(Clone, Debug, Default)]
 pub struct AdvisorSession {
     calibrations: StageCache<TableModel>,
     fits: StageCache<WorkloadSet>,
+    /// The source of every calibration entry that was cached as a
+    /// partial table, by cache key (persistence completes them).
+    sources: Vec<(u64, CalibrationSource)>,
 }
 
 impl AdvisorSession {
@@ -95,10 +117,35 @@ impl AdvisorSession {
         self.fits.len()
     }
 
-    /// The stage caches, borrowed (the persistence layer serializes
-    /// them without draining the session).
-    pub(crate) fn caches(&self) -> (&StageCache<TableModel>, &StageCache<WorkloadSet>) {
-        (&self.calibrations, &self.fits)
+    /// The fit cache, borrowed (the persistence layer serializes it
+    /// without draining the session).
+    pub(crate) fn fits_cache(&self) -> &StageCache<WorkloadSet> {
+        &self.fits
+    }
+
+    /// The calibration cache entries with every partial table
+    /// completed, for a snapshot: the copy holds whole tables, as if
+    /// every lookup had asked for all columns, while the session keeps
+    /// its partial ones.
+    pub(crate) fn complete_calibrations(&self) -> Vec<(u64, Arc<TableModel>)> {
+        self.calibrations
+            .entries()
+            .iter()
+            .map(|(key, table)| {
+                let source = self.sources.iter().find(|(k, _)| k == key);
+                let table = match source {
+                    Some((_, s)) if !table.is_complete() => Arc::new(calibrate_columns(
+                        &s.spec,
+                        &s.grid,
+                        s.seed,
+                        &ColumnDemand::all(&s.grid),
+                        Some(table),
+                    )),
+                    _ => Arc::clone(table),
+                };
+                (*key, table)
+            })
+            .collect()
     }
 
     /// Rebuilds a session around restored caches (counters start at
@@ -107,16 +154,23 @@ impl AdvisorSession {
         calibrations: StageCache<TableModel>,
         fits: StageCache<WorkloadSet>,
     ) -> Self {
-        AdvisorSession { calibrations, fits }
+        AdvisorSession {
+            calibrations,
+            fits,
+            sources: Vec::new(),
+        }
     }
 
-    /// The calibration table for one target's member device,
-    /// computing it on a cache miss.
+    /// The calibration table for one target's member device, covering
+    /// `demand`. A cached table that covers it is a hit; otherwise the
+    /// missing columns are measured and the extended table replaces
+    /// the cached one (a miss).
     fn member_table(
         &mut self,
         config: &TargetConfig,
         grid: &CalibrationGrid,
         seed: u64,
+        demand: &ColumnDemand,
     ) -> Result<TableModel, WaslaError> {
         let spec = TargetCostModel::calibratable_spec(config, grid)?;
         let stage = CalibrateStage { grid };
@@ -124,24 +178,61 @@ impl AdvisorSession {
         let key = stage
             .cache_key(&input)
             .ok_or_else(|| WaslaError::Internal("calibrate stage must be cacheable".to_string()))?;
-        Ok(self
+        let table = self
             .calibrations
-            .get_or_insert_with(key, || stage.table(&input))
-            .clone())
+            .get_or_update_with(
+                key,
+                |table| table.covers(demand),
+                |cached| stage.columns(&input, demand, cached),
+            )
+            .clone();
+        if !table.is_complete() && !self.sources.iter().any(|(k, _)| *k == key) {
+            let source = CalibrationSource {
+                spec: spec.clone(),
+                grid: grid.clone(),
+                seed,
+            };
+            self.sources.push((key, source));
+        }
+        Ok(table)
     }
 
     /// Target cost models for a scenario's targets, assembling each
-    /// around a (possibly cached) member calibration table.
+    /// around a (possibly cached) member calibration table covering
+    /// every column, so the models price any workload.
     pub fn models_for(
         &mut self,
         targets: &[TargetConfig],
         grid: &CalibrationGrid,
         seed: u64,
     ) -> Result<Vec<TargetCostModel>, WaslaError> {
+        let all = ColumnDemand::all(grid);
         targets
             .iter()
             .map(|config| {
-                let member = self.member_table(config, grid, seed)?;
+                let member = self.member_table(config, grid, seed, &all)?;
+                TargetCostModel::with_member(config, member).map_err(WaslaError::from)
+            })
+            .collect()
+    }
+
+    /// Target cost models whose member tables cover only what pricing
+    /// `fitted` can read under any layout ([`calibration_demands`]).
+    /// Targets sharing a member spec share one demand, so the first of
+    /// them measures and the rest hit.
+    fn models_for_workloads(
+        &mut self,
+        targets: &[TargetConfig],
+        grid: &CalibrationGrid,
+        seed: u64,
+        fitted: &WorkloadSet,
+    ) -> Result<Vec<TargetCostModel>, WaslaError> {
+        let demands = calibration_demands(targets, fitted, grid)?;
+        targets
+            .iter()
+            .zip(&demands)
+            .map(|(config, demand)| {
+                let member = self.member_table(config, grid, seed, demand)?;
                 TargetCostModel::with_member(config, member).map_err(WaslaError::from)
             })
             .collect()
@@ -149,9 +240,6 @@ impl AdvisorSession {
 
     /// [`models_for`](Self::models_for) a scenario's targets, noting
     /// each target whose calibration the active fault plan degraded.
-    /// Calibration faults are applied inside `calibrate_device`; this
-    /// re-queries the plan (the cached table carries the degradation
-    /// with it).
     pub(crate) fn models_noting_faults(
         &mut self,
         scenario: &Scenario,
@@ -159,15 +247,7 @@ impl AdvisorSession {
         degraded: &mut Vec<DegradedNote>,
     ) -> Result<Vec<TargetCostModel>, WaslaError> {
         let models = self.models_for(&scenario.targets, grid, scenario.seed)?;
-        for target in &scenario.targets {
-            let spec = TargetCostModel::member_spec(target)?;
-            if let Some(f) = calibration_fault(spec, scenario.seed) {
-                degraded.push(DegradedNote::CalibrationDegraded {
-                    device: target.name.clone(),
-                    factor: f.latency_factor(),
-                });
-            }
-        }
+        note_calibration_faults(scenario, degraded)?;
         Ok(models)
     }
 
@@ -294,7 +374,9 @@ impl AdvisorSession {
                 dropped: s.dropped,
             });
         }
-        let models = self.models_noting_faults(scenario, &config.grid, &mut degraded)?;
+        let models =
+            self.models_for_workloads(&scenario.targets, &config.grid, scenario.seed, &fitted)?;
+        note_calibration_faults(scenario, &mut degraded)?;
         let problem =
             assemble_problem(scenario, fitted.clone(), models, config.constraints.clone());
         let solve = SolveStage {
@@ -380,7 +462,32 @@ impl AdvisorSession {
         self.calibrations
             .absorb(local.calibrations, mark.calibrations);
         self.fits.absorb(local.fits, mark.fits);
+        for (key, source) in local.sources {
+            if !self.sources.iter().any(|(k, _)| *k == key) {
+                self.sources.push((key, source));
+            }
+        }
     }
+}
+
+/// Notes each target whose calibration the active fault plan
+/// degraded. Calibration faults are applied inside the calibration
+/// routine; this re-queries the plan (a cached table carries the
+/// degradation with it).
+fn note_calibration_faults(
+    scenario: &Scenario,
+    degraded: &mut Vec<DegradedNote>,
+) -> Result<(), WaslaError> {
+    for target in &scenario.targets {
+        let spec = TargetCostModel::member_spec(target)?;
+        if let Some(f) = calibration_fault(spec, scenario.seed) {
+            degraded.push(DegradedNote::CalibrationDegraded {
+                device: target.name.clone(),
+                factor: f.latency_factor(),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// An [`AdvisorSession`]'s [`CacheMark`]s.
@@ -776,18 +883,24 @@ impl Service {
             .collect();
 
         // Prewarm: every distinct (device, grid, seed) calibration the
-        // admitted requests will need, serially at this level (each
-        // calibration is internally parallel). Rejected requests never
-        // touch the pipeline, so they warm nothing. Modeling errors
-        // are left for the per-request run to report.
+        // admitted requests will need, whole, serially at this level
+        // (each calibration is internally parallel). Whole tables cover
+        // any demand, so the workers only hit and never replace an
+        // entry. Rejected requests never touch the pipeline, so they
+        // warm nothing. Modeling errors are left for the per-request
+        // run to report.
         for (i, request) in requests.iter().enumerate() {
             if !admitted[i] {
                 continue;
             }
+            let all = ColumnDemand::all(&request.config.grid);
             for target in &request.scenario.targets {
-                let _ =
-                    self.session
-                        .member_table(target, &request.config.grid, request.scenario.seed);
+                let _ = self.session.member_table(
+                    target,
+                    &request.config.grid,
+                    request.scenario.seed,
+                    &all,
+                );
             }
         }
 

@@ -32,7 +32,7 @@ use wasla_core::{
     SolveOutcome, Stage,
 };
 use wasla_exec::{Placement, RunOutcome};
-use wasla_model::{calibrate_device, CalibrationGrid, TableModel};
+use wasla_model::{calibrate_columns, CalibrationGrid, ColumnDemand, TableModel};
 use wasla_simlib::hash::{hash_json, Fnv64};
 use wasla_storage::DeviceSpec;
 use wasla_trace::oplog::{fit_oplog_streamed, OpLog};
@@ -174,16 +174,25 @@ pub struct CalibrateInput<'a> {
 
 /// Stage 3 — calibrate a tabulated cost model for one device type.
 /// Pure in `(spec, grid, seed)`, so cacheable; this is the expensive
-/// stage warm sessions skip.
+/// stage warm sessions skip. [`Stage::run`] measures the whole grid;
+/// the session's advise path measures only the columns its workloads
+/// demand ([`CalibrateStage::columns`]), and every measured cell is
+/// bit-identical either way.
 pub struct CalibrateStage<'a> {
     /// The calibration grid.
     pub grid: &'a CalibrationGrid,
 }
 
 impl<'a> CalibrateStage<'a> {
-    /// Runs the calibration (infallible; [`Stage::run`] wraps this).
-    pub fn table(&self, input: &CalibrateInput<'a>) -> TableModel {
-        calibrate_device(input.spec, self.grid, input.seed)
+    /// `base` (or an unmeasured table) plus every `demand` column it
+    /// lacks (see [`calibrate_columns`]).
+    pub fn columns(
+        &self,
+        input: &CalibrateInput<'a>,
+        demand: &ColumnDemand,
+        base: Option<&TableModel>,
+    ) -> TableModel {
+        calibrate_columns(input.spec, self.grid, input.seed, demand, base)
     }
 }
 
@@ -197,7 +206,7 @@ impl<'a> Stage for CalibrateStage<'a> {
     }
 
     fn run(&self, input: &CalibrateInput<'a>) -> Result<TableModel, WaslaError> {
-        Ok(self.table(input))
+        Ok(self.columns(input, &ColumnDemand::all(self.grid), None))
     }
 
     fn cache_key(&self, input: &CalibrateInput<'a>) -> Option<u64> {
