@@ -147,3 +147,26 @@ else
     echo "error: the demanded calibration costs ${ratio}x the whole grid (gate: 0.6x)" >&2
     exit 1
 fi
+
+echo
+echo "== gated-rebuild gate (half-gated vs dense full re-evaluation) =="
+# A rebuild never fills or adds the scratch row of a gated fraction
+# (DESIGN.md §10), and a gated cell skips its cost-model calls. With
+# each row on two of four targets, a rebuild must stay <= 0.8x a dense
+# one on the same problem size, or the rebuild has gone back to
+# reducing every leaf. In-run comparison, so machine drift cancels out.
+dense_ns=$(median_of "eval_rebuild/n40_m4" solver)
+gated_ns=$(median_of "eval_rebuild/n40_m4_gated" solver)
+if [ -z "$dense_ns" ] || [ -z "$gated_ns" ]; then
+    echo "error: eval_rebuild rows missing from results/BENCH_solver.json" >&2
+    echo "(expected eval_rebuild/n40_m4 and eval_rebuild/n40_m4_gated)" >&2
+    exit 1
+fi
+ratio=$(awk -v g="$gated_ns" -v d="$dense_ns" 'BEGIN { printf "%.2f", g / d }')
+echo "solver: eval_rebuild/n40_m4_gated ${gated_ns} ns / eval_rebuild/n40_m4 ${dense_ns} ns = ${ratio}x"
+if awk -v g="$gated_ns" -v d="$dense_ns" 'BEGIN { exit !(g / d <= 0.8) }'; then
+    echo "gated-rebuild gate passed (half-gated rebuild <= 0.8x a dense one)"
+else
+    echo "error: a half-gated rebuild costs ${ratio}x a dense one (gate: 0.8x)" >&2
+    exit 1
+fi

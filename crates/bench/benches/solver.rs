@@ -5,7 +5,7 @@ use wasla::core::EvalEngine;
 use wasla::simlib::SimRng;
 use wasla::solver::{lse_max, minimize, project_simplex, PgOptions};
 use wasla_bench::anneal::{anneal, AnnealOptions};
-use wasla_bench::harness::{BatchSize, Harness};
+use wasla_bench::harness::{BatchSize, Group, Harness};
 use wasla_bench::sweep::sweep_problem;
 
 fn bench_simplex_projection(c: &mut Harness) {
@@ -89,12 +89,11 @@ const SWEEP_TEMP: f64 = 0.05;
 
 /// One full re-evaluation — the engine's rebuild path, which every
 /// line-search trial point of the PG solver takes — alternating two
-/// dense layouts that differ in every coordinate, so each call
-/// recomputes all `N·M` competing sums and `µ` cells.
+/// layouts that differ in every coordinate, so each call recomputes all
+/// `N·M` competing sums and `µ` cells.
 fn bench_eval_rebuild(c: &mut Harness) {
     let mut group = c.benchmark_group("eval_rebuild");
     for (n, m) in [(40usize, 4usize), (128, 16)] {
-        let problem = sweep_problem(n, m);
         let mut rng = SimRng::new(19);
         let mut dense = || -> Vec<f64> {
             let mut x: Vec<f64> = (0..n * m).map(|_| rng.uniform_range(0.05, 1.0)).collect();
@@ -105,23 +104,59 @@ fn bench_eval_rebuild(c: &mut Harness) {
             x
         };
         let points = [dense(), dense()];
-        let mut engine = EvalEngine::new(&problem);
-        engine.set_point(&points[1]);
-        let before = engine.stats;
-        black_box(engine.lse_score(&points[0], SWEEP_TEMP));
-        let per_call = engine.stats.since(&before);
-        let mut flip = 0;
-        group.bench_function(format!("n{n}_m{m}"), |b| {
-            for (name, value) in per_call.entries() {
-                b.counter(name, value as f64);
-            }
-            b.iter(|| {
-                flip ^= 1;
-                black_box(engine.lse_score(black_box(&points[flip]), SWEEP_TEMP))
-            })
-        });
+        bench_rebuild_pair(&mut group, format!("n{n}_m{m}"), n, m, &points);
     }
+    // Half-gated: each row keeps two of the four targets and the
+    // other two fractions are exactly 0.0, the sparse iterates the PG
+    // projection produces. The two layouts keep complementary target
+    // pairs, so they still differ in every coordinate.
+    let (n, m) = (40usize, 4usize);
+    let mut rng = SimRng::new(23);
+    let mut gated = |shift: usize| -> Vec<f64> {
+        let mut x = vec![0.0; n * m];
+        for (i, row) in x.chunks_mut(m).enumerate() {
+            let a = rng.uniform_range(0.05, 0.95);
+            row[(i + shift) % m] = a;
+            row[(i + shift + 1) % m] = 1.0 - a;
+        }
+        x
+    };
+    let points = [gated(0), gated(2)];
+    bench_rebuild_pair(&mut group, format!("n{n}_m{m}_gated"), n, m, &points);
     group.finish();
+}
+
+/// Times `lse_score` alternating between `points` on the sweep
+/// problem of size `n × m`, asserting first that each call is exactly
+/// one full rebuild (a pair closer than the engine's rebuild fraction
+/// would time incremental commits instead).
+fn bench_rebuild_pair(
+    group: &mut Group<'_>,
+    name: String,
+    n: usize,
+    m: usize,
+    points: &[Vec<f64>; 2],
+) {
+    let problem = sweep_problem(n, m);
+    let mut engine = EvalEngine::new(&problem);
+    engine.set_point(&points[1]);
+    let before = engine.stats;
+    black_box(engine.lse_score(&points[0], SWEEP_TEMP));
+    let per_call = engine.stats.since(&before);
+    assert_eq!(
+        per_call.full_rebuilds, 1,
+        "{name}: each call must be one rebuild"
+    );
+    let mut flip = 0;
+    group.bench_function(name, |b| {
+        for (name, value) in per_call.entries() {
+            b.counter(name, value as f64);
+        }
+        b.iter(|| {
+            flip ^= 1;
+            black_box(engine.lse_score(black_box(&points[flip]), SWEEP_TEMP))
+        })
+    });
 }
 
 wasla_bench::bench_main!(

@@ -16,13 +16,21 @@
 //! * `µ[i][j]` and the per-target folds `µⱼ`;
 //! * capacity column sums `Σᵢ sᵢ·xᵢⱼ` for the AugLag constraints.
 //!
-//! A full rebuild computes each root by the same pairwise reduction in
-//! a reused `P`-slot buffer and writes no tree: most rebuilds (the
+//! A full rebuild computes every root of a column at once, leaf-major:
+//! a reused `N×N` scratch whose row `l` holds leaf `l` of every tree of
+//! the column (`Rᵀ` row `l` times `f_lj`, self slot zeroed), reduced
+//! level by level with contiguous row adds in the canonical tree
+//! shape. A row whose fraction is gated (`f ≤ EPS`) is all `+0.0` and
+//! is never filled or added: a pair with one dead row takes the live
+//! row as it is, a pair of dead rows stays dead, and the padding rows
+//! `N..P` are always dead. Every leaf is `≥ +0.0` and `x + (+0.0) == x`
+//! bitwise, so each root keeps the bits of `kernel::pairwise_sum`
+//! (DESIGN.md §10). The rebuild writes no tree: most rebuilds (the
 //! line search's trial points) are never followed by a commit or probe
 //! before the next rebuild. A column's trees are materialized only
-//! when a commit or probe first touches that column after a rebuild.
-//! Both paths reduce the same leaves in the same shape, so every root
-//! has the same bits whichever path produced it (DESIGN.md §10).
+//! when a commit or probe first touches that column after a rebuild;
+//! they reduce the same leaves in the same shape, so every root has
+//! the same bits whichever path produced it.
 //!
 //! A *probe* asks for `µⱼ` with `xᵢⱼ := v` without committing: only
 //! the trees of column `j` whose leaf `i` actually changes (bitwise)
@@ -42,7 +50,8 @@
 //!
 //! Memory: the trees take `N·M · 2·P` f64s (`P = N` rounded up to a
 //! power of two) — about 4 MiB at N=128, M=16 — the price of exact
-//! O(log N) leaf replacement.
+//! O(log N) leaf replacement. The rebuild's leaf-major scratch takes
+//! `N·N` f64s (128 KiB at N=128), plus `Rᵀ` at the same size.
 
 use crate::eval::grad::{self, CrossAdjacency};
 use crate::eval::objective::ObjectiveKind;
@@ -58,6 +67,9 @@ use wasla_storage::IoKind;
 /// coordinate commit re-derives up to 2·N of them).
 const REBUILD_FRACTION: f64 = 0.25;
 
+/// A `node_rows` entry for a subtree whose every leaf is `+0.0`.
+const DEAD: usize = usize::MAX;
+
 /// Incremental evaluator for one [`LayoutProblem`].
 pub struct EvalEngine<'a> {
     problem: &'a LayoutProblem,
@@ -67,9 +79,10 @@ pub struct EvalEngine<'a> {
     /// two (the fixed reduction shape of `kernel::pairwise_sum`).
     p: usize,
     stripe: f64,
-    /// Rate-weighted overlap rows `Rᵢₖ = rateₖ·Oᵢ[k]`, row-major n×n
-    /// (layout-independent).
-    rw_overlap: Vec<f64>,
+    /// The rate-weighted overlaps `Rᵢₖ = rateₖ·Oᵢ[k]`, stored
+    /// transposed: `rw_t[k*n + i] = Rᵢₖ`, so row `k` holds leaf `k` of
+    /// every tree in a column (layout-independent).
+    rw_t: Vec<f64>,
     /// Object sizes, pre-cast to f64.
     sizes: Vec<f64>,
     /// The committed point, row-major n×m.
@@ -87,10 +100,13 @@ pub struct EvalEngine<'a> {
     trees: Vec<f64>,
     /// Per column: are its trees materialized at the committed point?
     live: Vec<bool>,
-    /// Reduction scratch for one competing sum (`p` slots).
-    sum_buf: Vec<f64>,
-    /// One gathered column of the committed point (`n` slots).
-    col_buf: Vec<f64>,
+    /// Leaf-major reduction scratch for one column, n×n: row `l`
+    /// holds leaf `l` of every tree `(i, j)`.
+    leaf_rows: Vec<f64>,
+    /// Per heap node of the level being reduced: the scratch row that
+    /// holds its partial sums, or [`DEAD`] when they are all `+0.0`
+    /// (`p` slots).
+    node_rows: Vec<usize>,
     /// Committed `µᵢⱼ` cells, row-major n×m.
     mu: Vec<f64>,
     /// Committed per-target utilizations `µⱼ` (left fold of `mu` in
@@ -137,17 +153,18 @@ impl<'a> EvalEngine<'a> {
         let p = n.next_power_of_two().max(1);
         let specs = &problem.workloads.specs;
         let rates: Vec<f64> = specs.iter().map(|s| s.total_rate()).collect();
-        let mut rw_overlap = vec![0.0; n * n];
+        let mut rw_t = vec![0.0; n * n];
         for i in 0..n {
             for k in 0..n {
-                rw_overlap[i * n + k] = rates[k] * specs[i].overlaps[k];
+                rw_t[k * n + i] = rates[k] * specs[i].overlaps[k];
             }
         }
-        let zero_w: Vec<PerTargetWorkload> = (0..n)
-            .flat_map(|i| {
-                (0..m).map(move |_| layout_model::apply(&specs[i], 0.0, problem.stripe_size))
-            })
-            .collect();
+        // The memo of a zero fraction depends on the object alone.
+        let mut zero_w = Vec::with_capacity(n * m);
+        for spec in specs {
+            let w = layout_model::apply(spec, 0.0, problem.stripe_size);
+            zero_w.extend(std::iter::repeat(w).take(m));
+        }
         // Every cache below is already what a rebuild at the all-zero
         // layout writes: a gated cell prices to 0 before any model is
         // read and every competing sum is +0.0.
@@ -157,15 +174,15 @@ impl<'a> EvalEngine<'a> {
             m,
             p,
             stripe: problem.stripe_size,
-            rw_overlap,
+            rw_t,
             sizes: problem.workloads.sizes.iter().map(|&s| s as f64).collect(),
             x: vec![0.0; n * m],
             w: zero_w,
             roots: vec![0.0; n * m],
             trees: vec![0.0; m * n * 2 * p],
             live: vec![false; m],
-            sum_buf: vec![0.0; p],
-            col_buf: vec![0.0; n],
+            leaf_rows: vec![0.0; n * n],
+            node_rows: vec![DEAD; p],
             mu: vec![0.0; n * m],
             mu_col: vec![0.0; m],
             cap_used: vec![0.0; m],
@@ -191,12 +208,12 @@ impl<'a> EvalEngine<'a> {
     // greps this region for allocation idioms).
 
     /// Recomputes every cache from scratch at `x`, except the trees:
-    /// each competing sum is reduced in the `p`-slot scratch buffer in
-    /// the canonical shape, and every column's trees are left stale
-    /// until [`Self::materialize`] needs them.
+    /// each column's competing sums are reduced leaf-major in the
+    /// scratch rows ([`Self::reduce_column`]), and every column's trees
+    /// are left stale until [`Self::materialize`] needs them.
     fn rebuild(&mut self, x: &[f64]) {
         self.stats.full_rebuilds += 1;
-        let (n, m, p) = (self.n, self.m, self.p);
+        let (n, m) = (self.n, self.m);
         self.x.copy_from_slice(x);
         let specs = &self.problem.workloads.specs;
         for i in 0..n {
@@ -204,31 +221,8 @@ impl<'a> EvalEngine<'a> {
                 self.w[i * m + j] = layout_model::apply(&specs[i], x[i * m + j], self.stripe);
             }
         }
-        let buf = &mut self.sum_buf;
         for j in 0..m {
-            for l in 0..n {
-                self.col_buf[l] = x[l * m + j];
-            }
-            for i in 0..n {
-                let row = &self.rw_overlap[i * n..(i + 1) * n];
-                for l in 0..n {
-                    let f = self.col_buf[l];
-                    let term = row[l] * f;
-                    buf[l] = if f <= EPS { 0.0 } else { term };
-                }
-                buf[i] = 0.0;
-                buf[n..p].fill(0.0);
-                // Level by level: slot l of the half-width level is
-                // heap node (width + l), the sum of its two children.
-                let mut width = p;
-                while width > 1 {
-                    width /= 2;
-                    for l in 0..width {
-                        buf[l] = buf[2 * l] + buf[2 * l + 1];
-                    }
-                }
-                self.roots[j * n + i] = buf[0];
-            }
+            self.reduce_column(j);
             self.live[j] = false;
         }
         for i in 0..n {
@@ -238,6 +232,69 @@ impl<'a> EvalEngine<'a> {
         }
         for j in 0..m {
             self.refold_column(j);
+        }
+    }
+
+    /// Writes the competing sums of every tree `(i, j)` of column `j`
+    /// at the committed point into `roots`, all at once: row `l` of
+    /// the scratch holds leaf `l` of every tree, and heap node `v` of
+    /// a level is the row-wise sum of its two children's rows — the
+    /// operand pairs and tree shape of `kernel::pairwise_sum`, for
+    /// `n` trees per row add. A gated row (`f_lj ≤ EPS`) and a padding
+    /// row are all `+0.0`; they are never filled or added, since
+    /// `x + (+0.0) == x` bitwise for every leaf `x ≥ +0.0`. The final
+    /// `+ 0.0` maps a `-0.0` root (possible only from a `-0.0` leaf,
+    /// which `pairwise_sum` would have added to a `+0.0`) to the
+    /// `+0.0` the kernel returns, so the roots match it for any finite
+    /// leaves.
+    fn reduce_column(&mut self, j: usize) {
+        let (n, m, p) = (self.n, self.m, self.p);
+        let rows = &mut self.leaf_rows;
+        let node = &mut self.node_rows;
+        for l in 0..n {
+            let f = self.x[l * m + j];
+            if f <= EPS {
+                node[l] = DEAD;
+                continue;
+            }
+            let row = &mut rows[l * n..(l + 1) * n];
+            for (leaf, &r) in row.iter_mut().zip(&self.rw_t[l * n..(l + 1) * n]) {
+                *leaf = r * f;
+            }
+            row[l] = 0.0; // leaf l of tree (l, j) is its self slot
+            node[l] = l;
+        }
+        node[n..p].fill(DEAD);
+        // Level by level: node v of the half-width level is heap node
+        // (width + v), the sum of its two children. The left child's
+        // row always precedes the right child's, so the sum lands in
+        // place in the left row.
+        let mut width = p;
+        while width > 1 {
+            width /= 2;
+            for v in 0..width {
+                let (a, b) = (node[2 * v], node[2 * v + 1]);
+                node[v] = if b == DEAD {
+                    a
+                } else if a == DEAD {
+                    b
+                } else {
+                    let (left, right) = rows.split_at_mut(b * n);
+                    for (s, &t) in left[a * n..(a + 1) * n].iter_mut().zip(&right[..n]) {
+                        *s += t;
+                    }
+                    a
+                };
+            }
+        }
+        let roots = &mut self.roots[j * n..(j + 1) * n];
+        match node[0] {
+            DEAD => roots.fill(0.0),
+            r => {
+                for (root, &s) in roots.iter_mut().zip(&rows[r * n..(r + 1) * n]) {
+                    *root = s + 0.0;
+                }
+            }
         }
     }
 
@@ -259,7 +316,7 @@ impl<'a> EvalEngine<'a> {
                     if f <= EPS {
                         0.0
                     } else {
-                        self.rw_overlap[i * n + l] * f
+                        self.rw_t[l * n + i] * f
                     }
                 };
             }
@@ -359,7 +416,7 @@ impl<'a> EvalEngine<'a> {
             let leaf = if v <= EPS {
                 0.0
             } else {
-                self.rw_overlap[k * n + i] * v
+                self.rw_t[i * n + k] * v
             };
             if leaf.to_bits() == self.trees[base + p + i].to_bits() {
                 self.stats.mu_reuses += 1;
@@ -417,7 +474,7 @@ impl<'a> EvalEngine<'a> {
                     let leaf = if v <= EPS {
                         0.0
                     } else {
-                        self.rw_overlap[k * n + i] * v
+                        self.rw_t[i * n + k] * v
                     };
                     if leaf.to_bits() == self.trees[base + p + i].to_bits() {
                         self.stats.mu_reuses += 1;
@@ -847,6 +904,76 @@ mod tests {
                         x = xv;
                     }
                     assert_committed_exact(&mut e, &x, &format!("{ctx} {phase}"));
+                }
+            }
+        }
+    }
+
+    /// Rebuild roots equal `kernel::competing_sum` bit for bit on both
+    /// sides of every power-of-two edge of the reduction shape, for
+    /// all-gated, single-live-row, dense and mixed columns, with gated
+    /// fractions of exactly 0.0, below `EPS` and equal to `EPS`. The
+    /// self variant gives every object a nonzero self-overlap, which
+    /// the self slot must still exclude; the signed variant makes every
+    /// overlap `-0.0`, so the lone live row's leaves are `-0.0` and a
+    /// tree that skips its dead self row must still return the
+    /// kernel's `+0.0`.
+    #[test]
+    fn rebuild_roots_match_kernel_across_power_of_two_edges() {
+        use crate::eval::kernel::{competing_sum, RateTransform};
+        let gated = [0.0, 0.5 * EPS, EPS];
+        let mut rng = wasla_simlib::SimRng::new(0x9e37);
+        for n in [1, 2, 3, 31, 32, 33, 64, 65] {
+            for variant in ["plain", "self", "signed"] {
+                let m = 4;
+                let mut p = problem(n, m);
+                for (i, spec) in p.workloads.specs.iter_mut().enumerate() {
+                    match variant {
+                        "self" => spec.overlaps[i] = 1.0,
+                        "signed" => spec.overlaps.iter_mut().for_each(|o| *o = -0.0),
+                        _ => {}
+                    }
+                }
+                let specs = &p.workloads.specs;
+                for live in [0, n / 2, n - 1] {
+                    let ctx = format!("n={n} {variant} live={live}");
+                    let mut x = vec![0.0; n * m];
+                    for l in 0..n {
+                        x[l * m] = gated[l % 3];
+                        x[l * m + 1] = if l == live {
+                            0.01 + rng.uniform()
+                        } else {
+                            gated[(l + 1) % 3]
+                        };
+                        x[l * m + 2] = 0.01 + rng.uniform();
+                        x[l * m + 3] = gated_fraction(&mut rng);
+                    }
+                    let mut e = EvalEngine::new(&p);
+                    e.rebuild(&x);
+                    for j in 0..m {
+                        e.materialize(j);
+                        for i in 0..n {
+                            let want = competing_sum(
+                                n,
+                                i,
+                                RateTransform::Average,
+                                &|k| specs[k].total_rate(),
+                                &|k| x[k * m + j],
+                                &|k| specs[i].overlaps[k],
+                            );
+                            let root = e.roots[j * n + i];
+                            assert_eq!(root.to_bits(), want.to_bits(), "{ctx}: root ({i},{j})");
+                            let tree_root = e.trees[(j * n + i) * 2 * e.p + 1];
+                            assert_eq!(
+                                tree_root.to_bits(),
+                                want.to_bits(),
+                                "{ctx}: tree ({i},{j})"
+                            );
+                        }
+                    }
+                    if variant != "signed" {
+                        assert_committed_exact(&mut e, &x, &ctx);
+                    }
                 }
             }
         }

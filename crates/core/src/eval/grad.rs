@@ -108,9 +108,9 @@ pub struct CrossAdjacency {
 }
 
 impl CrossAdjacency {
-    /// Builds the adjacency from workload specs. The products match
-    /// `EvalEngine`'s `rw_overlap` invariant bit-for-bit (same operand
-    /// order).
+    /// Builds the adjacency from workload specs. Row `i` holds the
+    /// nonzero off-diagonal entries of row `i` of `EvalEngine`'s
+    /// transposed `rw_t` invariant, bit for bit (same operand order).
     pub fn build(specs: &[WorkloadSpec]) -> Self {
         let n = specs.len();
         let mut offsets = Vec::with_capacity(n + 1);
