@@ -170,3 +170,27 @@ else
     echo "error: a half-gated rebuild costs ${ratio}x a dense one (gate: 0.8x)" >&2
     exit 1
 fi
+
+echo
+echo "== op-log format gate (v2 bit-pattern times vs v1 decimal times) =="
+# A v2 op-log spells each time as the 16 hex digits of its f64 bits
+# (DESIGN.md §12), which a table decodes without the decimal float
+# parse v1 needs; the cursor, integers and salvage rules are shared.
+# Reading the same log as v2 must stay <= 0.6x reading it as v1, or
+# the time decoder has lost its point. In-run comparison, so machine
+# drift cancels out.
+v1_ns=$(median_of "oplog_parse_strict/v1" ingest)
+v2_ns=$(median_of "oplog_parse_strict/v2" ingest)
+if [ -z "$v1_ns" ] || [ -z "$v2_ns" ]; then
+    echo "error: op-log parse rows missing from results/BENCH_ingest.json" >&2
+    echo "(expected oplog_parse_strict/v1 and oplog_parse_strict/v2)" >&2
+    exit 1
+fi
+ratio=$(awk -v n="$v2_ns" -v o="$v1_ns" 'BEGIN { printf "%.2f", n / o }')
+echo "ingest: oplog_parse_strict/v2 ${v2_ns} ns / oplog_parse_strict/v1 ${v1_ns} ns = ${ratio}x"
+if awk -v n="$v2_ns" -v o="$v1_ns" 'BEGIN { exit !(n / o <= 0.6) }'; then
+    echo "op-log format gate passed (v2 parse <= 0.6x v1)"
+else
+    echo "error: parsing the v2 log costs ${ratio}x the v1 log (gate: 0.6x)" >&2
+    exit 1
+fi

@@ -277,14 +277,22 @@ echo "advise --grad fd is a usage error (exit 2)"
 step "op-log replay-validation gate (streamed fit == committed golden)"
 # The fit contract (DESIGN.md §12): the fit of a captured op-log is
 # byte-identical at any pool width. Capture a small log with
-# the release binary, fit it at WASLA_THREADS=1/2/8, and byte-compare
+# the release binary, check it is written in the current format (v2,
+# bit-pattern times), fit it at WASLA_THREADS=1/2/8, and byte-compare
 # every output against the committed golden fit; then check the replay
 # report itself is byte-identical across pool widths. The golden
-# round-trip (write → read → write vs the committed fixture, plus its
-# pinned content hashes) runs as the named test suite.
+# round-trips (write → read → write vs the committed v1 and v2
+# fixtures, plus their pinned content hashes) run as the named test
+# suite.
 advisor=target/release/wasla-advisor
 oplog_tmp=$(mktemp -d)
 "$advisor" capture --scenario tpch --scale 0.01 --out-dir "$oplog_tmp/cap"
+oplog_header=$(head -n 1 "$oplog_tmp/cap/oplog.tsv")
+if [ "$oplog_header" != "#wasla-oplog v2" ]; then
+    echo "error: capture wrote the op-log header '$oplog_header', expected '#wasla-oplog v2'" >&2
+    exit 1
+fi
+echo "capture writes a #wasla-oplog v2 log"
 for t in 1 2 8; do
     WASLA_THREADS=$t "$advisor" fit --oplog "$oplog_tmp/cap/oplog.tsv" \
         --objects "$oplog_tmp/cap/objects.json" --out "$oplog_tmp/streamed_t$t.json"

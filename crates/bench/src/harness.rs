@@ -323,6 +323,7 @@ impl Harness {
                 self.config.samples.to_json(),
             ),
             ("target_ms".to_string(), self.config.target_ms.to_json()),
+            ("host".to_string(), host_json()),
             (
                 "benches".to_string(),
                 Json::Arr(self.results.iter().map(|r| r.to_json()).collect()),
@@ -337,6 +338,20 @@ impl Harness {
             eprintln!("bench report could not be written to {path}");
         }
     }
+}
+
+/// The facts about the machine a report was measured on that move its
+/// numbers: the cores the process may use, the OS and the architecture.
+fn host_json() -> Json {
+    let parallelism = wasla::simlib::par::available_parallelism();
+    Json::Obj(vec![
+        ("available_parallelism".to_string(), parallelism.to_json()),
+        ("os".to_string(), std::env::consts::OS.to_string().to_json()),
+        (
+            "arch".to_string(),
+            std::env::consts::ARCH.to_string().to_json(),
+        ),
+    ])
 }
 
 /// A group of related cases sharing a name prefix and throughput.

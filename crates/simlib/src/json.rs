@@ -235,60 +235,91 @@ fn write_number(out: &mut String, n: Number) {
     match n {
         Number::UInt(v) => out.push_str(&v.to_string()),
         Number::Int(v) => out.push_str(&v.to_string()),
-        Number::Float(v) => out.push_str(&format_f64(v)),
+        Number::Float(v) => write_f64(out, v),
     }
 }
 
 /// Formats a finite `f64` exactly as ryu (and therefore `serde_json`)
 /// does: shortest round-trip digits, decimal notation for decimal
 /// exponents in `[-5, 16)`, scientific otherwise. Non-finite values
-/// become `null`.
+/// become `null`. A thin wrapper over [`write_f64`].
 pub fn format_f64(x: f64) -> String {
+    let mut out = String::new();
+    write_f64(&mut out, x);
+    out
+}
+
+/// Appends [`format_f64`]`(x)` to `out` without allocating anything
+/// beyond `out`'s own growth.
+pub fn write_f64(out: &mut String, x: f64) {
+    use fmt::Write as _;
     if !x.is_finite() {
-        return "null".to_string();
+        out.push_str("null");
+        return;
     }
     // `{:e}` gives the shortest round-trip digit string as
-    // `D.DDDDeK`; re-place the decimal point per ryu's notation rule.
-    let exp = format!("{x:e}");
-    let (mantissa, k) = exp.split_once('e').expect("LowerExp always contains e");
-    let k: i32 = k.parse().expect("LowerExp exponent is an integer");
-    let (sign, mantissa) = match mantissa.strip_prefix('-') {
-        Some(m) => ("-", m),
-        None => ("", mantissa),
-    };
-    let digits: String = mantissa.chars().filter(|&c| c != '.').collect();
-    let mut out = String::from(sign);
+    // `[-]D[.DDDD]eK`. Render it at the end of `out`, lift the digits
+    // and the exponent out, then re-place the decimal point per ryu's
+    // notation rule over the same bytes.
+    let start = out.len();
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{x:e}");
+    let mut digits = [0u8; 17]; // an f64's shortest form has ≤ 17
+    let mut n = 0;
+    let mut k = 0i32;
+    let mut k_negative = false;
+    let mut in_exponent = false;
+    for &b in &out.as_bytes()[start..] {
+        match b {
+            b'e' => in_exponent = true,
+            b'-' if in_exponent => k_negative = true,
+            b'0'..=b'9' if in_exponent => k = k * 10 + i32::from(b - b'0'),
+            b'0'..=b'9' if n < digits.len() => {
+                digits[n] = b;
+                n += 1;
+            }
+            _ => {} // the sign, the point
+        }
+    }
+    if k_negative {
+        k = -k;
+    }
+    let negative = x.is_sign_negative();
+    out.truncate(start);
+    let digits = &digits[..n];
+    let push = |out: &mut String, bytes: &[u8]| out.extend(bytes.iter().map(|&b| char::from(b)));
+    if negative {
+        out.push('-');
+    }
     if (-5..16).contains(&k) {
         if k < 0 {
             out.push_str("0.");
             for _ in 0..(-k - 1) {
                 out.push('0');
             }
-            out.push_str(&digits);
+            push(out, digits);
         } else {
             let k = k as usize;
             if k + 1 >= digits.len() {
-                out.push_str(&digits);
+                push(out, digits);
                 for _ in 0..(k + 1 - digits.len()) {
                     out.push('0');
                 }
                 out.push_str(".0");
             } else {
-                out.push_str(&digits[..k + 1]);
+                push(out, &digits[..k + 1]);
                 out.push('.');
-                out.push_str(&digits[k + 1..]);
+                push(out, &digits[k + 1..]);
             }
         }
     } else {
-        out.push_str(&digits[..1]);
+        push(out, &digits[..1]);
         if digits.len() > 1 {
             out.push('.');
-            out.push_str(&digits[1..]);
+            push(out, &digits[1..]);
         }
-        out.push('e');
-        out.push_str(&k.to_string());
+        let _ = write!(out, "e{k}");
     }
-    out
 }
 
 fn write_string(out: &mut String, s: &str) {
@@ -1043,5 +1074,118 @@ mod tests {
         let back: (String, f64) = from_str(r#"["elapsed",1.5]"#).unwrap();
         assert_eq!(back, pair);
         assert!(from_str::<(String, f64)>("[\"a\"]").is_err());
+    }
+
+    /// The pre-`write_f64` formatter, kept verbatim as the oracle the
+    /// in-place one must match byte for byte.
+    fn format_f64_reference(x: f64) -> String {
+        if !x.is_finite() {
+            return "null".to_string();
+        }
+        let exp = format!("{x:e}");
+        let (mantissa, k) = exp.split_once('e').expect("LowerExp always contains e");
+        let k: i32 = k.parse().expect("LowerExp exponent is an integer");
+        let (sign, mantissa) = match mantissa.strip_prefix('-') {
+            Some(m) => ("-", m),
+            None => ("", mantissa),
+        };
+        let digits: String = mantissa.chars().filter(|&c| c != '.').collect();
+        let mut out = String::from(sign);
+        if (-5..16).contains(&k) {
+            if k < 0 {
+                out.push_str("0.");
+                for _ in 0..(-k - 1) {
+                    out.push('0');
+                }
+                out.push_str(&digits);
+            } else {
+                let k = k as usize;
+                if k + 1 >= digits.len() {
+                    out.push_str(&digits);
+                    for _ in 0..(k + 1 - digits.len()) {
+                        out.push('0');
+                    }
+                    out.push_str(".0");
+                } else {
+                    out.push_str(&digits[..k + 1]);
+                    out.push('.');
+                    out.push_str(&digits[k + 1..]);
+                }
+            }
+        } else {
+            out.push_str(&digits[..1]);
+            if digits.len() > 1 {
+                out.push('.');
+                out.push_str(&digits[1..]);
+            }
+            out.push('e');
+            out.push_str(&k.to_string());
+        }
+        out
+    }
+
+    /// Asserts `write_f64` appends exactly the oracle's bytes, after
+    /// whatever `out` already held.
+    fn assert_matches_reference(x: f64) {
+        let mut out = String::from("[");
+        write_f64(&mut out, x);
+        assert_eq!(
+            out,
+            format!("[{}", format_f64_reference(x)),
+            "formatting {x:e} (bits {:016x})",
+            x.to_bits()
+        );
+        assert_eq!(format_f64(x), format_f64_reference(x));
+    }
+
+    #[test]
+    fn write_f64_matches_reference_at_the_edges() {
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            5e-324,
+            -5e-324,
+            1e-5,
+            9.999999999999999e-6,
+            1e-6,
+            1e15,
+            9999999999999998.0,
+            1e16,
+            123456789012345680.0,
+            0.1 + 0.2,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_matches_reference(x);
+        }
+        for k in -330..310 {
+            let x: f64 = format!("1.2345678901234567e{k}").parse().unwrap();
+            assert_matches_reference(x);
+            assert_matches_reference(-x);
+            assert_matches_reference(10f64.powi(k));
+        }
+    }
+
+    crate::proptest! {
+        /// Every bit pattern (finite or not, any sign or exponent)
+        /// formats exactly as the oracle does.
+        #[test]
+        fn write_f64_matches_reference_on_any_bits(
+            bits in crate::proptest::any::<u64>(),
+            scale in 0u64..64,
+        ) {
+            assert_matches_reference(f64::from_bits(bits));
+            // Also the low-exponent and small-integer shapes random
+            // bits rarely reach.
+            assert_matches_reference(f64::from_bits(bits >> scale));
+            assert_matches_reference((bits >> scale) as f64);
+            assert_matches_reference((bits % 1_000_000) as f64 / 1e6);
+        }
     }
 }

@@ -49,11 +49,15 @@ pub fn threads() -> usize {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+        .unwrap_or_else(available_parallelism)
+}
+
+/// The machine's available parallelism (1 when it cannot be read),
+/// whatever `WASLA_THREADS` says.
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Derives the seed for an independent task from a base seed and the

@@ -12,17 +12,28 @@
 //! # Record format (TSV, one op per line)
 //!
 //! ```text
-//! #wasla-oplog v1
+//! #wasla-oplog v2
 //! R<TAB>stream<TAB>offset<TAB>len<TAB>issue<TAB>complete
 //! W<TAB>stream<TAB>offset<TAB>len<TAB>issue<TAB>complete
 //! ```
 //!
 //! `R`/`W` is the op direction, `stream` the object id, `offset`/`len`
-//! the object-relative byte range, and `issue`/`complete` the
-//! submission and completion timestamps in seconds. Timestamps are
-//! serialized with [`json::format_f64`] (shortest round-trip decimal),
+//! the object-relative byte range (all three decimal, so rows still
+//! diff by eye), and `issue`/`complete` the submission and completion
+//! timestamps in seconds. A v2 time is the exact bit pattern of the
+//! `f64`: [`f64::to_bits`] as exactly 16 lowercase hex digits
+//! (`0.5` is `3fe0000000000000`). Lowercase is the only accepted form,
 //! so write → read → write is byte-identical. Records appear in issue
-//! order; `complete ≥ issue` per record.
+//! order; `complete ≥ issue` per record, and a time must be finite and
+//! not below zero.
+//!
+//! [`OpLog::to_tsv`] writes only v2. The reader picks the format from
+//! the header line and still reads v1 logs ([`FORMAT_HEADER_V1`]),
+//! whose times are decimal in the shortest round-trip form of
+//! [`json::format_f64`]; std `f64` parsing reads them back to the same
+//! `f64`s. Only the time-field decoder depends on the version: both
+//! formats share one line cursor, one reference line parser, the
+//! line-length limit, the typed errors and the salvage rules.
 //!
 //! # Mergeable sufficient statistics
 //!
@@ -51,12 +62,28 @@ use wasla_simlib::SimTime;
 use wasla_storage::IoKind;
 use wasla_workload::WorkloadSet;
 
-/// First line of every op-log file.
-pub const FORMAT_HEADER: &str = "#wasla-oplog v1";
+/// First line of every op-log [`OpLog::to_tsv`] writes: times are
+/// 16-hex-digit `f64` bit patterns.
+pub const FORMAT_HEADER: &str = "#wasla-oplog v2";
 
-/// Longest well-formed line (a full record is ≈100 bytes); anything
-/// longer is corruption and is rejected before field parsing.
+/// First line of a v1 op-log: times are shortest round-trip decimals.
+/// Read, never written.
+pub const FORMAT_HEADER_V1: &str = "#wasla-oplog v1";
+
+/// Longest line the reader accepts; anything longer is corruption and
+/// is rejected before field parsing. The longest record the writers
+/// produce is 88 bytes in v2 and 102 in v1 (a 23-character decimal
+/// time), so the limit leaves headroom for hand-edited v1 padding.
 pub const MAX_LINE_BYTES: usize = 160;
+
+/// How a log spells its two time fields, from its header line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum TimeFormat {
+    /// `#wasla-oplog v1`: shortest round-trip decimal.
+    Decimal,
+    /// `#wasla-oplog v2`: 16 lowercase hex digits of `f64::to_bits`.
+    Bits,
+}
 
 /// One captured operation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -95,7 +122,8 @@ impl_json_struct!(OpLog { records });
 /// the header line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpLogError {
-    /// The file does not start with [`FORMAT_HEADER`].
+    /// The file starts with neither [`FORMAT_HEADER`] nor
+    /// [`FORMAT_HEADER_V1`].
     MissingHeader,
     /// A record line has the wrong number of tab-separated fields.
     Truncated {
@@ -134,7 +162,10 @@ impl std::fmt::Display for OpLogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OpLogError::MissingHeader => {
-                write!(f, "op-log missing `{FORMAT_HEADER}` header")
+                write!(
+                    f,
+                    "op-log missing `{FORMAT_HEADER}` or `{FORMAT_HEADER_V1}` header"
+                )
             }
             OpLogError::Truncated { line, fields } => {
                 write!(f, "op-log line {line}: {fields} fields, expected 6")
@@ -306,30 +337,35 @@ impl OpLog {
         self.records.is_empty()
     }
 
-    /// Serializes the log to the TSV format. Reading the output back
-    /// with [`OpLog::parse_tsv`] and re-serializing is byte-identical.
+    /// Serializes the log to the v2 TSV format, with no allocation
+    /// per record. Reading the output back with [`OpLog::parse_tsv`]
+    /// and re-serializing is byte-identical.
     pub fn to_tsv(&self) -> String {
-        let mut out = String::with_capacity(self.records.len() * 48 + FORMAT_HEADER.len() + 1);
-        out.push_str(FORMAT_HEADER);
-        out.push('\n');
+        // Captured v2 records run ≈55 bytes a line.
+        let mut out = Vec::with_capacity(self.records.len() * 64 + FORMAT_HEADER.len() + 1);
+        out.extend_from_slice(FORMAT_HEADER.as_bytes());
+        out.push(b'\n');
         for rec in &self.records {
             out.push(match rec.kind {
-                IoKind::Read => 'R',
-                IoKind::Write => 'W',
+                IoKind::Read => b'R',
+                IoKind::Write => b'W',
             });
-            out.push('\t');
-            out.push_str(&rec.stream.to_string());
-            out.push('\t');
-            out.push_str(&rec.offset.to_string());
-            out.push('\t');
-            out.push_str(&rec.len.to_string());
-            out.push('\t');
-            out.push_str(&json::format_f64(rec.issue.as_secs()));
-            out.push('\t');
-            out.push_str(&json::format_f64(rec.complete.as_secs()));
-            out.push('\n');
+            out.push(b'\t');
+            push_decimal(&mut out, u64::from(rec.stream));
+            out.push(b'\t');
+            push_decimal(&mut out, rec.offset);
+            out.push(b'\t');
+            push_decimal(&mut out, rec.len);
+            out.push(b'\t');
+            push_bits(&mut out, rec.issue.as_secs().to_bits());
+            out.push(b'\t');
+            push_bits(&mut out, rec.complete.as_secs().to_bits());
+            out.push(b'\n');
         }
-        out
+        // Every byte above is ASCII, so the conversion never fails and
+        // the lossy arm never runs.
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 
     /// The log's first `keep` records (all of them when `keep`
@@ -391,8 +427,8 @@ impl OpLog {
         }
     }
 
-    /// Strict reader: parses a TSV op-log, failing on the first
-    /// malformed line with its typed error. Single-threaded and
+    /// Strict reader: parses a v2 or v1 TSV op-log, failing on the
+    /// first malformed line with its typed error. Single-threaded and
     /// allocation-free per line (see [`OpLog::parse_tsv_lossy`]).
     pub fn parse_tsv(text: &str) -> Result<OpLog, OpLogError> {
         let (log, salvage) = Self::parse_tsv_lossy(text)?;
@@ -410,18 +446,21 @@ impl OpLog {
     /// missing) has no salvageable prefix, so the typed error
     /// propagates: there is no signal left to degrade to.
     ///
-    /// One forward cursor walks the text, splitting lines exactly as
-    /// [`str::lines`] does and parsing each regular record's fields in
-    /// place. Any line the fast path does not accept is handed to the
+    /// The header line picks the time format (v2 or v1). One forward
+    /// cursor walks the text, splitting lines exactly as [`str::lines`]
+    /// does and parsing each regular record's fields in place. Any
+    /// line the fast path does not accept is handed to the
     /// field-splitting reference parser, which decides the line's fate
     /// and its typed error, so results never depend on which path ran.
     pub fn parse_tsv_lossy(text: &str) -> Result<(OpLog, OpLogSalvage), OpLogError> {
         let (header, mut pos) = next_line(text, 0);
-        if header != FORMAT_HEADER {
-            return Err(OpLogError::MissingHeader);
-        }
+        let format = match header {
+            FORMAT_HEADER => TimeFormat::Bits,
+            FORMAT_HEADER_V1 => TimeFormat::Decimal,
+            _ => return Err(OpLogError::MissingHeader),
+        };
 
-        // Captured records average ~50 bytes a line.
+        // Captured records average ~50 bytes a line in either format.
         let mut log = OpLog {
             records: Vec::with_capacity(text.len() / 48),
         };
@@ -429,11 +468,11 @@ impl OpLog {
         let mut line = 1;
         while pos < text.len() {
             line += 1;
-            let (rec, next) = match parse_record_fast(text, pos) {
+            let (rec, next) = match parse_record_fast(text, pos, format) {
                 Some((rec, next)) => (Ok(rec), next),
                 None => {
                     let (raw, next) = next_line(text, pos);
-                    (parse_line(line, raw), next)
+                    (parse_line(line, raw, format), next)
                 }
             };
             pos = next;
@@ -505,7 +544,7 @@ fn count_lines(text: &str) -> usize {
 /// [`parse_line`] with the same record: the integers are the same
 /// decimal values, and times go through the same [`parse_time`] over
 /// the same substrings.
-fn parse_record_fast(text: &str, start: usize) -> Option<(OpRecord, usize)> {
+fn parse_record_fast(text: &str, start: usize, format: TimeFormat) -> Option<(OpRecord, usize)> {
     let bytes = text.as_bytes();
     let kind = match bytes.get(start..start + 2)? {
         b"R\t" => IoKind::Read,
@@ -518,32 +557,31 @@ fn parse_record_fast(text: &str, start: usize) -> Option<(OpRecord, usize)> {
     let len = parse_digits(bytes, &mut pos)?;
 
     let issue_start = pos;
-    loop {
-        match *bytes.get(pos)? {
-            b'\t' => break,
-            b'\n' => return None,
-            _ => pos += 1,
-        }
+    let issue_end = time_field_end(bytes, issue_start, format)?;
+    if bytes.get(issue_end) != Some(&b'\t') {
+        return None;
     }
-    let issue_end = pos;
-    pos += 1;
-    let complete_start = pos;
-    while pos < bytes.len() && bytes[pos] != b'\n' && bytes[pos] != b'\t' {
-        pos += 1;
-    }
-    let (complete_end, next) = match bytes.get(pos) {
-        None => (pos, pos),
-        Some(b'\n') if bytes[pos - 1] == b'\r' => (pos - 1, pos + 1),
-        Some(b'\n') => (pos, pos + 1),
-        Some(_) => return None, // a seventh field
+    let complete_start = issue_end + 1;
+    let complete_end = time_field_end(bytes, complete_start, format)?;
+    let next = match bytes.get(complete_end) {
+        None => complete_end,
+        Some(b'\n') => complete_end + 1,
+        Some(b'\r') if bytes.get(complete_end + 1) == Some(&b'\n') => complete_end + 2,
+        Some(_) => return None, // a seventh field, or a stray `\r`
     };
     if complete_end - start > MAX_LINE_BYTES {
         return None;
     }
     // The line number only labels errors, and any error here falls
     // back to `parse_line`, which reports it with the right one.
-    let issue = parse_time(0, "issue", &text[issue_start..issue_end]).ok()?;
-    let complete = parse_time(0, "complete", &text[complete_start..complete_end]).ok()?;
+    let issue = parse_time(format, 0, "issue", text.get(issue_start..issue_end)?).ok()?;
+    let complete = parse_time(
+        format,
+        0,
+        "complete",
+        text.get(complete_start..complete_end)?,
+    )
+    .ok()?;
     if complete < issue {
         return None;
     }
@@ -558,6 +596,25 @@ fn parse_record_fast(text: &str, start: usize) -> Option<(OpRecord, usize)> {
         },
         next,
     ))
+}
+
+/// Where the time field starting at byte `start` ends, if the line is
+/// long enough to hold one. A v1 field runs to the next tab, `\r`,
+/// `\n` or the end of text; a v2 field is exactly 16 bytes, so the
+/// cursor finds its end without a scan and the caller checks the
+/// delimiter after it. Either way the line is regular only if that
+/// delimiter is where the field should end, and then the field is the
+/// substring [`parse_line`] splits out.
+fn time_field_end(bytes: &[u8], start: usize, format: TimeFormat) -> Option<usize> {
+    match format {
+        TimeFormat::Decimal => Some(
+            bytes[start..]
+                .iter()
+                .position(|&b| matches!(b, b'\t' | b'\r' | b'\n'))
+                .map_or(bytes.len(), |n| start + n),
+        ),
+        TimeFormat::Bits => Some(start + 16).filter(|&end| end <= bytes.len()),
+    }
 }
 
 /// Reads a non-empty run of ASCII digits ending in a tab at `*pos` as
@@ -580,8 +637,9 @@ fn parse_digits(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 /// The reference line parser: splits `raw` on tabs and parses each
-/// field with std, reporting the first failure as a typed error.
-fn parse_line(line: usize, raw: &str) -> Result<OpRecord, OpLogError> {
+/// field with std (the times with [`parse_time`]), reporting the first
+/// failure as a typed error.
+fn parse_line(line: usize, raw: &str, format: TimeFormat) -> Result<OpRecord, OpLogError> {
     if raw.len() > MAX_LINE_BYTES {
         return Err(OpLogError::Overlong {
             line,
@@ -618,8 +676,8 @@ fn parse_line(line: usize, raw: &str) -> Result<OpRecord, OpLogError> {
     let len: u64 = fields[3]
         .parse()
         .map_err(|_| OpLogError::BadField { line, field: "len" })?;
-    let issue = parse_time(line, "issue", fields[4])?;
-    let complete = parse_time(line, "complete", fields[5])?;
+    let issue = parse_time(format, line, "issue", fields[4])?;
+    let complete = parse_time(format, line, "complete", fields[5])?;
     if complete < issue {
         return Err(OpLogError::NonMonotone { line });
     }
@@ -633,14 +691,81 @@ fn parse_line(line: usize, raw: &str) -> Result<OpRecord, OpLogError> {
     })
 }
 
-fn parse_time(line: usize, field: &'static str, raw: &str) -> Result<SimTime, OpLogError> {
-    let secs: f64 = raw
-        .parse()
-        .map_err(|_| OpLogError::BadField { line, field })?;
-    if !secs.is_finite() || secs < 0.0 {
-        return Err(OpLogError::BadField { line, field });
+/// Decodes one time field — the only step that depends on the format —
+/// and accepts it if it is finite and not below zero (so `-0.0` passes,
+/// as its v1 spelling `-0.0` always did).
+fn parse_time(
+    format: TimeFormat,
+    line: usize,
+    field: &'static str,
+    raw: &str,
+) -> Result<SimTime, OpLogError> {
+    let secs = match format {
+        TimeFormat::Decimal => raw.parse::<f64>().ok(),
+        TimeFormat::Bits => decode_bits(raw.as_bytes()).map(f64::from_bits),
+    };
+    match secs {
+        Some(secs) if secs.is_finite() && secs >= 0.0 => Ok(SimTime::from_secs(secs)),
+        _ => Err(OpLogError::BadField { line, field }),
     }
-    Ok(SimTime::from_secs(secs))
+}
+
+/// The v2 time digits, by nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Flag [`HEX_VALUE`] sets for every byte that is not a lowercase hex
+/// digit.
+const NOT_HEX: u8 = 0x10;
+
+/// Nibble value of each lowercase hex digit; [`NOT_HEX`] for every
+/// other byte, uppercase included.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut d = 0;
+    while d < 16 {
+        table[HEX_DIGITS[d] as usize] = d as u8;
+        d += 1;
+    }
+    table
+};
+
+/// Reads exactly 16 lowercase hex digits as a `u64`. The digits of a
+/// bit pattern are random, so the loop has no per-digit branch: it ORs
+/// every table entry together and checks the [`NOT_HEX`] flag once.
+fn decode_bits(raw: &[u8]) -> Option<u64> {
+    let digits: &[u8; 16] = raw.try_into().ok()?;
+    let mut bits = 0u64;
+    let mut seen = 0u8;
+    for &d in digits {
+        let v = HEX_VALUE[usize::from(d)];
+        seen |= v;
+        bits = bits << 4 | u64::from(v & 0xf);
+    }
+    (seen & NOT_HEX == 0).then_some(bits)
+}
+
+/// Appends `bits` as 16 lowercase hex digits, most significant first.
+fn push_bits(out: &mut Vec<u8>, bits: u64) {
+    let mut buf = [0u8; 16];
+    for (k, digit) in buf.iter_mut().enumerate() {
+        *digit = HEX_DIGITS[(bits >> (60 - 4 * k)) as usize & 0xf];
+    }
+    out.extend_from_slice(&buf);
+}
+
+/// Appends `v` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[i..]);
 }
 
 /// Mergeable per-object fitting statistics over one contiguous record
@@ -905,9 +1030,30 @@ pub fn windowed_workloads(
 }
 
 #[cfg(test)]
+#[path = "../tests/support/v1_writer.rs"]
+mod v1_writer;
+
+#[cfg(test)]
 mod tests {
+    use super::v1_writer::to_tsv_v1;
     use super::*;
     use wasla_simlib::json::to_string;
+
+    /// A v2 time field: the 16 lowercase hex digits of `x`'s bits.
+    fn bits(x: f64) -> String {
+        format!("{:016x}", x.to_bits())
+    }
+
+    /// A TSV writer: `OpLog::to_tsv` (v2) or the v1 oracle.
+    type Writer = fn(&OpLog) -> String;
+
+    /// Both writers, each with the header its output starts with.
+    fn writers() -> [(Writer, &'static str); 2] {
+        [
+            (OpLog::to_tsv, FORMAT_HEADER),
+            (to_tsv_v1, FORMAT_HEADER_V1),
+        ]
+    }
 
     /// Observes the pieces `log[0..cuts[0]]`, `log[cuts[0]..cuts[1]]`,
     /// …, `log[cuts[last]..]` each on its own and merges them in order.
@@ -987,10 +1133,25 @@ mod tests {
     #[test]
     fn empty_log_round_trips() {
         let log = OpLog::new();
-        let tsv = log.to_tsv();
-        assert_eq!(tsv, format!("{FORMAT_HEADER}\n"));
-        let back = OpLog::parse_tsv(&tsv).unwrap();
-        assert!(back.is_empty());
+        for (write, header) in writers() {
+            let tsv = write(&log);
+            assert_eq!(tsv, format!("{header}\n"));
+            let back = OpLog::parse_tsv(&tsv).unwrap();
+            assert!(back.is_empty());
+        }
+    }
+
+    #[test]
+    fn v2_times_are_bit_patterns() {
+        let mut log = OpLog::new();
+        log.push(rec(0.5, 7, IoKind::Write, 4096, 512));
+        assert_eq!(
+            log.to_tsv(),
+            format!(
+                "{FORMAT_HEADER}\nW\t7\t4096\t512\t3fe0000000000000\t{}\n",
+                bits(0.502)
+            )
+        );
     }
 
     #[test]
@@ -1124,40 +1285,46 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_typed() {
-        let cases: Vec<(String, OpLogError)> = vec![
-            (
-                format!("{FORMAT_HEADER}\nR\t0\t0\t8192\t0\n"),
-                OpLogError::Truncated { line: 2, fields: 5 },
-            ),
-            (
-                format!("{FORMAT_HEADER}\nX\t0\t0\t8192\t0\t0.1\n"),
-                OpLogError::UnknownOp { line: 2 },
-            ),
-            (
-                format!("{FORMAT_HEADER}\nR\t-1\t0\t8192\t0\t0.1\n"),
-                OpLogError::BadField {
-                    line: 2,
-                    field: "stream",
-                },
-            ),
-            (
-                format!("{FORMAT_HEADER}\nR\t0\t0\t8192\tnan\t0.1\n"),
-                OpLogError::BadField {
-                    line: 2,
-                    field: "issue",
-                },
-            ),
-            (
-                format!("{FORMAT_HEADER}\nR\t0\t0\t8192\t5\t1\n"),
-                OpLogError::NonMonotone { line: 2 },
-            ),
-            (
-                format!("{FORMAT_HEADER}\nR\t0\t{}\t8192\t0\t0.1\n", "9".repeat(200)),
-                OpLogError::Overlong { line: 2, len: 215 },
-            ),
-        ];
-        for (text, want) in cases {
-            assert_eq!(OpLog::parse_tsv(&text).unwrap_err(), want, "text={text:?}");
+        // The same damage in each format: the header, then the times
+        // 0, 0.1, NaN, 5 and 1 as that format spells them.
+        let v1 = ["0", "0.1", "nan", "5", "1"].map(String::from);
+        let v2 = [0.0, 0.1, f64::NAN, 5.0, 1.0].map(bits);
+        for (header, [t0, t01, nan, t5, t1]) in [(FORMAT_HEADER_V1, v1), (FORMAT_HEADER, v2)] {
+            let cases: Vec<(String, OpLogError)> = vec![
+                (
+                    format!("{header}\nR\t0\t0\t8192\t{t0}\n"),
+                    OpLogError::Truncated { line: 2, fields: 5 },
+                ),
+                (
+                    format!("{header}\nX\t0\t0\t8192\t{t0}\t{t01}\n"),
+                    OpLogError::UnknownOp { line: 2 },
+                ),
+                (
+                    format!("{header}\nR\t-1\t0\t8192\t{t0}\t{t01}\n"),
+                    OpLogError::BadField {
+                        line: 2,
+                        field: "stream",
+                    },
+                ),
+                (
+                    format!("{header}\nR\t0\t0\t8192\t{nan}\t{t01}\n"),
+                    OpLogError::BadField {
+                        line: 2,
+                        field: "issue",
+                    },
+                ),
+                (
+                    format!("{header}\nR\t0\t0\t8192\t{t5}\t{t1}\n"),
+                    OpLogError::NonMonotone { line: 2 },
+                ),
+                (
+                    format!("{header}\nR\t0\t{}\t8192\t0\t0.1\n", "9".repeat(200)),
+                    OpLogError::Overlong { line: 2, len: 215 },
+                ),
+            ];
+            for (text, want) in cases {
+                assert_eq!(OpLog::parse_tsv(&text).unwrap_err(), want, "text={text:?}");
+            }
         }
     }
 
@@ -1177,9 +1344,18 @@ mod tests {
     /// must fail exactly when the lossy one records an error.
     #[test]
     fn reader_contract_table() {
+        // v1 rows: decimal times.
         const R1: &str = "R\t0\t0\t8192\t0\t0.1";
         const R2: &str = "W\t1\t4096\t512\t0.5\t0.7";
-        let h = |body: &str| format!("{FORMAT_HEADER}\n{body}");
+        let h = |body: &str| format!("{FORMAT_HEADER_V1}\n{body}");
+        // v2 rows: the same records with bit-pattern times.
+        const V2R1: &str = "R\t0\t0\t8192\t0000000000000000\t3fb999999999999a";
+        const V2R2: &str = "W\t1\t4096\t512\t3fe0000000000000\t3fe6666666666666";
+        let h2 = |body: &str| format!("{FORMAT_HEADER}\n{body}");
+        // A v2 record whose issue and complete fields are `issue` and
+        // `complete` verbatim.
+        let v2 = |issue: &str, complete: &str| h2(&format!("R\t0\t0\t8192\t{issue}\t{complete}\n"));
+        const HALF: &str = "3fe0000000000000";
         let bad = |line: usize, field: &'static str| OpLogError::BadField { line, field };
         // A valid record padded to exactly `len` bytes with leading
         // zeros in the offset field.
@@ -1187,16 +1363,25 @@ mod tests {
             let short = "R\t0\t\t8192\t0\t0.1".len();
             format!("R\t0\t{}\t8192\t0\t0.1", "0".repeat(len - short))
         };
+        let padded_v2 = |len: usize| {
+            let short = "R\t0\t\t8192\t0000000000000000\t3fb999999999999a".len();
+            format!(
+                "R\t0\t{}\t8192\t0000000000000000\t3fb999999999999a",
+                "0".repeat(len - short)
+            )
+        };
         let mut regress = String::new();
+        let mut regress_v2 = String::new();
         for k in 0..4100u64 {
             let t = if k == 4096 { 0.0 } else { k as f64 * 1e-3 };
-            let t = json::format_f64(t);
+            let (t, t2) = (json::format_f64(t), bits(t));
             regress.push_str(&format!("R\t0\t{k}\t8192\t{t}\t{t}\n"));
+            regress_v2.push_str(&format!("R\t0\t{k}\t8192\t{t2}\t{t2}\n"));
         }
         let cases: Vec<(&str, String, Want)> = vec![
             (
                 "crlf",
-                format!("{FORMAT_HEADER}\r\n{R1}\r\n{R2}\r\n"),
+                format!("{FORMAT_HEADER_V1}\r\n{R1}\r\n{R2}\r\n"),
                 Want::Salvage(2, 0, None),
             ),
             (
@@ -1206,7 +1391,7 @@ mod tests {
             ),
             (
                 "bare cr after header",
-                format!("{FORMAT_HEADER}\r"),
+                format!("{FORMAT_HEADER_V1}\r"),
                 Want::Fails(OpLogError::MissingHeader),
             ),
             (
@@ -1316,12 +1501,12 @@ mod tests {
             ),
             (
                 "header only",
-                format!("{FORMAT_HEADER}\n"),
+                format!("{FORMAT_HEADER_V1}\n"),
                 Want::Salvage(0, 0, None),
             ),
             (
                 "header without newline",
-                FORMAT_HEADER.to_string(),
+                FORMAT_HEADER_V1.to_string(),
                 Want::Salvage(0, 0, None),
             ),
             (
@@ -1333,6 +1518,193 @@ mod tests {
                 "missing final newline",
                 h(&format!("{R1}\n{R2}")),
                 Want::Salvage(2, 0, None),
+            ),
+            (
+                "negative zero time",
+                h("R\t0\t0\t8192\t-0.0\t0.1\n"),
+                Want::Salvage(1, 0, None),
+            ),
+            (
+                "bit-pattern time under the v1 header",
+                h(&format!("R\t0\t0\t8192\t{HALF}\t{HALF}\n")),
+                Want::Fails(bad(2, "issue")),
+            ),
+            // v2: the cursor, the line-length limit and the salvage rules
+            // are shared, so the same edges hold.
+            (
+                "v2 crlf",
+                format!("{FORMAT_HEADER}\r\n{V2R1}\r\n{V2R2}\r\n"),
+                Want::Salvage(2, 0, None),
+            ),
+            (
+                "v2 bare cr at eof",
+                h2(&format!("{V2R1}\n{V2R2}\r")),
+                Want::Salvage(1, 1, Some(bad(3, "complete"))),
+            ),
+            (
+                "v2 bare cr after header",
+                format!("{FORMAT_HEADER}\r"),
+                Want::Fails(OpLogError::MissingHeader),
+            ),
+            (
+                "v2 missing final newline",
+                h2(&format!("{V2R1}\n{V2R2}")),
+                Want::Salvage(2, 0, None),
+            ),
+            (
+                "v2 header only",
+                format!("{FORMAT_HEADER}\n"),
+                Want::Salvage(0, 0, None),
+            ),
+            (
+                "v2 header without newline",
+                FORMAT_HEADER.to_string(),
+                Want::Salvage(0, 0, None),
+            ),
+            (
+                "unknown version",
+                "#wasla-oplog v3\n".to_string(),
+                Want::Fails(OpLogError::MissingHeader),
+            ),
+            (
+                "v2 plus-signed integers",
+                h2("R\t+3\t+0\t+8192\t0000000000000000\t3fb999999999999a\n"),
+                Want::Salvage(1, 0, None),
+            ),
+            (
+                "v2 uppercase hex issue",
+                v2("3FE0000000000000", HALF),
+                Want::Fails(bad(2, "issue")),
+            ),
+            (
+                "v2 one uppercase digit in complete",
+                h2(&format!(
+                    "{V2R1}\nR\t0\t0\t8192\t{HALF}\t3fe000000000000A\n{V2R2}\n"
+                )),
+                Want::Salvage(1, 2, Some(bad(3, "complete"))),
+            ),
+            (
+                "v2 15 hex digits",
+                v2("3fe000000000000", HALF),
+                Want::Fails(bad(2, "issue")),
+            ),
+            (
+                "v2 17 hex digits",
+                v2(HALF, "3fe00000000000000"),
+                Want::Fails(bad(2, "complete")),
+            ),
+            ("v2 empty time", v2("", HALF), Want::Fails(bad(2, "issue"))),
+            (
+                "v2 non-hex byte",
+                v2("3fe00000000g0000", HALF),
+                Want::Fails(bad(2, "issue")),
+            ),
+            (
+                "v2 0x prefix",
+                v2("0x3fe00000000000", HALF),
+                Want::Fails(bad(2, "issue")),
+            ),
+            (
+                "v2 plus-signed time",
+                v2(HALF, "+3fe000000000000"),
+                Want::Fails(bad(2, "complete")),
+            ),
+            (
+                "v2 non-ascii byte",
+                v2(HALF, "3fe00000000000é"),
+                Want::Fails(bad(2, "complete")),
+            ),
+            (
+                "v2 nan issue",
+                v2("7ff8000000000000", HALF),
+                Want::Fails(bad(2, "issue")),
+            ),
+            (
+                "v2 signalling nan issue",
+                v2("7ff0000000000001", HALF),
+                Want::Fails(bad(2, "issue")),
+            ),
+            (
+                "v2 inf complete",
+                v2(HALF, "7ff0000000000000"),
+                Want::Fails(bad(2, "complete")),
+            ),
+            (
+                "v2 -inf issue",
+                v2("fff0000000000000", HALF),
+                Want::Fails(bad(2, "issue")),
+            ),
+            (
+                "v2 negative issue",
+                v2("bff0000000000000", HALF),
+                Want::Fails(bad(2, "issue")),
+            ),
+            (
+                "v2 smallest negative complete",
+                v2("0000000000000000", "8000000000000001"),
+                Want::Fails(bad(2, "complete")),
+            ),
+            (
+                "v2 negative zero time",
+                v2("8000000000000000", HALF),
+                Want::Salvage(1, 0, None),
+            ),
+            (
+                "v2 decimal time",
+                h2("R\t0\t0\t8192\t0\t0.1\n"),
+                Want::Fails(bad(2, "issue")),
+            ),
+            (
+                "v2 complete before issue",
+                v2("4014000000000000", "3ff0000000000000"),
+                Want::Fails(OpLogError::NonMonotone { line: 2 }),
+            ),
+            (
+                "v2 u32 overflow",
+                h2(&format!("{V2R1}\nR\t4294967296\t0\t8192\t{HALF}\t{HALF}\n")),
+                Want::Salvage(1, 1, Some(bad(3, "stream"))),
+            ),
+            (
+                "v2 empty line mid-file",
+                h2(&format!("{V2R1}\n\n{V2R2}\n")),
+                Want::Salvage(1, 2, Some(OpLogError::Truncated { line: 3, fields: 1 })),
+            ),
+            (
+                "v2 trailing tab",
+                h2(&format!("{V2R1}\t\n")),
+                Want::Fails(OpLogError::Truncated { line: 2, fields: 7 }),
+            ),
+            (
+                "v2 160-byte line",
+                h2(&format!("{}\n", padded_v2(160))),
+                Want::Salvage(1, 0, None),
+            ),
+            (
+                "v2 161-byte line after a record",
+                h2(&format!("{V2R1}\n{}\n{V2R2}\n", padded_v2(161))),
+                Want::Salvage(1, 2, Some(OpLogError::Overlong { line: 3, len: 161 })),
+            ),
+            (
+                "v2 unknown op",
+                h2(&format!(
+                    "{V2R1}\nX\t1\t2\t3\t{HALF}\t{HALF}\n{V2R2}\n\n{V2R2}"
+                )),
+                Want::Salvage(1, 4, Some(OpLogError::UnknownOp { line: 3 })),
+            ),
+            (
+                "v2 equal issue times",
+                h2(&format!("{V2R1}\n{V2R1}\n")),
+                Want::Salvage(2, 0, None),
+            ),
+            (
+                "v2 regression within a chunk",
+                h2(&format!("{V2R2}\n{V2R1}\n")),
+                Want::Salvage(1, 1, Some(OpLogError::NonMonotone { line: 3 })),
+            ),
+            (
+                "v2 regression across a 4096-line boundary",
+                h2(&regress_v2),
+                Want::Salvage(4096, 4, Some(OpLogError::NonMonotone { line: 4098 })),
             ),
         ];
         for (name, text, want) in cases {
@@ -1356,9 +1728,14 @@ mod tests {
 
     #[test]
     fn reader_field_values_are_exact() {
-        let log = OpLog::parse_tsv(&format!(
-            "{FORMAT_HEADER}\r\nW\t+3\t007\t18446744073709551615\t1e-3\t2.5E-1\r\n\
+        let v1 = OpLog::parse_tsv(&format!(
+            "{FORMAT_HEADER_V1}\r\nW\t+3\t007\t18446744073709551615\t1e-3\t2.5E-1\r\n\
              R\t4294967295\t0\t0\t0.25\t0.25"
+        ))
+        .unwrap();
+        let v2 = OpLog::parse_tsv(&format!(
+            "{FORMAT_HEADER}\r\nW\t+3\t007\t18446744073709551615\t3f50624dd2f1a9fc\t3fd0000000000000\r\n\
+             R\t4294967295\t0\t0\t3fd0000000000000\t3fd0000000000000"
         ))
         .unwrap();
         let want = [
@@ -1379,7 +1756,30 @@ mod tests {
                 complete: SimTime::from_secs(0.25),
             },
         ];
-        assert_eq!(log.records(), &want);
+        assert_eq!(v1.records(), &want);
+        assert_eq!(v2.records(), &want);
+
+        // A v2 time is the pattern itself, whatever the value: zero of
+        // either sign, the smallest subnormal, the largest finite.
+        let patterns = [
+            0x8000_0000_0000_0000u64,
+            0,
+            1,
+            0x3fe0_0000_0000_0000,
+            0x7fef_ffff_ffff_ffff,
+        ];
+        let mut text = format!("{FORMAT_HEADER}\n");
+        for p in patterns {
+            text.push_str(&format!("W\t0\t0\t1\t{p:016x}\t7fefffffffffffff\n"));
+        }
+        let log = OpLog::parse_tsv(&text).unwrap();
+        let got: Vec<u64> = log
+            .records()
+            .iter()
+            .map(|r| r.issue.as_secs().to_bits())
+            .collect();
+        assert_eq!(got, patterns);
+        assert_eq!(log.to_tsv(), text);
     }
 
     /// A record drawn from the full field ranges: any stream id and
@@ -1413,6 +1813,32 @@ mod tests {
         log
     }
 
+    /// One way to damage a v2 line's time fields, chosen by `pick`.
+    fn mutate_v2_line(line: &str, pick: u64, rng: &mut wasla_simlib::SimRng) -> String {
+        // Byte offset of the issue field: after the fourth tab.
+        let issue = line.match_indices('\t').nth(3).map_or(0, |(i, _)| i + 1);
+        let at = issue + rng.index(33); // a byte of either time or the tab between
+        let mut bytes = line.as_bytes().to_vec();
+        match pick % 8 {
+            0 => bytes[at] = bytes[at].to_ascii_uppercase(),
+            1 => {
+                bytes.remove(at);
+            }
+            2 => bytes.insert(at, b"0123456789abcdef"[rng.index(16)]),
+            3 => bytes[at] = 0x20 + rng.index(0x5f) as u8,
+            4 => bytes[issue] = b"0123456789abcdef"[rng.index(16)],
+            5 => bytes[at] = [b'\t', b'\r', b'-', b'+'][rng.index(4)],
+            6 => {
+                let special = ["7ff8000000000000", "7ff0000000000000", "fff0000000000000"];
+                let p = special[rng.index(3)].as_bytes();
+                let field = if rng.chance(0.5) { issue } else { issue + 17 };
+                bytes[field..field + 16].copy_from_slice(p);
+            }
+            _ => bytes[issue] = b'8' + rng.index(8) as u8, // sign bit set
+        }
+        String::from_utf8(bytes).expect("mutations write ASCII")
+    }
+
     wasla_simlib::proptest! {
         /// `to_tsv` → `parse_tsv` → `to_tsv` is the identity on bytes
         /// over the whole field range.
@@ -1423,54 +1849,108 @@ mod tests {
             wasla_simlib::prop_assert_eq!(back.len(), n);
             wasla_simlib::prop_assert_eq!(back.to_tsv(), text);
         }
+
+        /// A v1 log and its v2 rewrite read to the same records, bit
+        /// for bit, over the whole field range; rewriting either back
+        /// reproduces both texts.
+        #[test]
+        fn v1_to_v2_keeps_every_record(seed in 0u64..1_000_000, n in 0usize..300) {
+            let log = wide_log(seed, n);
+            let v1 = to_tsv_v1(&log);
+            let from_v1 = OpLog::parse_tsv(&v1).expect("v1 log parses");
+            wasla_simlib::prop_assert_eq!(from_v1.records(), log.records());
+            let v2 = from_v1.to_tsv();
+            wasla_simlib::prop_assert_eq!(&v2, &log.to_tsv());
+            let from_v2 = OpLog::parse_tsv(&v2).expect("v2 rewrite parses");
+            wasla_simlib::prop_assert_eq!(from_v2.records(), log.records());
+            wasla_simlib::prop_assert_eq!(from_v2.trace_content_hash(), log.trace_content_hash());
+            wasla_simlib::prop_assert_eq!(to_tsv_v1(&from_v2), v1);
+        }
+
+        /// On v2 lines, clean or with damaged times, the fast path
+        /// accepts a line only with the record the reference parser
+        /// gives, and it accepts every clean line.
+        #[test]
+        fn v2_fast_path_matches_reference(seed in 0u64..1_000_000, n in 1usize..60) {
+            let mut rng = wasla_simlib::SimRng::new(seed ^ 0x5eed);
+            let text = wide_log(seed, n).to_tsv();
+            for clean in text.lines().skip(1) {
+                let pick = rng.next_u64();
+                let line = if pick % 3 == 0 {
+                    clean.to_string()
+                } else {
+                    mutate_v2_line(clean, pick / 3, &mut rng)
+                };
+                let reference = parse_line(2, &line, TimeFormat::Bits);
+                for ending in ["\n", "\r\n", ""] {
+                    let framed = format!("{line}{ending}");
+                    match parse_record_fast(&framed, 0, TimeFormat::Bits) {
+                        Some((rec, next)) => {
+                            wasla_simlib::prop_assert_eq!(Ok(rec), reference);
+                            wasla_simlib::prop_assert_eq!(next, framed.len());
+                        }
+                        None => wasla_simlib::prop_assert!(
+                            line != clean,
+                            "fast path refused a clean line {line:?}"
+                        ),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn lossy_parse_salvages_valid_prefix() {
         let log = sample_log(20);
-        let mut tsv = log.to_tsv();
-        tsv.push_str("garbage line\n");
-        tsv.push_str("R\t0\t0\t8192\t99\t99.1\n");
-        let (salvaged, salvage) = OpLog::parse_tsv_lossy(&tsv).unwrap();
-        assert_eq!(salvaged.records(), log.records());
-        assert_eq!(salvage.kept, 20);
-        assert_eq!(salvage.dropped, 2);
-        assert!(salvage.degraded());
-        assert_eq!(
-            salvage.first_error,
-            Some(OpLogError::Truncated {
-                line: 22,
-                fields: 1
-            })
-        );
+        for (write, _) in writers() {
+            let mut tsv = write(&log);
+            tsv.push_str("garbage line\n");
+            tsv.push_str("R\t0\t0\t8192\t99\t99.1\n");
+            let (salvaged, salvage) = OpLog::parse_tsv_lossy(&tsv).unwrap();
+            assert_eq!(salvaged.records(), log.records());
+            assert_eq!(salvage.kept, 20);
+            assert_eq!(salvage.dropped, 2);
+            assert!(salvage.degraded());
+            assert_eq!(
+                salvage.first_error,
+                Some(OpLogError::Truncated {
+                    line: 22,
+                    fields: 1
+                })
+            );
+        }
     }
 
     #[test]
     fn lossy_parse_with_no_valid_prefix_keeps_the_typed_error() {
-        let text = format!("{FORMAT_HEADER}\nnot a record\nR\t0\t0\t8192\t0\t0.1\n");
-        let err = OpLog::parse_tsv_lossy(&text).unwrap_err();
-        assert_eq!(err, OpLogError::Truncated { line: 2, fields: 1 });
+        for (_, header) in writers() {
+            let text = format!("{header}\nnot a record\nR\t0\t0\t8192\t0\t0.1\n");
+            let err = OpLog::parse_tsv_lossy(&text).unwrap_err();
+            assert_eq!(err, OpLogError::Truncated { line: 2, fields: 1 });
+        }
     }
 
     #[test]
     fn lossy_parse_truncates_at_cross_chunk_time_regression() {
         let mut log = sample_log(5);
         log.records.push(rec(0.001, 0, IoKind::Read, 0, 8192)); // goes backwards
-        let mut tsv = String::new();
-        tsv.push_str(FORMAT_HEADER);
-        tsv.push('\n');
-        for r in log.records() {
-            let mut one = OpLog::new();
-            one.records.push(*r);
-            tsv.push_str(one.to_tsv().lines().nth(1).unwrap());
+        for (write, header) in writers() {
+            let mut tsv = String::new();
+            tsv.push_str(header);
             tsv.push('\n');
+            for r in log.records() {
+                let mut one = OpLog::new();
+                one.records.push(*r);
+                tsv.push_str(write(&one).lines().nth(1).unwrap());
+                tsv.push('\n');
+            }
+            let (salvaged, salvage) = OpLog::parse_tsv_lossy(&tsv).unwrap();
+            assert_eq!(salvaged.len(), 5);
+            assert_eq!(
+                salvage.first_error,
+                Some(OpLogError::NonMonotone { line: 7 })
+            );
         }
-        let (salvaged, salvage) = OpLog::parse_tsv_lossy(&tsv).unwrap();
-        assert_eq!(salvaged.len(), 5);
-        assert_eq!(
-            salvage.first_error,
-            Some(OpLogError::NonMonotone { line: 7 })
-        );
     }
 
     #[test]

@@ -6,10 +6,36 @@ use wasla_simlib::proptest::prelude::*;
 use wasla_simlib::{json, SimRng, SimTime};
 use wasla_storage::IoKind;
 use wasla_trace::oplog::{
-    fit_oplog_streamed, ChunkStats, OpLog, OpLogError, OpRecord, FORMAT_HEADER,
+    fit_oplog_streamed, ChunkStats, OpLog, OpLogError, OpRecord, FORMAT_HEADER, FORMAT_HEADER_V1,
 };
 use wasla_trace::{FitConfig, FitError};
 use wasla_workload::WorkloadSet;
+
+#[path = "support/v1_writer.rs"]
+mod v1_writer;
+use v1_writer::to_tsv_v1;
+
+/// How one op-log format writes a log and spells a time field.
+struct Format {
+    header: &'static str,
+    write: fn(&OpLog) -> String,
+    time: fn(f64) -> String,
+}
+
+/// v2 (what `to_tsv` writes) and v1 (read-only; the test oracle
+/// writer).
+const FORMATS: [Format; 2] = [
+    Format {
+        header: FORMAT_HEADER,
+        write: OpLog::to_tsv,
+        time: |x| format!("{:016x}", x.to_bits()),
+    },
+    Format {
+        header: FORMAT_HEADER_V1,
+        write: to_tsv_v1,
+        time: json::format_f64,
+    },
+];
 
 /// One read or write at `t` seconds (completion equals issue: the fit
 /// reads issue times only).
@@ -148,19 +174,23 @@ fn synth_log(n: u64, seed: u64) -> OpLog {
 
 proptest! {
     /// Write → read → write is the identity on bytes for any valid
-    /// log, and the lossy reader agrees that nothing was dropped.
+    /// log in either format, and the lossy reader agrees that nothing
+    /// was dropped.
     #[test]
     fn oplog_roundtrip_is_byte_identical(n in 1u64..300, seed in 0u64..1_000_000) {
         let log = synth_log(n, seed);
-        let text = log.to_tsv();
-        let parsed = OpLog::parse_tsv(&text).expect("serialized log parses");
-        prop_assert_eq!(parsed.to_tsv(), text.clone());
-        prop_assert_eq!(parsed.trace_content_hash(), log.trace_content_hash());
-        let (lossy, salvage) = OpLog::parse_tsv_lossy(&text).expect("lossy parses");
-        prop_assert_eq!(salvage.kept, n as usize);
-        prop_assert_eq!(salvage.dropped, 0);
-        prop_assert!(salvage.first_error.is_none());
-        prop_assert_eq!(lossy.to_tsv(), text);
+        for format in &FORMATS {
+            let text = (format.write)(&log);
+            let parsed = OpLog::parse_tsv(&text).expect("serialized log parses");
+            prop_assert_eq!((format.write)(&parsed), text.clone());
+            prop_assert_eq!(parsed.records(), log.records());
+            prop_assert_eq!(parsed.trace_content_hash(), log.trace_content_hash());
+            let (lossy, salvage) = OpLog::parse_tsv_lossy(&text).expect("lossy parses");
+            prop_assert_eq!(salvage.kept, n as usize);
+            prop_assert_eq!(salvage.dropped, 0);
+            prop_assert!(salvage.first_error.is_none());
+            prop_assert_eq!((format.write)(&lossy), text);
+        }
     }
 
     /// Cutting the file at an arbitrary byte never panics: the reader
@@ -172,34 +202,38 @@ proptest! {
         seed in 0u64..1_000_000,
         cut_frac in 0u64..1000,
     ) {
-        let text = synth_log(n, seed).to_tsv();
-        let body_start = FORMAT_HEADER.len() + 1;
-        let pos = (cut_frac as usize * text.len()) / 1000;
-        let cut = &text[..pos];
-        // Strict parse: typed result either way, never a panic.
-        let _ = OpLog::parse_tsv(cut);
-        match OpLog::parse_tsv_lossy(cut) {
-            Ok((log, salvage)) => {
-                prop_assert_eq!(salvage.kept, log.len());
-                let reparsed = OpLog::parse_tsv(&log.to_tsv()).expect("salvaged prefix is valid");
-                prop_assert_eq!(reparsed.len(), log.len());
-            }
-            Err(OpLogError::MissingHeader) => {
-                // Only possible when the cut landed inside the header.
-                prop_assert!(pos < body_start);
-            }
-            Err(e) => {
-                // No salvageable prefix: the first record line itself
-                // was damaged. A cut mid-number can leave a `complete`
-                // that still parses but precedes its issue, so
-                // NonMonotone is reachable too.
-                prop_assert!(
-                    matches!(e, OpLogError::Truncated { line: 2, .. }
-                        | OpLogError::BadField { line: 2, .. }
-                        | OpLogError::UnknownOp { line: 2 }
-                        | OpLogError::NonMonotone { line: 2 }),
-                    "unexpected prefix-free error {e:?}"
-                );
+        let log = synth_log(n, seed);
+        for format in &FORMATS {
+            let text = (format.write)(&log);
+            let body_start = format.header.len() + 1;
+            let pos = (cut_frac as usize * text.len()) / 1000;
+            let cut = &text[..pos];
+            // Strict parse: typed result either way, never a panic.
+            let _ = OpLog::parse_tsv(cut);
+            match OpLog::parse_tsv_lossy(cut) {
+                Ok((log, salvage)) => {
+                    prop_assert_eq!(salvage.kept, log.len());
+                    let reparsed =
+                        OpLog::parse_tsv(&log.to_tsv()).expect("salvaged prefix is valid");
+                    prop_assert_eq!(reparsed.len(), log.len());
+                }
+                Err(OpLogError::MissingHeader) => {
+                    // Only possible when the cut landed inside the header.
+                    prop_assert!(pos < body_start);
+                }
+                Err(e) => {
+                    // No salvageable prefix: the first record line itself
+                    // was damaged. A cut mid-number can leave a `complete`
+                    // that still parses but precedes its issue, so
+                    // NonMonotone is reachable too.
+                    prop_assert!(
+                        matches!(e, OpLogError::Truncated { line: 2, .. }
+                            | OpLogError::BadField { line: 2, .. }
+                            | OpLogError::UnknownOp { line: 2 }
+                            | OpLogError::NonMonotone { line: 2 }),
+                        "unexpected prefix-free error {e:?}"
+                    );
+                }
             }
         }
     }
@@ -217,47 +251,50 @@ proptest! {
         kind in 0usize..5,
     ) {
         let log = synth_log(n, seed);
-        let text = log.to_tsv();
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let i = (at_frac as usize * n as usize) / 1000; // record index
-        let line_no = i + 2; // 1-based, counting the header
-        let overlong = format!("R\t0\t0\t1\t0\t{}", "9".repeat(170));
-        let expected = match kind {
-            0 => {
-                lines[i + 1] = "!!interleaved garbage, no tabs!!".to_string();
-                OpLogError::Truncated { line: line_no, fields: 1 }
+        for format in &FORMATS {
+            let text = (format.write)(&log);
+            let t = format.time;
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            let i = (at_frac as usize * n as usize) / 1000; // record index
+            let line_no = i + 2; // 1-based, counting the header
+            let overlong = format!("R\t0\t0\t1\t0\t{}", "9".repeat(170));
+            let expected = match kind {
+                0 => {
+                    lines[i + 1] = "!!interleaved garbage, no tabs!!".to_string();
+                    OpLogError::Truncated { line: line_no, fields: 1 }
+                }
+                1 => {
+                    lines[i + 1].replace_range(0..1, "X");
+                    OpLogError::UnknownOp { line: line_no }
+                }
+                2 => {
+                    let len = overlong.len();
+                    lines[i + 1] = overlong;
+                    OpLogError::Overlong { line: line_no, len }
+                }
+                3 => {
+                    lines[i + 1] = format!("R\tnope\t0\t1\t{}\t{}", t(0.0), t(0.0));
+                    OpLogError::BadField { line: line_no, field: "stream" }
+                }
+                _ => {
+                    lines[i + 1] = format!("R\t0\t0\t1\t{}\t{}", t(5.0), t(1.0));
+                    OpLogError::NonMonotone { line: line_no }
+                }
+            };
+            let damaged = lines.join("\n") + "\n";
+            prop_assert_eq!(OpLog::parse_tsv(&damaged).unwrap_err(), expected);
+            if i == 0 {
+                // No valid prefix: the lossy reader stays strict.
+                prop_assert_eq!(OpLog::parse_tsv_lossy(&damaged).unwrap_err(), expected);
+            } else {
+                let (salvaged, salvage) =
+                    OpLog::parse_tsv_lossy(&damaged).expect("prefix salvages");
+                prop_assert_eq!(salvaged.len(), i);
+                prop_assert_eq!(salvage.kept, i);
+                prop_assert_eq!(salvage.dropped, n as usize - i);
+                prop_assert_eq!(salvage.first_error, Some(expected));
+                prop_assert_eq!(salvaged.records(), &log.records()[..i]);
             }
-            1 => {
-                lines[i + 1].replace_range(0..1, "X");
-                OpLogError::UnknownOp { line: line_no }
-            }
-            2 => {
-                let len = overlong.len();
-                lines[i + 1] = overlong;
-                OpLogError::Overlong { line: line_no, len }
-            }
-            3 => {
-                lines[i + 1] = "R\tnope\t0\t1\t0\t0".to_string();
-                OpLogError::BadField { line: line_no, field: "stream" }
-            }
-            _ => {
-                lines[i + 1] = "R\t0\t0\t1\t5\t1".to_string();
-                OpLogError::NonMonotone { line: line_no }
-            }
-        };
-        let damaged = lines.join("\n") + "\n";
-        prop_assert_eq!(OpLog::parse_tsv(&damaged).unwrap_err(), expected);
-        if i == 0 {
-            // No valid prefix: the lossy reader stays strict.
-            prop_assert_eq!(OpLog::parse_tsv_lossy(&damaged).unwrap_err(), expected);
-        } else {
-            let (salvaged, salvage) =
-                OpLog::parse_tsv_lossy(&damaged).expect("prefix salvages");
-            prop_assert_eq!(salvaged.len(), i);
-            prop_assert_eq!(salvage.kept, i);
-            prop_assert_eq!(salvage.dropped, n as usize - i);
-            prop_assert_eq!(salvage.first_error, Some(expected));
-            prop_assert_eq!(salvaged.records(), &log.records()[..i]);
         }
     }
 

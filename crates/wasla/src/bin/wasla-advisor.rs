@@ -35,9 +35,14 @@
 //!   target, in target order).
 //! * `fit` fits per-object workload descriptions from a captured
 //!   op-log and an object inventory (`[{"name":..,"size":..}]`).
+//!   Every `--oplog` flag reads both op-log formats, picked by the
+//!   header line: `#wasla-oplog v2` (times as 16 hex digits of the
+//!   `f64` bits) and `#wasla-oplog v1` (decimal times). Both read to
+//!   the same records, so their fits are byte-identical.
 //! * `capture` runs a built-in scenario under the SEE baseline with
 //!   op-log capture on and writes `oplog.tsv` (the compact
-//!   line-oriented record format) plus `objects.json` to `--out-dir`.
+//!   line-oriented record format, always v2) plus `objects.json` to
+//!   `--out-dir`.
 //! * `replay` feeds a captured op-log through the streamed advise
 //!   pipeline and replays it against the SEE baseline and the advised
 //!   layout, printing a predicted-vs-observed report.
@@ -103,7 +108,8 @@ const USAGE: &str = "usage:
 [--objects-min N] [--objects-max N] [--size-mib-min X] [--size-mib-max X] \
 [--write-frac F] [--burstiness F] [--interactive-share F] [--batch-share F] \
 [--queue-cap N] [--brownout N] [--max-attempts K] [--backoff-base N] [--backoff-cap N]
-  wasla-advisor demo [--scale S] [--objective NAME] [--cache-dir DIR]";
+  wasla-advisor demo [--scale S] [--objective NAME] [--cache-dir DIR]
+--oplog reads `#wasla-oplog v2` logs (what capture writes) and `#wasla-oplog v1` logs.";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -304,6 +304,53 @@ fn epoch_stamped_oplog_is_a_typed_fit_error() {
 }
 
 #[test]
+fn fit_reads_v1_and_v2_oplogs_alike_and_rejects_bad_hex() {
+    // `fit --oplog` on the committed v1 fixture and on its v2 rewrite
+    // writes byte-identical fits: the reader picks the format from the
+    // header and both spell the same f64 times. An uppercase hex digit
+    // in a v2 time is a typed op-log error (exit 1), not a panic.
+    let dir = std::env::temp_dir().join(format!("wasla-oplog-formats-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
+    let objects = dir.join("objects.json");
+    let inventory: Vec<String> = (0..6)
+        .map(|i| format!(r#"{{"name":"obj{i}","size":1073741824}}"#))
+        .collect();
+    std::fs::write(&objects, format!("[{}]", inventory.join(","))).unwrap();
+    let fit = |log: &str, out: &str| {
+        advisor_cli(&format!(
+            "fit --oplog {fixtures}/{log} --objects {} --out {}",
+            objects.display(),
+            dir.join(out).display()
+        ))
+    };
+    for (log, out) in [("golden.oplog", "v1.json"), ("golden_v2.oplog", "v2.json")] {
+        let (code, stderr) = fit(log, out);
+        assert_eq!(code, 0, "{log}: stderr {stderr}");
+    }
+    let v1 = std::fs::read(dir.join("v1.json")).unwrap();
+    assert!(!v1.is_empty());
+    assert_eq!(v1, std::fs::read(dir.join("v2.json")).unwrap());
+
+    let v2 = std::fs::read_to_string(format!("{fixtures}/golden_v2.oplog")).unwrap();
+    let upper = v2.replacen("3f75e3415c30c9ba", "3f75E3415c30c9ba", 1);
+    assert_ne!(upper, v2, "fixture holds the time the test damages");
+    let bad = dir.join("bad.oplog");
+    std::fs::write(&bad, upper).unwrap();
+    let (code, stderr) = advisor_cli(&format!(
+        "fit --oplog {} --objects {}",
+        bad.display(),
+        objects.display()
+    ));
+    assert_eq!(code, 1, "stderr {stderr}");
+    assert!(
+        stderr.contains("line 2: unparsable complete field"),
+        "stderr {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn admission_rejection_is_a_typed_overloaded_error() {
     use wasla::{AdviseRequest, BatchPolicy};
     // A zero-capacity queue rejects every request before any work:
