@@ -206,6 +206,31 @@ for t in 1 8; do
     WASLA_THREADS=$t cargo test -q --offline -p wasla --test objective_equivalence
 done
 
+step "solve-quality guard (WASLA_THREADS=1 and 8, byte-compared)"
+# The cold-path quality guard for the solver's step rule (DESIGN.md
+# §10): per-case final max utilization within its bounds of the
+# recorded fixed-step values, and objective evaluations per gradient
+# bounded. Its per-case lines (exact bits and counters) must be
+# byte-identical at serial and wide pool widths: the spectral step's
+# dot products run serially inside each solve.
+quality_tmp=$(mktemp -d)
+for t in 1 8; do
+    echo "-- WASLA_THREADS=$t --"
+    WASLA_THREADS=$t cargo test -q --offline -p wasla --test solve_quality -- --nocapture \
+        > "$quality_tmp/run_t$t.txt"
+    grep '^solve_quality ' "$quality_tmp/run_t$t.txt" > "$quality_tmp/cases_t$t.txt"
+done
+if [ ! -s "$quality_tmp/cases_t1.txt" ]; then
+    echo "error: the solve-quality guard printed no case lines" >&2
+    exit 1
+fi
+if ! cmp -s "$quality_tmp/cases_t1.txt" "$quality_tmp/cases_t8.txt"; then
+    echo "error: solve-quality case output differs between WASLA_THREADS=1 and 8" >&2
+    exit 1
+fi
+echo "solve-quality case output byte-identical at WASLA_THREADS=1/8"
+rm -rf "$quality_tmp"
+
 step "fault-injection env var confined to simlib::fault"
 # The robustness policy (DESIGN.md §Fault model) reads the fault-plan
 # environment variable in exactly one place — crates/simlib/src/fault.rs

@@ -4,10 +4,17 @@
 //!   through `cost_with_grad`, zero objective probes) on block-sparse
 //!   problems across an N×M sweep;
 //! * `gradient_solve` — complete `solve_nlp` runs, so the gradient's
-//!   cost shows up end to end in the same report.
+//!   cost shows up end to end in the same report. The sweep problems
+//!   take one gradient per temperature stage; `fitted_tpch` solves the
+//!   problem fitted from a captured TPC-H-like op-log, whose solve runs
+//!   multi-iteration line searches.
 
 use std::hint::black_box;
-use wasla::core::{initial_layout, solve_nlp, EvalEngine, SolverOptions};
+use wasla::core::{initial_layout, solve_nlp, EvalEngine, LayoutProblem, SolverOptions};
+use wasla::model::CalibrationGrid;
+use wasla::pipeline::{assemble_problem, Scenario};
+use wasla::workload::WorkloadSet;
+use wasla::AdvisorSession;
 use wasla_bench::harness::Harness;
 use wasla_bench::sweep::sweep_problem;
 
@@ -41,16 +48,39 @@ fn bench_gradient_sweep(c: &mut Harness) {
     group.finish();
 }
 
+/// The problem `advise` assembles from `tests/fixtures/tpch_fit.golden.json`
+/// (the fit of a `capture --scenario tpch --scale 0.01` op-log) on the
+/// scenario's four disks, with whole tables on the default grid.
+fn fitted_tpch_problem() -> LayoutProblem {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/tpch_fit.golden.json"
+    );
+    let text = std::fs::read_to_string(path).expect("read the fit fixture");
+    let fitted: WorkloadSet = wasla::simlib::json::from_str(&text).expect("fit fixture parses");
+    let scenario = Scenario::homogeneous_disks(4, 0.01);
+    let models = AdvisorSession::new()
+        .models_for(
+            &scenario.targets,
+            &CalibrationGrid::default(),
+            scenario.seed,
+        )
+        .expect("targets calibrate");
+    assemble_problem(&scenario, fitted, models, vec![])
+}
+
 /// End-to-end: a complete default solve on a mid-size and the
-/// gradient-heavy sweep problem.
+/// gradient-heavy sweep problem, and on the fitted TPC-H-like problem.
 fn bench_solve_paths(c: &mut Harness) {
     let mut group = c.benchmark_group("gradient_solve");
-    for (n, m) in [(32usize, 4usize), (128, 16)] {
-        let problem = sweep_problem(n, m);
-        let init = initial_layout(&problem).expect("sweep problem has ample capacity");
+    let problems = [(32usize, 4usize), (128, 16)]
+        .map(|(n, m)| (format!("analytic_n{n}_m{m}"), sweep_problem(n, m)));
+    let fitted = ("fitted_tpch".to_string(), fitted_tpch_problem());
+    for (name, problem) in problems.into_iter().chain([fitted]) {
+        let init = initial_layout(&problem).expect("the problem has ample capacity");
         let opts = SolverOptions::default();
         let stats = solve_nlp(&problem, &init, &opts).stats;
-        group.bench_function(format!("analytic_n{n}_m{m}"), |b| {
+        group.bench_function(name, |b| {
             for (name, value) in stats.entries() {
                 b.counter(name, value as f64);
             }
