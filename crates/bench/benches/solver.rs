@@ -128,7 +128,7 @@ fn bench_eval_rebuild(c: &mut Harness) {
 
 /// Times `lse_score` alternating between `points` on the sweep
 /// problem of size `n × m`, asserting first that each call is exactly
-/// one full rebuild (a pair closer than the engine's rebuild fraction
+/// one full rebuild (a pair differing in at most `m` coordinates
 /// would time incremental commits instead).
 fn bench_rebuild_pair(
     group: &mut Group<'_>,

@@ -88,7 +88,9 @@ pub fn ablation_starts(config: &ExpConfig) -> ExperimentResult {
         let t0 = Instant::now();
         let rec = recommend(problem, &opts).expect("recommend succeeds");
         let dt = t0.elapsed().as_secs_f64();
-        let final_max = rec.stages.last().expect("stages").max_utilization;
+        // The recommended layout's score: SEE's when the advisor fell
+        // back to it, not the last stage's.
+        let final_max = UtilizationEstimator::new(problem).max_utilization(rec.final_layout());
         rows.push(Row::new(
             name,
             vec![

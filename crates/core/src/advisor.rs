@@ -7,8 +7,8 @@
 //! paper's Figure 13 shows exactly these four bars) plus wall-clock
 //! timings (Figure 19 reports solver vs. regularization time).
 //! [`replan`] is the online re-plan's variant of the pipeline: the
-//! same stages run once per start (the rate-greedy layout, the deployed
-//! layout, SEE), keeping the best regularized result.
+//! same stages run once per distinct start (the rate-greedy layout,
+//! the deployed layout, SEE), keeping the best regularized result.
 
 use crate::baselines;
 use crate::eval::{max_of, EvalEngine};
@@ -170,7 +170,8 @@ pub enum AdvisorError {
     Initial(InitialLayoutError),
     /// The multi-start solve could not run (no starting layouts).
     Multistart(MultistartError),
-    /// Regularization dead-ended (§4.3's manual-intervention case).
+    /// Regularization dead-ended (§4.3's manual-intervention case) or
+    /// met a non-finite solver layout.
     Regularize(RegularizeError),
 }
 
@@ -413,7 +414,9 @@ pub fn solve_stage(
 /// (`incumbent`), SEE over the live targets when it fits, then
 /// `options.extra_starts` — each start solved and regularized on its
 /// own, keeping the recommendation whose final layout scores best
-/// under the objective (ties go to the earlier start).
+/// under the objective (ties go to the earlier start). A start whose
+/// rows are bitwise equal to an earlier one's is solved once, the rule
+/// [`solve_multistart`] uses.
 ///
 /// A re-layout is a move from the current layout, so the incumbent is
 /// the warm start; the rate-greedy and SEE starts keep a way out of its
@@ -441,8 +444,18 @@ pub fn replan(
 
     let see = live_see_start(problem);
     let mut starts = vec![None, Some(incumbent)];
-    starts.extend(see.as_ref().map(Some));
-    starts.extend(options.extra_starts.iter().map(Some));
+    // Each distinct start runs once: a later twin (bitwise-equal rows)
+    // would produce a bitwise-equal recommendation, which the strict
+    // `<` pick below never prefers over the earlier one.
+    for start in see.iter().chain(&options.extra_starts) {
+        if !starts
+            .iter()
+            .flatten()
+            .any(|earlier| earlier.same_bits(start))
+        {
+            starts.push(Some(start));
+        }
+    }
 
     // The candidates are independent, so they run concurrently on the
     // `par` pool; scoring and the pick run in start order, so the
@@ -753,6 +766,58 @@ mod tests {
                 .min(est.max_utilization(alone.final_layout()))
                 .to_bits()
         );
+    }
+
+    /// `replan` solves each distinct start once, yet returns exactly
+    /// what solving and regularizing every start in order, twins
+    /// included, and keeping the first strictly-best one returns.
+    #[test]
+    fn replan_dedupe_matches_the_serial_loop_over_every_start() {
+        let p = problem();
+        let see = live_see_start(&p).unwrap();
+        let extra = random_start(&p, &mut SimRng::new(7)).unwrap();
+        let opts = AdvisorOptions {
+            regularize: true,
+            extra_starts: vec![
+                extra.clone(),
+                see.clone(),
+                extra,
+                baselines::isolate_tables(&p, 0),
+            ],
+            ..AdvisorOptions::default()
+        };
+        // The incumbent equals the live SEE start.
+        let incumbent = see.clone();
+        let mut starts = vec![None, Some(&incumbent), Some(&see)];
+        starts.extend(opts.extra_starts.iter().map(Some));
+        let mut engine = EvalEngine::new(&p);
+        let mut serial: Option<(f64, Recommendation)> = None;
+        for start in starts {
+            let solved = solve_from(&p, &opts, |initial| vec![start.unwrap_or(initial).clone()]);
+            let rec = regularize_stage(&p, &opts, solved.unwrap()).unwrap();
+            engine.set_layout(rec.final_layout());
+            let score = engine.committed_score();
+            if serial.as_ref().map_or(true, |b| score < b.0) {
+                serial = Some((score, rec));
+            }
+        }
+        let serial = serial.unwrap().1;
+        let got = replan(&p, &opts, &incumbent).unwrap();
+        let stage_bits = |rec: &Recommendation| -> Vec<(String, u64, Vec<u64>)> {
+            rec.stages
+                .iter()
+                .map(|s| {
+                    let utils = s.utilizations.iter().map(|u| u.to_bits()).collect();
+                    (s.stage.clone(), s.max_utilization.to_bits(), utils)
+                })
+                .collect()
+        };
+        assert!(got.final_layout().same_bits(serial.final_layout()));
+        assert!(got.solver_layout.same_bits(&serial.solver_layout));
+        assert_eq!(stage_bits(&got), stage_bits(&serial));
+        assert_eq!(got.quality, serial.quality);
+        assert_eq!(got.fell_back_to_see, serial.fell_back_to_see);
+        assert_eq!(got.converged, serial.converged);
     }
 
     #[test]

@@ -61,12 +61,6 @@ use crate::problem::{Layout, LayoutProblem, EPS};
 use wasla_solver::{lse_max, softmax_weights};
 use wasla_storage::IoKind;
 
-/// When the committed point and an incoming point differ in more than
-/// this fraction of coordinates, a full rebuild is cheaper than
-/// per-coordinate commits (a rebuild costs 2·N·M model calls; a
-/// coordinate commit re-derives up to 2·N of them).
-const REBUILD_FRACTION: f64 = 0.25;
-
 /// A `node_rows` entry for a subtree whose every leaf is `+0.0`.
 const DEAD: usize = usize::MAX;
 
@@ -201,6 +195,26 @@ impl<'a> EvalEngine<'a> {
     /// The objective this engine scores for.
     pub fn objective(&self) -> ObjectiveKind {
         self.objective
+    }
+
+    /// Restores the freshly built state in place, without
+    /// reallocating: the all-zero layout committed, every tree stale
+    /// and every counter zero. A reused engine then does exactly the
+    /// work, counters included, that a new one would.
+    pub fn reset(&mut self) {
+        let m = self.m;
+        let specs = &self.problem.workloads.specs;
+        for (i, spec) in specs.iter().enumerate() {
+            let w = layout_model::apply(spec, 0.0, self.stripe);
+            self.w[i * m..(i + 1) * m].fill(w);
+        }
+        self.x.fill(0.0);
+        self.roots.fill(0.0);
+        self.live.fill(false);
+        self.mu.fill(0.0);
+        self.mu_col.fill(0.0);
+        self.cap_used.fill(0.0);
+        self.stats = EvalStats::default();
     }
 
     // hot-closure-begin: everything below runs inside solver
@@ -371,8 +385,10 @@ impl<'a> EvalEngine<'a> {
     }
 
     /// Commits `x` as the current point. Bit-unchanged coordinates
-    /// cost nothing; a handful of changes commit incrementally; a
-    /// mostly-new point triggers a full rebuild.
+    /// cost nothing; at most `M` changed coordinates commit
+    /// incrementally; more trigger a full rebuild. Caches are pure
+    /// functions of the committed point, so both paths give the same
+    /// bits.
     pub fn set_point(&mut self, x: &[f64]) {
         debug_assert_eq!(x.len(), self.n * self.m);
         let mut changed = 0usize;
@@ -384,7 +400,11 @@ impl<'a> EvalEngine<'a> {
         if changed == 0 {
             return;
         }
-        if (changed as f64) > REBUILD_FRACTION * (self.n * self.m) as f64 {
+        // A rebuild costs 2·N·M model calls and a coordinate commit
+        // about 2·N (plus materializing the column's stale trees), so
+        // past about one changed coordinate per column the rebuild is
+        // the cheaper way to the same caches.
+        if changed > self.m {
             self.rebuild(x);
             return;
         }
@@ -501,8 +521,10 @@ impl<'a> EvalEngine<'a> {
 
     /// Per-target utilizations with row `i` replaced by `row`,
     /// without committing. Exact only when the candidate layout
-    /// differs from the committed point in row `i` alone.
-    pub fn probe_row(&mut self, i: usize, row: &[f64], out: &mut [f64]) {
+    /// differs from the committed point in row `i` alone. The
+    /// regularizer's reference scores with it.
+    #[cfg(test)]
+    pub(crate) fn probe_row(&mut self, i: usize, row: &[f64], out: &mut [f64]) {
         for j in 0..self.m {
             out[j] = if row[j].to_bits() == self.x[i * self.m + j].to_bits() {
                 self.mu_col[j]
@@ -649,8 +671,10 @@ impl<'a> EvalEngine<'a> {
     }
 
     /// `max_j wⱼ·µⱼ` with row `i` replaced by `row`, without
-    /// committing (the regularizer's candidate score).
-    pub fn probe_row_score(&mut self, i: usize, row: &[f64]) -> f64 {
+    /// committing: the candidate score of the regularizer's reference,
+    /// which production reproduces with memoized column probes.
+    #[cfg(test)]
+    pub(crate) fn probe_row_score(&mut self, i: usize, row: &[f64]) -> f64 {
         let mut best = 0.0f64;
         for j in 0..self.m {
             let mu_j = if row[j].to_bits() == self.x[i * self.m + j].to_bits() {
@@ -907,6 +931,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `set_point` commits at most `m` changed coordinates one by one
+    /// and rebuilds past that; either way, from a committed state with
+    /// stale or live trees, every cache matches the oracles.
+    #[test]
+    fn set_point_branches_match_oracles_from_stale_and_live_trees() {
+        let mut rng = wasla_simlib::SimRng::new(0x5e7);
+        for n in [1, 3, 5, 8, 17] {
+            let m = 1 + n % 4;
+            let p = problem(n, m);
+            let mut e = EvalEngine::new(&p);
+            let mut x = vec![0.0; n * m];
+            let mut moves = vec![1, m, m + 1, n * m / 4 + 1, n * m];
+            moves.retain(|&k| k <= n * m);
+            moves.dedup();
+            for live in [false, true] {
+                for &moved in &moves {
+                    let ctx = format!("n={n} m={m} live={live} moved={moved}");
+                    for v in x.iter_mut() {
+                        *v = gated_fraction(&mut rng);
+                    }
+                    e.rebuild(&x);
+                    if live {
+                        (0..m).for_each(|j| e.materialize(j));
+                    }
+                    let mut coords: Vec<usize> = (0..n * m).collect();
+                    rng.shuffle(&mut coords);
+                    let mut xv = x.clone();
+                    for &c in &coords[..moved] {
+                        while xv[c].to_bits() == x[c].to_bits() {
+                            xv[c] = gated_fraction(&mut rng);
+                        }
+                    }
+                    let before = e.stats;
+                    e.set_point(&xv);
+                    let d = e.stats.since(&before);
+                    let rebuilt = moved > m;
+                    assert_eq!(d.full_rebuilds, u64::from(rebuilt), "{ctx}");
+                    let commits = if rebuilt { 0 } else { moved as u64 };
+                    assert_eq!(d.coord_commits, commits, "{ctx}");
+                    assert_committed_exact(&mut e, &xv, &ctx);
+                    x = xv;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reset_restores_the_fresh_engine() {
+        let p = problem(6, 3);
+        let fresh = EvalEngine::new(&p);
+        let mut used = EvalEngine::new(&p);
+        used.set_point(&flat(6, 3, 41));
+        used.probe_coord(2, 1, 0.3);
+        used.commit_coord(4, 0, 0.7);
+        used.reset();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&used.x), bits(&fresh.x));
+        assert_eq!(used.w, fresh.w);
+        assert_eq!(bits(&used.roots), bits(&fresh.roots));
+        assert_eq!(bits(&used.mu), bits(&fresh.mu));
+        assert_eq!(bits(&used.mu_col), bits(&fresh.mu_col));
+        assert_eq!(bits(&used.cap_used), bits(&fresh.cap_used));
+        assert_eq!(used.live, fresh.live);
+        assert_eq!(used.stats, EvalStats::default());
+        // From there a reset engine does a fresh engine's work.
+        let mut fresh = fresh;
+        let x = flat(6, 3, 43);
+        used.set_point(&x);
+        fresh.set_point(&x);
+        assert_eq!(used.stats, fresh.stats);
+        assert_committed_exact(&mut used, &x, "after reset");
     }
 
     /// Rebuild roots equal `kernel::competing_sum` bit for bit on both

@@ -159,11 +159,8 @@ pub fn solve_nlp(problem: &LayoutProblem, initial: &Layout, opts: &SolverOptions
 /// [`solve_nlp`] over a caller-supplied engine, so multistart can
 /// reuse one workspace across solves: builds the feasible-set
 /// projection and capacity constraints, then runs the LSE temperature
-/// schedule through the augmented-Lagrangian loop. The engine's caches
-/// are pure functions of its committed point (see
-/// `incremental_commit_equals_rebuild`), so starting from whatever
-/// point a previous solve left committed is bit-equivalent to a fresh
-/// build. The engine must have been built for `opts.objective`.
+/// schedule through the augmented-Lagrangian loop. The engine must
+/// have been built for `opts.objective`.
 fn solve_with_engine<'p>(
     problem: &'p LayoutProblem,
     initial: &Layout,
@@ -208,40 +205,36 @@ fn solve_with_engine<'p>(
 /// over the earlier twin, so skipping it leaves the result unchanged.
 ///
 /// The solves draw from a shared pool of [`EvalEngine`] workspaces
-/// instead of building a fresh engine per start: at most `min(distinct starts, threads)` engines are ever built, and
-/// each is re-pointed per start. Engine caches are pure functions of
-/// the committed point, so reuse is bit-equivalent to rebuilding
-/// (asserted in `tests/eval_determinism.rs`).
+/// instead of building a fresh engine per start: at most
+/// `min(distinct starts, threads)` engines are ever built, and each is
+/// [`EvalEngine::reset`] per start, so reuse is bit-equivalent to a
+/// fresh build, counters included (asserted in
+/// `tests/eval_determinism.rs`).
 pub fn solve_multistart(
     problem: &LayoutProblem,
     starts: &[Layout],
     opts: &SolverOptions,
 ) -> Result<NlpOutcome, MultistartError> {
-    let same_bits = |a: &Layout, b: &Layout| {
-        a.rows().len() == b.rows().len()
-            && a.rows().iter().zip(b.rows()).all(|(ra, rb)| {
-                ra.len() == rb.len() && ra.iter().zip(rb).all(|(x, y)| x.to_bits() == y.to_bits())
-            })
-    };
     let distinct: Vec<&Layout> = starts
         .iter()
         .enumerate()
-        .filter(|&(k, s)| !starts[..k].iter().any(|earlier| same_bits(earlier, s)))
+        .filter(|&(k, s)| !starts[..k].iter().any(|earlier| earlier.same_bits(s)))
         .map(|(_, s)| s)
         .collect();
     let pool: Mutex<Vec<EvalEngine<'_>>> = Mutex::new(Vec::new());
     let outcomes = par::par_map(&distinct, |s| {
         // A poisoned pool only means another start panicked mid-solve;
-        // parked engines are re-pointed before use, so recover the
-        // guard rather than propagating the panic.
+        // parked engines are reset before use, so recover the guard
+        // rather than propagating the panic.
         let mut engine = pool
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .pop()
             .unwrap_or_else(|| EvalEngine::with_objective(problem, opts.objective));
-        // Counters restart per solve; the outcome reports this start's
-        // work, not the pool's cumulative total.
-        engine.stats = EvalStats::default();
+        // Each solve starts from the fresh all-zero state, so its work
+        // and counters do not depend on which start the pool served
+        // before.
+        engine.reset();
         let cell = RefCell::new(engine);
         let outcome = solve_with_engine(problem, s, opts, &cell);
         pool.lock()

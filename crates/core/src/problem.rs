@@ -74,6 +74,16 @@ impl Layout {
         &self.rows
     }
 
+    /// Whether both layouts have the same shape and bitwise-equal
+    /// (`f64::to_bits`) fractions: the identity under which two starts
+    /// solve to the same bits.
+    pub fn same_bits(&self, other: &Layout) -> bool {
+        self.rows.len() == other.rows.len()
+            && self.rows.iter().zip(&other.rows).all(|(a, b)| {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+            })
+    }
+
     /// The fraction of object `i` on target `j`.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         self.rows[i][j]

@@ -287,7 +287,7 @@ impl std::error::Error for WaslaError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wasla_core::InitialLayoutError;
+    use wasla_core::{InitialLayoutError, RegularizeError};
 
     #[test]
     fn json_round_trip_all_variants() {
@@ -296,6 +296,12 @@ mod tests {
             WaslaError::Advisor(AdvisorError::InvalidProblem("bad".into())),
             WaslaError::Advisor(AdvisorError::Initial(InitialLayoutError::NoFit {
                 object: 3,
+            })),
+            WaslaError::Advisor(AdvisorError::Regularize(RegularizeError::DeadEnd {
+                object: 2,
+            })),
+            WaslaError::Advisor(AdvisorError::Regularize(RegularizeError::NonFinite {
+                object: 1,
             })),
             WaslaError::Placement(PlacementError::ShapeMismatch),
             WaslaError::Engine(EngineError::DeadStep { slot: 5 }),
@@ -359,6 +365,13 @@ mod tests {
         );
         assert_eq!(
             WaslaError::Advisor(AdvisorError::InvalidProblem("x".into())).exit_code(),
+            1
+        );
+        assert_eq!(
+            WaslaError::Advisor(AdvisorError::Regularize(RegularizeError::NonFinite {
+                object: 0
+            }))
+            .exit_code(),
             1
         );
         assert_eq!(WaslaError::Engine(EngineError::Unbounded).exit_code(), 1);
