@@ -75,16 +75,20 @@ if [ "$ratchet_failed" -ne 0 ]; then
     exit 1
 fi
 
-step "hot-loop allocation ratchet (solver closures stay allocation-free)"
+step "hot-loop allocation ratchet (solver closures and simulator hot path stay allocation-free)"
 # The evaluation-engine work (DESIGN.md §10) hoisted every per-call
 # allocation out of the solver's objective/gradient/constraint
-# closures (and from the per-row simplex projection they call); those
-# hot regions are fenced with `// hot-closure-begin` /
-# `// hot-closure-end` markers. The gate extracts each fenced region
-# and fails on allocation idioms creeping back in — and on a file
-# losing its markers, so the fence can't be deleted to dodge the grep.
+# closures (and from the per-row simplex projection they call), and
+# the simulator hot path (DESIGN.md §2) out of the storage system's
+# per-request path (submit, try_start, finish_part, the advance loop)
+# and the engine's `issue` and event loop. Those hot regions are
+# fenced with `// hot-closure-begin` / `// hot-closure-end` markers.
+# The gate extracts each fenced region and fails on allocation idioms
+# creeping back in — and on a file losing its markers, so the fence
+# can't be deleted to dodge the grep.
 hot_files="crates/core/src/optimizer.rs crates/core/src/eval/engine.rs \
-crates/core/src/eval/grad.rs crates/solver/src/auglag.rs crates/solver/src/simplex.rs"
+crates/core/src/eval/grad.rs crates/solver/src/auglag.rs crates/solver/src/simplex.rs \
+crates/storage/src/system.rs crates/exec/src/engine.rs"
 alloc_failed=0
 for f in $hot_files; do
     begins=$(grep -c 'hot-closure-begin' "$f" || true)

@@ -1,11 +1,14 @@
 //! Micro-benchmarks for the storage simulator substrate.
 
 use std::hint::black_box;
+use wasla::exec::{see_rows, Engine, Placement, RunConfig};
+use wasla::pipeline::{Scenario, LVM_STRIPE};
 use wasla::simlib::{SimRng, SimTime};
 use wasla::storage::{
     device::DeviceModel, disk::Disk, DeviceSpec, DiskParams, StorageSystem, TargetConfig, TargetIo,
     GIB,
 };
+use wasla::workload::SqlWorkload;
 use wasla_bench::harness::{Harness, Throughput};
 
 fn bench_disk_service_time(c: &mut Harness) {
@@ -82,13 +85,67 @@ fn bench_raid_translation(c: &mut Harness) {
     );
     let io = TargetIo::read(1_000_000, 1_048_576, 3);
     c.bench_function("raid0_translate_1MiB", |b| {
-        b.iter(|| black_box(target.translate(black_box(&io))))
+        let mut parts = Vec::new();
+        b.iter(|| {
+            parts.clear();
+            target.translate(black_box(&io), &mut parts);
+            black_box(parts.len())
+        })
     });
+}
+
+/// The traffic the advisor's trace stage generates: a full engine run
+/// of OLAP8-63 under SEE on four disks with op-log capture on. Unlike
+/// `submit_drain_10k_requests_4_disks`, which queues thousands of
+/// requests per disk at t=0, the engine keeps a few requests per
+/// stream in flight, so the event heap stays shallow and the per-part
+/// costs (translation, slab slots, completion delivery) dominate.
+/// `records` is the op-log length; divide the median by it for ns per
+/// record.
+fn bench_engine_trace_run(c: &mut Harness) {
+    let scenario = Scenario::homogeneous_disks(4, 0.03);
+    let workloads = [SqlWorkload::olap8_63(5)];
+    let rows = see_rows(scenario.catalog.len(), scenario.targets.len());
+    let placement = Placement::build(
+        &rows,
+        &scenario.catalog.sizes(),
+        &scenario.capacities(),
+        LVM_STRIPE,
+    )
+    .expect("SEE fits four disks");
+    let config = RunConfig {
+        seed: 7,
+        scale: scenario.scale,
+        pool_bytes: scenario.pool_bytes,
+        capture_oplog: true,
+        ..RunConfig::default()
+    };
+    let mut group = c.benchmark_group("engine");
+    group.bench_function("trace_run_olap8_63_see4", |b| {
+        let mut records = 0usize;
+        b.iter(|| {
+            let mut storage = scenario.storage();
+            let outcome = Engine::new(
+                &scenario.catalog,
+                &workloads,
+                &placement,
+                &mut storage,
+                config.clone(),
+            )
+            .run_observed()
+            .expect("trace run succeeds");
+            records = outcome.report.trace.as_ref().map_or(0, |t| t.len());
+            black_box(outcome)
+        });
+        b.counter("records", records as f64);
+    });
+    group.finish();
 }
 
 wasla_bench::bench_main!(
     "simulator",
     bench_disk_service_time,
     bench_storage_system_throughput,
-    bench_raid_translation
+    bench_raid_translation,
+    bench_engine_trace_run
 );

@@ -85,6 +85,7 @@ pub fn run_open_loop(
         })
         .collect();
 
+    let mut completions = Vec::new();
     loop {
         // Next arrival across streams.
         let (idx, t_arrival) = states
@@ -95,7 +96,9 @@ pub fn run_open_loop(
             .expect("streams non-empty");
         // Drain storage completions up to the arrival (or stop).
         let t_next = t_arrival.min(duration);
-        for c in storage.advance_until(SimTime::from_secs(t_next)) {
+        completions.clear();
+        storage.advance_until(SimTime::from_secs(t_next), &mut completions);
+        for c in &completions {
             let s = c.tag as usize;
             states[s].completed += 1;
             states[s].response_sum += c.response().as_secs();
@@ -139,7 +142,9 @@ pub fn run_open_loop(
     }
     // Let in-flight work finish (it still counts toward busy time, but
     // utilization is measured over the nominal duration).
-    for c in storage.advance_until(SimTime::FAR_FUTURE) {
+    completions.clear();
+    storage.advance_until(SimTime::FAR_FUTURE, &mut completions);
+    for c in &completions {
         let s = c.tag as usize;
         states[s].completed += 1;
         states[s].response_sum += c.response().as_secs();

@@ -99,6 +99,15 @@ pub enum EngineError {
         /// The offending slot index.
         slot: usize,
     },
+    /// A template step names an object the catalog does not hold.
+    /// Every step is resolved when the run starts, so this fails the
+    /// run before any request is issued.
+    UnknownObject {
+        /// Index of the workload in the run.
+        workload: usize,
+        /// Index of the template within that workload.
+        template: usize,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -114,6 +123,11 @@ impl std::fmt::Display for EngineError {
             EngineError::DeadQuery { slot } => {
                 write!(f, "engine error: no live query in slot {slot}")
             }
+            EngineError::UnknownObject { workload, template } => write!(
+                f,
+                "engine error: template {template} of workload {workload} names an object \
+                 missing from the catalog"
+            ),
         }
     }
 }
@@ -164,6 +178,30 @@ enum Pattern {
     Seq { next: u64, span: u64 },
     /// Uniform random aligned offsets within `[0, span)`.
     Rand { span: u64 },
+}
+
+/// A template step with its object resolved against the catalog once,
+/// when the run starts.
+#[derive(Clone, Copy)]
+struct ResolvedStep {
+    object: usize,
+    kind: AccessKind,
+}
+
+/// A template's steps, resolved, phase after phase: phase `p` is
+/// `steps[phase_ends[p - 1]..phase_ends[p]]` (from 0 for `p = 0`).
+struct ResolvedTemplate {
+    steps: Vec<ResolvedStep>,
+    phase_ends: Vec<usize>,
+}
+
+/// An OLTP workload's transaction mix split into template ids and
+/// weights, so sampling a template allocates nothing. Empty for OLAP
+/// workloads.
+#[derive(Default)]
+struct TxnMix {
+    templates: Vec<usize>,
+    weights: Vec<f64>,
 }
 
 /// A running access step.
@@ -218,6 +256,9 @@ pub struct Engine<'a> {
     storage: &'a mut StorageSystem,
     config: RunConfig,
     rng: SimRng,
+    /// `[workload][template]`, filled when the run starts.
+    templates: Vec<Vec<ResolvedTemplate>>,
+    txn_mix: Vec<TxnMix>,
     steps: Vec<Option<StepRun>>,
     free_steps: Vec<usize>,
     queries: Vec<Option<QueryRun>>,
@@ -264,6 +305,16 @@ impl<'a> Engine<'a> {
                 },
             })
             .collect();
+        let txn_mix = workloads
+            .iter()
+            .map(|w| match &w.kind {
+                SqlWorkloadKind::Oltp(c) => TxnMix {
+                    templates: c.mix.iter().map(|&(t, _)| t).collect(),
+                    weights: c.mix.iter().map(|&(_, w)| w).collect(),
+                },
+                SqlWorkloadKind::Olap(_) => TxnMix::default(),
+            })
+            .collect();
         let oplog = config.capture_oplog.then(OpLog::new);
         let rng = SimRng::new(config.seed);
         Engine {
@@ -273,6 +324,8 @@ impl<'a> Engine<'a> {
             storage,
             config,
             rng,
+            templates: Vec::new(),
+            txn_mix,
             steps: Vec::new(),
             free_steps: Vec::new(),
             queries: Vec::new(),
@@ -295,7 +348,7 @@ impl<'a> Engine<'a> {
     fn heat(&self) -> (Vec<f64>, Vec<f64>) {
         let mut random = vec![0.0f64; self.catalog.len()];
         let mut seq = vec![0.0f64; self.catalog.len()];
-        for w in self.workloads {
+        for (w, templates) in self.workloads.iter().zip(&self.templates) {
             let weight = match &w.kind {
                 // OLTP templates run continuously; weight them up so
                 // their small per-txn footprints register.
@@ -307,8 +360,8 @@ impl<'a> Engine<'a> {
                 SqlWorkloadKind::Oltp(c) => Box::new(c.mix.iter().map(|&(t, _)| t)),
             };
             for t in counts {
-                for step in w.templates[t].phases.iter().flatten() {
-                    let obj = self.catalog.expect_id(&step.object);
+                for step in &templates[t].steps {
+                    let obj = step.object;
                     let size = self.catalog.object(obj).size as f64;
                     match step.kind {
                         AccessKind::SeqRead { fraction, request }
@@ -326,6 +379,38 @@ impl<'a> Engine<'a> {
         (random, seq)
     }
 
+    /// Resolves every template step's object against the catalog.
+    fn resolve_templates(&self) -> Result<Vec<Vec<ResolvedTemplate>>, EngineError> {
+        self.workloads
+            .iter()
+            .enumerate()
+            .map(|(workload, w)| {
+                w.templates
+                    .iter()
+                    .enumerate()
+                    .map(|(template, t)| {
+                        let mut steps = Vec::new();
+                        let mut phase_ends = Vec::with_capacity(t.phases.len());
+                        for phase in &t.phases {
+                            for step in phase {
+                                let object = self
+                                    .catalog
+                                    .id_of(&step.object)
+                                    .ok_or(EngineError::UnknownObject { workload, template })?;
+                                steps.push(ResolvedStep {
+                                    object,
+                                    kind: step.kind,
+                                });
+                            }
+                            phase_ends.push(steps.len());
+                        }
+                        Ok(ResolvedTemplate { steps, phase_ends })
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Runs the workload(s) to completion and reports.
     pub fn run(self) -> Result<RunReport, EngineError> {
         self.run_observed().map(|o| o.report)
@@ -340,6 +425,7 @@ impl<'a> Engine<'a> {
         if !self.has_olap && self.config.max_time.is_none() && self.config.txn_cap.is_none() {
             return Err(EngineError::Unbounded);
         }
+        self.templates = self.resolve_templates()?;
         let mut device_events = Vec::new();
         if let Some(plan) = fault::plan() {
             for target in 0..self.storage.target_count() {
@@ -383,6 +469,8 @@ impl<'a> Engine<'a> {
         }
 
         let mut last = now;
+        let mut completions = Vec::new();
+        // hot-closure-begin: the event loop
         loop {
             if self.stop_condition_met() {
                 break;
@@ -397,13 +485,15 @@ impl<'a> Engine<'a> {
                     break;
                 }
             }
-            let completions = self.storage.advance_until(t);
+            completions.clear();
+            self.storage.advance_until(t, &mut completions);
             last = t;
-            for c in completions {
+            for c in &completions {
                 let sidx = self.note_oplog_completion(c.tag, c.finished);
                 self.on_part_complete(sidx, c.finished, &pool)?;
             }
         }
+        // hot-closure-end
 
         Ok(RunOutcome {
             report: self.build_report(last),
@@ -437,14 +527,11 @@ impl<'a> Engine<'a> {
     /// Samples a transaction template from an OLTP workload's weighted
     /// mix.
     fn sample_txn_template(&mut self, widx: usize) -> usize {
-        let SqlWorkloadKind::Oltp(c) = &self.workloads[widx].kind else {
-            unreachable!()
-        };
-        if c.mix.len() == 1 {
-            return c.mix[0].0;
+        let mix = &self.txn_mix[widx];
+        if mix.templates.len() == 1 {
+            return mix.templates[0];
         }
-        let weights: Vec<f64> = c.mix.iter().map(|&(_, w)| w).collect();
-        c.mix[self.rng.weighted_index(&weights)].0
+        mix.templates[self.rng.weighted_index(&mix.weights)]
     }
 
     fn start_next_olap_query(
@@ -453,28 +540,18 @@ impl<'a> Engine<'a> {
         now: SimTime,
         pool: &BufferPool,
     ) -> Result<(), EngineError> {
-        let SqlWorkloadKind::Olap(c) = &self.workloads[widx].kind else {
-            unreachable!()
+        let workloads = self.workloads;
+        let (SqlWorkloadKind::Olap(c), WorkloadProgress::Olap { pos, active, .. }) =
+            (&workloads[widx].kind, &mut self.progress[widx])
+        else {
+            unreachable!("OLAP progress tracks an OLAP workload")
         };
-        let sequence = &c.sequence;
-        let (pos_now, has_more) = match &mut self.progress[widx] {
-            WorkloadProgress::Olap { pos, active, .. } => {
-                if *pos < sequence.len() {
-                    let p = *pos;
-                    *pos += 1;
-                    *active += 1;
-                    (p, true)
-                } else {
-                    (0, false)
-                }
-            }
-            _ => unreachable!(),
+        let Some(&template) = c.sequence.get(*pos) else {
+            return Ok(());
         };
-        if has_more {
-            let template = sequence[pos_now];
-            self.start_query(widx, template, now, pool)?;
-        }
-        Ok(())
+        *pos += 1;
+        *active += 1;
+        self.start_query(widx, template, now, pool)
     }
 
     fn alloc_query(&mut self, q: QueryRun) -> usize {
@@ -532,21 +609,17 @@ impl<'a> Engine<'a> {
                     .ok_or(EngineError::DeadQuery { slot: qidx })?;
                 (q.workload, q.template, q.phase)
             };
-            let phases = &self.workloads[widx].templates[template].phases;
-            if phase >= phases.len() {
+            let phase_ends = &self.templates[widx][template].phase_ends;
+            let Some(&end) = phase_ends.get(phase) else {
                 return self.finish_query(qidx, now, pool);
-            }
-            let n_steps = phases[phase].len();
+            };
+            let start = if phase == 0 { 0 } else { phase_ends[phase - 1] };
+            let is_oltp = matches!(self.workloads[widx].kind, SqlWorkloadKind::Oltp(_));
             let mut live = 0usize;
-            for s in 0..n_steps {
-                let step_spec = self.workloads[widx].templates[template].phases[phase][s].clone();
-                let is_oltp = matches!(self.workloads[widx].kind, SqlWorkloadKind::Oltp(_));
-                if let Some(sidx) = self.spawn_step(qidx, &step_spec, is_oltp, now, pool)? {
-                    if self.steps[sidx].as_ref().expect("just spawned").alive() {
-                        live += 1;
-                    } else {
-                        self.release_step(sidx);
-                    }
+            for s in start..end {
+                let step = self.templates[widx][template].steps[s];
+                if self.spawn_step(qidx, step, is_oltp, now, pool)? {
+                    live += 1;
                 }
             }
             let q = self
@@ -562,17 +635,19 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Creates a step and issues its initial window. Returns `None`
-    /// for steps that generate no requests at all.
+    /// Creates a step and issues its initial window. Returns whether
+    /// the step is still live afterwards: a step that generates no
+    /// requests at all, or whose whole window hit the buffer pool, is
+    /// released at once.
     fn spawn_step(
         &mut self,
         qidx: usize,
-        spec: &wasla_workload::AccessStep,
+        spec: ResolvedStep,
         is_oltp: bool,
         now: SimTime,
         pool: &BufferPool,
-    ) -> Result<Option<usize>, EngineError> {
-        let object = self.catalog.expect_id(&spec.object);
+    ) -> Result<bool, EngineError> {
+        let object = spec.object;
         let size = self.catalog.object(object).size;
         let (request, count, is_write, sequential) = match spec.kind {
             AccessKind::SeqRead { fraction, request } => {
@@ -605,7 +680,7 @@ impl<'a> Engine<'a> {
             }
         };
         if count == 0 {
-            return Ok(None);
+            return Ok(false);
         }
         let span = (size - size % request).max(request);
         let pattern = if sequential {
@@ -635,7 +710,16 @@ impl<'a> Engine<'a> {
             random_hit: policy.random_hit,
         });
         self.issue(sidx, now)?;
-        Ok(Some(sidx))
+        let alive = self
+            .steps
+            .get(sidx)
+            .and_then(Option::as_ref)
+            .ok_or(EngineError::DeadStep { slot: sidx })?
+            .alive();
+        if !alive {
+            self.release_step(sidx);
+        }
+        Ok(alive)
     }
 
     fn stochastic_round(&mut self, x: f64) -> u64 {
@@ -644,6 +728,7 @@ impl<'a> Engine<'a> {
         base as u64 + u64::from(self.rng.chance(frac))
     }
 
+    // hot-closure-begin: issuing a step's requests
     /// Issues logical requests for a step until its outstanding window
     /// is full or it runs out of requests. Cache hits complete
     /// synchronously and never reach storage.
@@ -732,10 +817,7 @@ impl<'a> Engine<'a> {
             } else {
                 sidx as u64
             };
-            // Move the buffer out to appease the borrow checker, then
-            // restore it (no allocation in steady state).
-            let buf = std::mem::take(&mut self.translate_buf);
-            for &(target, toff, tlen) in &buf {
+            for &(target, toff, tlen) in &self.translate_buf {
                 self.storage.submit(
                     now,
                     target,
@@ -748,9 +830,9 @@ impl<'a> Engine<'a> {
                     tag,
                 );
             }
-            self.translate_buf = buf;
         }
     }
+    // hot-closure-end
 
     /// Decodes a completion tag: drains the part count of the op-log
     /// record it names (stamping the record's completion time when the
@@ -1177,6 +1259,46 @@ mod tests {
             engine.enter_phase(7, SimTime::ZERO, &pool).unwrap_err()
                 == EngineError::DeadQuery { slot: 7 }
         );
+    }
+
+    #[test]
+    fn unknown_step_object_is_a_typed_error() {
+        let catalog = Catalog::tpch_like(0.01);
+        let mut storage = four_disks();
+        let rows = see_rows(catalog.len(), 4);
+        let placement = Placement::build(
+            &rows,
+            &catalog.sizes(),
+            &storage.capacities(),
+            DEFAULT_STRIPE,
+        )
+        .unwrap();
+        let mut workload = SqlWorkload::olap1_21(3);
+        workload.templates[5].phases[0][0].object = "NO_SUCH_TABLE".to_string();
+        let workloads = [workload];
+        let err = Engine::new(
+            &catalog,
+            &workloads,
+            &placement,
+            &mut storage,
+            RunConfig::default(),
+        )
+        .run()
+        .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::UnknownObject {
+                workload: 0,
+                template: 5
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "engine error: template 5 of workload 0 names an object missing from the catalog"
+        );
+        // Resolution fails the run before any request reaches storage.
+        assert!(storage.is_idle());
+        assert!(storage.device_stats().iter().all(|d| d.requests() == 0));
     }
 
     #[test]

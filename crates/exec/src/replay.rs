@@ -59,7 +59,9 @@ pub fn replay_oplog(
     let mut last_issue = first_issue;
     let mut translate: Vec<(usize, u64, u64)> = Vec::new();
 
-    let note = |c: wasla_storage::Completion,
+    let mut completions = Vec::new();
+
+    let note = |c: &wasla_storage::Completion,
                 open: &mut [u32],
                 completed: &mut u64,
                 response_sum: &mut f64,
@@ -84,7 +86,9 @@ pub fn replay_oplog(
                 objects: n_objects,
             });
         }
-        for c in storage.advance_until(rec.issue) {
+        completions.clear();
+        storage.advance_until(rec.issue, &mut completions);
+        for c in &completions {
             note(
                 c,
                 &mut open,
@@ -114,7 +118,9 @@ pub fn replay_oplog(
             completed += 1;
         }
     }
-    for c in storage.advance_until(SimTime::FAR_FUTURE) {
+    completions.clear();
+    storage.advance_until(SimTime::FAR_FUTURE, &mut completions);
+    for c in &completions {
         note(
             c,
             &mut open,

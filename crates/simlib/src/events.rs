@@ -2,6 +2,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// An entry in the event queue: a scheduled time, an insertion sequence
@@ -123,6 +124,22 @@ impl<T> EventQueue<T> {
         Some((entry.time, entry.payload))
     }
 
+    /// Pops the earliest event if its time is at or before `until`,
+    /// advancing the clock to it; leaves the queue untouched (and
+    /// returns `None`) when it is empty or its next event is later.
+    /// Drive a time-bounded event loop with
+    /// `while let Some((now, ev)) = queue.pop_until(bound)`.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, T)> {
+        let top = self.heap.peek_mut()?;
+        if top.time > until {
+            return None;
+        }
+        let entry = PeekMut::pop(top);
+        self.now = entry.time;
+        self.popped += 1;
+        Some((entry.time, entry.payload))
+    }
+
     /// The time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
@@ -188,6 +205,30 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(0.5)));
         q.clear();
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_until_stops_at_the_bound() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.pop_until(SimTime::FAR_FUTURE), None);
+        q.schedule_at(SimTime::from_secs(2.0), "b");
+        q.schedule_at(SimTime::from_secs(1.0), "a");
+        assert_eq!(q.pop_until(SimTime::from_secs(0.5)), None);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.now(), SimTime::ZERO);
+        // The bound is inclusive.
+        assert_eq!(
+            q.pop_until(SimTime::from_secs(1.0)),
+            Some((SimTime::from_secs(1.0), "a"))
+        );
+        assert_eq!(q.now(), SimTime::from_secs(1.0));
+        assert_eq!(q.pop_until(SimTime::from_secs(1.5)), None);
+        assert_eq!(
+            q.pop_until(SimTime::FAR_FUTURE),
+            Some((SimTime::from_secs(2.0), "b"))
+        );
+        assert_eq!(q.events_processed(), 2);
         assert!(q.is_empty());
     }
 

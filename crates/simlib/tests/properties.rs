@@ -99,6 +99,55 @@ proptest! {
         prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
     }
 
+    /// `pop_until` is `pop` cut at a bound. Draining through a rising
+    /// sequence of bounds, with follow-up events scheduled as events
+    /// pop (the way a simulator schedules completions), yields exactly
+    /// the order plain `pop` does — time order, FIFO at equal times —
+    /// never yields an event past its bound, and stops only when the
+    /// next event lies past it. Integer times make ties common.
+    #[test]
+    fn event_queue_pop_until_matches_pop(
+        times in proptest::collection::vec(0u32..20, 1..100),
+        delays in proptest::collection::vec(0u32..4, 0..100),
+        steps in proptest::collection::vec(0u32..6, 1..30),
+    ) {
+        let secs = |t: u32| SimTime::from_secs(t as f64);
+        let follow_up = |q: &mut EventQueue<usize>, now: SimTime, id: usize| {
+            if let Some(&d) = delays.get(id) {
+                q.schedule_at(now + secs(d), times.len() + id);
+            }
+        };
+        let mut plain = EventQueue::new();
+        let mut bounded = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            plain.schedule_at(secs(t), i);
+            bounded.schedule_at(secs(t), i);
+        }
+        let mut want = Vec::new();
+        while let Some((t, id)) = plain.pop() {
+            want.push((t, id));
+            follow_up(&mut plain, t, id);
+        }
+        let mut got = Vec::new();
+        let mut bound = 0u32;
+        for &step in &steps {
+            bound += step;
+            while let Some((t, id)) = bounded.pop_until(secs(bound)) {
+                prop_assert!(t <= secs(bound));
+                got.push((t, id));
+                follow_up(&mut bounded, t, id);
+            }
+            prop_assert!(bounded.peek_time().map_or(true, |t| t > secs(bound)));
+        }
+        while let Some((t, id)) = bounded.pop_until(SimTime::FAR_FUTURE) {
+            got.push((t, id));
+            follow_up(&mut bounded, t, id);
+        }
+        prop_assert!(bounded.is_empty());
+        prop_assert!(got.windows(2).all(|w| w[0].0 <= w[1].0));
+        prop_assert_eq!(got, want);
+    }
+
     /// `below(n)` is always within range and `uniform` within [0, 1).
     #[test]
     fn rng_bounds(seed in any::<u64>(), n in 1u64..1_000_000) {

@@ -14,14 +14,8 @@ pub struct DeviceStats {
     pub bytes_read: u64,
     /// Bytes written.
     pub bytes_written: u64,
-    /// Service time (seconds) of completed requests.
-    pub service: OnlineStats,
-    /// Response time (queue wait + service, seconds).
-    pub response: OnlineStats,
     /// Time-weighted fraction of servers busy (utilization).
     pub busy: TimeWeighted,
-    /// Time-weighted queue depth (pending + in flight).
-    pub depth: TimeWeighted,
 }
 
 impl DeviceStats {
@@ -46,10 +40,7 @@ impl_json_struct!(DeviceStats {
     writes,
     bytes_read,
     bytes_written,
-    service,
-    response,
     busy,
-    depth,
 });
 
 /// Aggregated statistics for a target (over its member devices).

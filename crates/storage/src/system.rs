@@ -1,10 +1,34 @@
 //! The storage system: a set of targets advanced by discrete events.
 //!
 //! The driver submits [`TargetIo`] requests tagged with an opaque `u64`
-//! and later drains [`Completion`]s. The system keeps its own internal
+//! and later collects [`Completion`]s. The system keeps its own internal
 //! event queue for device completions; the driver merges the two clocks
 //! by asking [`StorageSystem::next_event_time`] and calling
-//! [`StorageSystem::advance_until`].
+//! [`StorageSystem::advance_until`], which appends the completions to a
+//! buffer the driver owns and reuses.
+//!
+//! # Hot path
+//!
+//! Every simulated request runs through `submit`, `try_start` and
+//! `finish_part`, and none of them allocates in steady state: target
+//! translation appends into a buffer the system owns, completions go
+//! straight into the caller's buffer, and the parent and in-flight
+//! slabs recycle their slots. A device-completion event carries only a
+//! `u32` slot of the in-flight slab, which holds just what `finish_part`
+//! reads (device, parent, length, kind), so the event heap sifts 24-byte
+//! entries. The queue's (time, seq) FIFO tie-break is unchanged: it
+//! orders events at equal times, such as SSD channels whose service
+//! times tie exactly.
+//! Each device's parallelism is read once, when the device is built.
+//!
+//! A device's `busy` signal is set at every enqueue, start and finish,
+//! also when its value does not change (a request queued behind a busy
+//! disk, say). Those calls stay on purpose: [`TimeWeighted::set`] folds
+//! `value × Δt` into its sum at every call, so dropping one would merge
+//! two products into one and move reported utilizations in their last
+//! bits.
+//!
+//! [`TimeWeighted::set`]: wasla_simlib::TimeWeighted::set
 
 use crate::device::DeviceModel;
 use crate::request::{DeviceIo, IoKind, TargetIo};
@@ -33,14 +57,14 @@ impl Completion {
     }
 }
 
-/// A queued member-device request with bookkeeping.
+/// A queued member-device request and its parent's slot.
 struct QueuedIo {
     io: DeviceIo,
     parent: usize,
-    enqueued: SimTime,
 }
 
 /// A target-level request being assembled from device parts.
+#[derive(Clone, Copy)]
 struct ParentReq {
     tag: u64,
     target: TargetId,
@@ -49,17 +73,54 @@ struct ParentReq {
     bytes: u64,
 }
 
-/// Internal event: a device finished servicing one part.
-struct DeviceDone {
+/// A device part in service: what `finish_part` reads when the part's
+/// completion event fires. The event itself carries only the slot.
+#[derive(Clone, Copy)]
+struct InFlightPart {
     device: usize,
     parent: usize,
-    enqueued: SimTime,
-    started: SimTime,
-    io: DeviceIo,
+    len: u64,
+    kind: IoKind,
+}
+
+/// A slab whose freed slots are reused before it grows, so steady-state
+/// simulation allocates nothing. A freed slot keeps its stale value
+/// until it is reused; callers never read a slot they have released.
+struct Slab<T> {
+    items: Vec<T>,
+    free: Vec<usize>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Self {
+        Slab {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, item: T) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                self.items[slot] = item;
+                slot
+            }
+            None => {
+                self.items.push(item);
+                self.items.len() - 1
+            }
+        }
+    }
+
+    fn release(&mut self, slot: usize) {
+        self.free.push(slot);
+    }
 }
 
 struct DeviceRuntime {
     model: Box<dyn DeviceModel>,
+    /// `model.parallelism()`, read once when the device is built.
+    parallelism: usize,
     rng: SimRng,
     scheduler: SchedulerKind,
     pending: Vec<QueuedIo>,
@@ -72,11 +133,9 @@ struct DeviceRuntime {
 
 impl DeviceRuntime {
     fn record_occupancy(&mut self, now: SimTime) {
-        let par = self.model.parallelism() as f64;
-        self.stats.busy.set(now, self.in_flight as f64 / par);
         self.stats
-            .depth
-            .set(now, (self.in_flight + self.pending.len()) as f64);
+            .busy
+            .set(now, self.in_flight as f64 / self.parallelism as f64);
     }
 }
 
@@ -93,10 +152,12 @@ struct TargetRuntime {
 pub struct StorageSystem {
     targets: Vec<TargetRuntime>,
     devices: Vec<DeviceRuntime>,
-    queue: EventQueue<DeviceDone>,
-    parents: Vec<Option<ParentReq>>,
-    free_parents: Vec<usize>,
-    completions: Vec<Completion>,
+    /// Device-completion events; the payload is an `in_flight` slot.
+    queue: EventQueue<u32>,
+    parents: Slab<ParentReq>,
+    in_flight: Slab<InFlightPart>,
+    /// Reused by `submit` for target-to-member translation.
+    translate_buf: Vec<(usize, DeviceIo)>,
 }
 
 impl StorageSystem {
@@ -111,8 +172,10 @@ impl StorageSystem {
             let mut dev_ids = Vec::with_capacity(config.members.len());
             for member in &config.members {
                 dev_ids.push(devices.len());
+                let model = member.build();
                 devices.push(DeviceRuntime {
-                    model: member.build(),
+                    parallelism: model.parallelism(),
+                    model,
                     rng: root_rng.fork(devices.len() as u64),
                     scheduler: config.scheduler,
                     pending: Vec::new(),
@@ -133,9 +196,9 @@ impl StorageSystem {
             targets,
             devices,
             queue: EventQueue::new(),
-            parents: Vec::new(),
-            free_parents: Vec::new(),
-            completions: Vec::new(),
+            parents: Slab::new(),
+            in_flight: Slab::new(),
+            translate_buf: Vec::new(),
         }
     }
 
@@ -164,6 +227,7 @@ impl StorageSystem {
         self.targets.iter().map(|t| t.config.capacity()).collect()
     }
 
+    // hot-closure-begin: submit, start and finish device parts
     /// Submits a request against `target` at time `now`, to complete
     /// asynchronously. `tag` is returned in the [`Completion`].
     pub fn submit(&mut self, now: SimTime, target: TargetId, io: TargetIo, tag: u64) {
@@ -174,26 +238,104 @@ impl StorageSystem {
             io.end(),
             self.targets[target].config.capacity()
         );
-        let parts = self.targets[target].config.translate(&io);
-        let parent_idx = self.alloc_parent(ParentReq {
+        self.translate_buf.clear();
+        self.targets[target]
+            .config
+            .translate(&io, &mut self.translate_buf);
+        let parent = self.parents.insert(ParentReq {
             tag,
             target,
             submitted: now,
-            remaining: parts.len() as u32,
+            remaining: self.translate_buf.len() as u32,
             bytes: io.len,
         });
-        for (member, dev_io) in parts {
+        for i in 0..self.translate_buf.len() {
+            let (member, dev_io) = self.translate_buf[i];
             let dev_idx = self.targets[target].devices[member];
             let dev = &mut self.devices[dev_idx];
-            dev.pending.push(QueuedIo {
-                io: dev_io,
-                parent: parent_idx,
-                enqueued: now,
-            });
+            dev.pending.push(QueuedIo { io: dev_io, parent });
             dev.record_occupancy(now);
             self.try_start(dev_idx, now);
         }
     }
+
+    /// Starts as many pending requests on `dev_idx` as its parallelism
+    /// allows.
+    fn try_start(&mut self, dev_idx: usize, now: SimTime) {
+        let dev = &mut self.devices[dev_idx];
+        while dev.in_flight < dev.parallelism && !dev.pending.is_empty() {
+            let head = dev.model.head_position();
+            let pick = dev
+                .scheduler
+                .pick_from(dev.pending.iter().map(|q| q.io.offset), head);
+            let q = dev.pending.remove(pick);
+            let service = dev.model.service_time(&q.io, &mut dev.rng);
+            let service = if dev.latency_factor != 1.0 {
+                SimTime::from_secs(service.as_secs() * dev.latency_factor)
+            } else {
+                service
+            };
+            dev.in_flight += 1;
+            dev.record_occupancy(now);
+            let slot = self.in_flight.insert(InFlightPart {
+                device: dev_idx,
+                parent: q.parent,
+                len: q.io.len,
+                kind: q.io.kind,
+            });
+            self.queue.schedule_at(now + service, slot as u32);
+        }
+    }
+
+    /// Retires the part in in-flight `slot` at `now`, starts what its
+    /// device can take next, and appends the parent's [`Completion`]
+    /// to `out` once its last part lands.
+    fn finish_part(&mut self, now: SimTime, slot: u32, out: &mut Vec<Completion>) {
+        let part = self.in_flight.items[slot as usize];
+        self.in_flight.release(slot as usize);
+        let dev = &mut self.devices[part.device];
+        dev.in_flight -= 1;
+        match part.kind {
+            IoKind::Read => {
+                dev.stats.reads += 1;
+                dev.stats.bytes_read += part.len;
+            }
+            IoKind::Write => {
+                dev.stats.writes += 1;
+                dev.stats.bytes_written += part.len;
+            }
+        }
+        dev.record_occupancy(now);
+        self.try_start(part.device, now);
+
+        let parent = &mut self.parents.items[part.parent];
+        parent.remaining -= 1;
+        if parent.remaining > 0 {
+            return;
+        }
+        let parent = *parent;
+        self.parents.release(part.parent);
+        let target = &mut self.targets[parent.target];
+        target.requests += 1;
+        target.bytes += parent.bytes;
+        target.response.record((now - parent.submitted).as_secs());
+        out.push(Completion {
+            tag: parent.tag,
+            target: parent.target,
+            submitted: parent.submitted,
+            finished: now,
+        });
+    }
+
+    /// Processes internal events up to and including time `until`,
+    /// appending the completions they produce to `out` (which the
+    /// caller clears and reuses).
+    pub fn advance_until(&mut self, until: SimTime, out: &mut Vec<Completion>) {
+        while let Some((now, slot)) = self.queue.pop_until(until) {
+            self.finish_part(now, slot, out);
+        }
+    }
+    // hot-closure-end
 
     /// The time of the next internal event, if any work is in flight.
     pub fn next_event_time(&self) -> Option<SimTime> {
@@ -209,30 +351,16 @@ impl StorageSystem {
                 .all(|d| d.pending.is_empty() && d.in_flight == 0)
     }
 
-    /// Processes internal events up to and including time `until`,
-    /// appending to the internal completion list. Returns the drained
-    /// completions.
-    pub fn advance_until(&mut self, until: SimTime) -> Vec<Completion> {
-        while let Some(t) = self.queue.peek_time() {
-            if t > until {
-                break;
-            }
-            let (now, done) = self.queue.pop().expect("peeked event exists");
-            self.finish_part(now, done);
-        }
-        std::mem::take(&mut self.completions)
-    }
-
     /// Runs until all submitted work completes; returns the final time
     /// (or `from` if already idle) plus all completions.
     pub fn drain(&mut self, from: SimTime) -> (SimTime, Vec<Completion>) {
+        let mut out = Vec::new();
         let mut last = from;
-        while self.queue.peek_time().is_some() {
-            let (now, done) = self.queue.pop().expect("peeked event exists");
-            self.finish_part(now, done);
+        while let Some((now, slot)) = self.queue.pop_until(SimTime::FAR_FUTURE) {
+            self.finish_part(now, slot, &mut out);
             last = now;
         }
-        (last, std::mem::take(&mut self.completions))
+        (last, out)
     }
 
     /// Per-device statistics, flattened in target order.
@@ -266,90 +394,6 @@ impl StorageSystem {
                 }
             })
             .collect()
-    }
-
-    fn alloc_parent(&mut self, parent: ParentReq) -> usize {
-        if let Some(idx) = self.free_parents.pop() {
-            self.parents[idx] = Some(parent);
-            idx
-        } else {
-            self.parents.push(Some(parent));
-            self.parents.len() - 1
-        }
-    }
-
-    /// Starts as many pending requests on `dev_idx` as its parallelism
-    /// allows.
-    fn try_start(&mut self, dev_idx: usize, now: SimTime) {
-        loop {
-            let dev = &mut self.devices[dev_idx];
-            if dev.in_flight >= dev.model.parallelism() || dev.pending.is_empty() {
-                return;
-            }
-            let head = dev.model.head_position();
-            let pick = dev
-                .scheduler
-                .pick_from(dev.pending.iter().map(|q| q.io.offset), head);
-            let q = dev.pending.remove(pick);
-            let service = dev.model.service_time(&q.io, &mut dev.rng);
-            let service = if dev.latency_factor != 1.0 {
-                SimTime::from_secs(service.as_secs() * dev.latency_factor)
-            } else {
-                service
-            };
-            dev.in_flight += 1;
-            dev.record_occupancy(now);
-            self.queue.schedule_at(
-                now + service,
-                DeviceDone {
-                    device: dev_idx,
-                    parent: q.parent,
-                    enqueued: q.enqueued,
-                    started: now,
-                    io: q.io,
-                },
-            );
-        }
-    }
-
-    fn finish_part(&mut self, now: SimTime, done: DeviceDone) {
-        {
-            let dev = &mut self.devices[done.device];
-            dev.in_flight -= 1;
-            match done.io.kind {
-                IoKind::Read => {
-                    dev.stats.reads += 1;
-                    dev.stats.bytes_read += done.io.len;
-                }
-                IoKind::Write => {
-                    dev.stats.writes += 1;
-                    dev.stats.bytes_written += done.io.len;
-                }
-            }
-            dev.stats.service.record((now - done.started).as_secs());
-            dev.stats.response.record((now - done.enqueued).as_secs());
-            dev.record_occupancy(now);
-        }
-        self.try_start(done.device, now);
-
-        let parent = self.parents[done.parent]
-            .as_mut()
-            .expect("parent of in-flight part exists");
-        parent.remaining -= 1;
-        if parent.remaining == 0 {
-            let parent = self.parents[done.parent].take().expect("checked above");
-            self.free_parents.push(done.parent);
-            let target = &mut self.targets[parent.target];
-            target.requests += 1;
-            target.bytes += parent.bytes;
-            target.response.record((now - parent.submitted).as_secs());
-            self.completions.push(Completion {
-                tag: parent.tag,
-                target: parent.target,
-                submitted: parent.submitted,
-                finished: now,
-            });
-        }
     }
 }
 
@@ -408,7 +452,8 @@ mod tests {
         for i in 0..5u64 {
             sys.submit(SimTime::ZERO, 0, TargetIo::read(i * GIB, 8192, 0), i);
         }
-        let early = sys.advance_until(SimTime::from_micros(1.0));
+        let mut early = Vec::new();
+        sys.advance_until(SimTime::from_micros(1.0), &mut early);
         assert!(early.len() < 5);
         let (_, rest) = sys.drain(SimTime::ZERO);
         assert_eq!(early.len() + rest.len(), 5);
@@ -534,7 +579,9 @@ mod tests {
             assert_eq!(comps.len(), 5, "round {round}");
             now = end;
         }
-        // Slab should not have grown past the max concurrent parents.
-        assert!(sys.parents.len() <= 5);
+        // Slabs should not have grown past the max concurrent parents,
+        // nor past the one part a single disk serves at a time.
+        assert!(sys.parents.items.len() <= 5);
+        assert_eq!(sys.in_flight.items.len(), 1);
     }
 }

@@ -116,11 +116,14 @@ impl TargetConfig {
     }
 
     /// Translates a target-level request into per-member-device
-    /// requests, splitting at stripe boundaries.
-    pub fn translate(&self, io: &TargetIo) -> Vec<(usize, DeviceIo)> {
+    /// requests, splitting at stripe boundaries, and appends them to
+    /// `out` as `(member, request)` pairs. The storage system passes one
+    /// buffer it owns and reuses, so translation allocates nothing in
+    /// steady state.
+    pub fn translate(&self, io: &TargetIo, out: &mut Vec<(usize, DeviceIo)>) {
         let k = self.members.len() as u64;
         if k == 1 {
-            return vec![(
+            out.push((
                 0,
                 DeviceIo {
                     kind: io.kind,
@@ -128,10 +131,10 @@ impl TargetConfig {
                     len: io.len,
                     stream: io.stream,
                 },
-            )];
+            ));
+            return;
         }
         let unit = self.stripe_unit;
-        let mut parts = Vec::new();
         let mut off = io.offset;
         let mut remaining = io.len;
         while remaining > 0 {
@@ -140,7 +143,7 @@ impl TargetConfig {
             let within = off % unit;
             let chunk = (unit - within).min(remaining);
             let dev_off = (stripe / k) * unit + within;
-            parts.push((
+            out.push((
                 member,
                 DeviceIo {
                     kind: io.kind,
@@ -152,7 +155,6 @@ impl TargetConfig {
             off += chunk;
             remaining -= chunk;
         }
-        parts
     }
 }
 
@@ -165,6 +167,12 @@ mod tests {
 
     fn disk_spec() -> DeviceSpec {
         DeviceSpec::Disk(DiskParams::scsi_15k(18 * GIB))
+    }
+
+    fn parts(t: &TargetConfig, io: &TargetIo) -> Vec<(usize, DeviceIo)> {
+        let mut out = Vec::new();
+        t.translate(io, &mut out);
+        out
     }
 
     #[test]
@@ -219,7 +227,7 @@ mod tests {
         let t = TargetConfig::single("d0", disk_spec());
         assert_eq!(t.capacity(), 18 * GIB);
         assert_eq!(t.width(), 1);
-        let parts = t.translate(&TargetIo::read(12345, 8192, 3));
+        let parts = parts(&t, &TargetIo::read(12345, 8192, 3));
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].0, 0);
         assert_eq!(parts[0].1.offset, 12345);
@@ -246,7 +254,7 @@ mod tests {
         let t = TargetConfig::raid0("r3", vec![disk_spec(); 3], unit);
         // A request fully inside stripe 4 (offsets [4*unit, 5*unit)).
         let io = TargetIo::read(4 * unit + 100, 1000, 0);
-        let parts = t.translate(&io);
+        let parts = parts(&t, &io);
         assert_eq!(parts.len(), 1);
         // Stripe 4 → member 4 % 3 = 1, device stripe 4/3 = 1.
         assert_eq!(parts[0].0, 1);
@@ -259,7 +267,7 @@ mod tests {
         let t = TargetConfig::raid0("r2", vec![disk_spec(); 2], unit);
         // Spans stripes 0,1,2 → members 0,1,0.
         let io = TargetIo::write(unit / 2, 2 * unit, 9);
-        let parts = t.translate(&io);
+        let parts = parts(&t, &io);
         assert_eq!(parts.len(), 3);
         assert_eq!(parts[0].0, 0);
         assert_eq!(parts[0].1.len, unit / 2);
@@ -274,13 +282,24 @@ mod tests {
     }
 
     #[test]
+    fn translate_appends_to_the_callers_buffer() {
+        let unit = 64 * KIB;
+        let t = TargetConfig::raid0("r2", vec![disk_spec(); 2], unit);
+        let mut out = Vec::new();
+        t.translate(&TargetIo::read(0, unit, 0), &mut out);
+        t.translate(&TargetIo::read(unit, 2 * unit, 0), &mut out);
+        let members: Vec<usize> = out.iter().map(|p| p.0).collect();
+        assert_eq!(members, vec![0, 1, 0]);
+    }
+
+    #[test]
     fn raid0_contiguous_device_offsets_for_sequential_stream() {
         // Sequential target reads should produce sequential per-device
         // reads: stripe s and stripe s+k map to adjacent device units.
         let unit = 64 * KIB;
         let t = TargetConfig::raid0("r2", vec![disk_spec(); 2], unit);
-        let a = t.translate(&TargetIo::read(0, unit, 0));
-        let b = t.translate(&TargetIo::read(2 * unit, unit, 0));
+        let a = parts(&t, &TargetIo::read(0, unit, 0));
+        let b = parts(&t, &TargetIo::read(2 * unit, unit, 0));
         assert_eq!(a[0].0, 0);
         assert_eq!(b[0].0, 0);
         assert_eq!(b[0].1.offset, a[0].1.offset + unit);

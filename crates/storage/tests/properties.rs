@@ -21,7 +21,8 @@ proptest! {
         let stripe = stripe_kib * 1024;
         let config = TargetConfig::raid0("r", vec![disk(); width], stripe);
         let io = TargetIo::read(offset, len, 3);
-        let parts = config.translate(&io);
+        let mut parts = Vec::new();
+        config.translate(&io, &mut parts);
         // Total bytes preserved.
         let total: u64 = parts.iter().map(|(_, p)| p.len).sum();
         prop_assert_eq!(total, len);

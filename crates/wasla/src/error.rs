@@ -147,6 +147,13 @@ impl ToJson for WaslaError {
                     EngineError::Unbounded => json::variant("Unbounded", Json::Null),
                     EngineError::DeadStep { slot } => json::variant("DeadStep", slot.to_json()),
                     EngineError::DeadQuery { slot } => json::variant("DeadQuery", slot.to_json()),
+                    EngineError::UnknownObject { workload, template } => json::variant(
+                        "UnknownObject",
+                        Json::Obj(vec![
+                            ("workload".to_string(), workload.to_json()),
+                            ("template".to_string(), template.to_json()),
+                        ]),
+                    ),
                 };
                 json::variant("Engine", inner)
             }
@@ -193,6 +200,18 @@ impl FromJson for WaslaError {
                     "Unbounded" => Ok(WaslaError::Engine(EngineError::Unbounded)),
                     "DeadStep" => Ok(WaslaError::Engine(EngineError::DeadStep { slot: slot()? })),
                     "DeadQuery" => Ok(WaslaError::Engine(EngineError::DeadQuery { slot: slot()? })),
+                    "UnknownObject" => {
+                        let index = |name: &str| {
+                            inner
+                                .field(name)
+                                .ok_or_else(|| JsonError::missing_field(name))
+                                .and_then(usize::from_json)
+                        };
+                        Ok(WaslaError::Engine(EngineError::UnknownObject {
+                            workload: index("workload")?,
+                            template: index("template")?,
+                        }))
+                    }
                     other => Err(JsonError::new(format!(
                         "unknown EngineError variant: {other:?}"
                     ))),
@@ -307,6 +326,10 @@ mod tests {
             WaslaError::Engine(EngineError::DeadStep { slot: 5 }),
             WaslaError::Engine(EngineError::DeadQuery { slot: 0 }),
             WaslaError::Engine(EngineError::Unbounded),
+            WaslaError::Engine(EngineError::UnknownObject {
+                workload: 1,
+                template: 4,
+            }),
             WaslaError::Fault {
                 attempts: 2,
                 detail: "injected request fault".into(),
@@ -375,6 +398,14 @@ mod tests {
             1
         );
         assert_eq!(WaslaError::Engine(EngineError::Unbounded).exit_code(), 1);
+        assert_eq!(
+            WaslaError::Engine(EngineError::UnknownObject {
+                workload: 0,
+                template: 2
+            })
+            .exit_code(),
+            1
+        );
     }
 
     #[test]

@@ -62,6 +62,34 @@ fn unbounded_oltp_run_is_a_typed_error() {
 }
 
 #[test]
+fn unknown_step_object_is_a_typed_error() {
+    // A template step naming an object the catalog lacks fails the
+    // trace run up front, naming the workload and template it sits in,
+    // instead of panicking mid-simulation.
+    let mut workload = SqlWorkload::olap1_21(3);
+    workload.templates[2].phases[0][0].object = "NO_SUCH_TABLE".to_string();
+    let err = pipeline::advise(
+        &Scenario::homogeneous_disks(4, 0.01),
+        &[workload],
+        &AdviseConfig::fast(),
+    )
+    .err()
+    .expect("advise should fail");
+    assert_eq!(
+        err,
+        WaslaError::Engine(EngineError::UnknownObject {
+            workload: 0,
+            template: 2
+        })
+    );
+    assert_eq!(err.exit_code(), 1);
+    assert!(
+        err.to_string().contains("template 2 of workload 0"),
+        "{err}"
+    );
+}
+
+#[test]
 fn zero_capacity_target_is_a_typed_error() {
     let mut scenario = Scenario::homogeneous_disks(4, 0.01);
     // One dead disk: the SEE baseline stripes everything everywhere,
