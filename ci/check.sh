@@ -165,6 +165,21 @@ if grep -RnwE 'SolveMethod|solver_by_name|SOLVER_NAMES|AnnealSolver|ProjectedGra
     exit 1
 fi
 
+step "reporting ratchet (errors carry no JSON codec; no retired wrappers)"
+# Errors are reported through `Display` and the CLI's exit codes and
+# are never serialized, so no error enum carries a `ToJson`/`FromJson`
+# pair. The session derives the fit and calibration cache keys itself
+# and calls the fit and calibrate layers directly; the one solve-budget
+# order is `SolverBudget`'s derived `Ord`; the latency histogram had no
+# caller. Fail if a codec for an error type or a retired name
+# reappears under crates/*/src.
+if grep -RnE 'impl (ToJson|FromJson) for \w*Error' crates/*/src \
+    || grep -RnwE 'FitStage|CalibrateStage|FitInput|CalibrateInput|STAGE_NAMES|budget_rank|Histogram' crates/*/src; then
+    echo "error: an error-type JSON codec or a retired name reappeared under crates/*/src (see matches above)" >&2
+    echo "report errors through Display and exit codes; key the session caches in session.rs" >&2
+    exit 1
+fi
+
 step "coarse-grain parallelism ratchet (ingestion and generation stay serial)"
 # `par` fans out only where the work per task pays for the pool: the
 # multistart solve, the re-plan's candidates, calibration and the

@@ -19,7 +19,6 @@ use crate::regularize::{regularize_with, RegularizeError};
 use std::time::Instant;
 use wasla_simlib::fault::{self, SolverBudget};
 use wasla_simlib::impl_json_struct;
-use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 use wasla_simlib::{par, SimRng};
 
 /// Advisor configuration.
@@ -60,18 +59,6 @@ impl Default for AdvisorOptions {
             seed: 0x5eed,
             solve_budget: None,
         }
-    }
-}
-
-/// Severity order of solve budgets: a larger rank means a cheaper
-/// (more constrained) solve. Used to combine a caller-requested budget
-/// with a fault-injected one — the tighter of the two wins.
-fn budget_rank(budget: Option<SolverBudget>) -> u8 {
-    match budget {
-        None => 0,
-        Some(SolverBudget::Tight) => 1,
-        Some(SolverBudget::PgOnly) => 2,
-        Some(SolverBudget::GreedyOnly) => 3,
     }
 }
 
@@ -173,44 +160,6 @@ pub enum AdvisorError {
     /// Regularization dead-ended (§4.3's manual-intervention case) or
     /// met a non-finite solver layout.
     Regularize(RegularizeError),
-}
-
-impl ToJson for AdvisorError {
-    fn to_json(&self) -> Json {
-        match self {
-            AdvisorError::InvalidProblem(msg) => json::variant("InvalidProblem", msg.to_json()),
-            AdvisorError::Initial(e) => json::variant("Initial", e.to_json()),
-            AdvisorError::Multistart(MultistartError::NoStarts) => {
-                json::variant("Multistart", "NoStarts".to_json())
-            }
-            AdvisorError::Regularize(e) => json::variant("Regularize", e.to_json()),
-        }
-    }
-}
-
-impl FromJson for AdvisorError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match json::untag(v)? {
-            ("InvalidProblem", payload) => {
-                String::from_json(payload).map(AdvisorError::InvalidProblem)
-            }
-            ("Initial", payload) => {
-                InitialLayoutError::from_json(payload).map(AdvisorError::Initial)
-            }
-            ("Multistart", payload) => match String::from_json(payload)?.as_str() {
-                "NoStarts" => Ok(AdvisorError::Multistart(MultistartError::NoStarts)),
-                other => Err(JsonError::new(format!(
-                    "unknown MultistartError variant: {other:?}"
-                ))),
-            },
-            ("Regularize", payload) => {
-                RegularizeError::from_json(payload).map(AdvisorError::Regularize)
-            }
-            (other, _) => Err(JsonError::new(format!(
-                "unknown AdvisorError variant: {other:?}"
-            ))),
-        }
-    }
 }
 
 impl std::fmt::Display for AdvisorError {
@@ -505,11 +454,7 @@ fn solve_from(
     // contract is anytime: the solve stage always returns a feasible
     // layout, with `quality` recording how it got there.
     let injected = fault::plan().and_then(|p| p.solver_budget(options.seed));
-    let budget = if budget_rank(options.solve_budget) >= budget_rank(injected) {
-        options.solve_budget
-    } else {
-        injected
-    };
+    let budget = options.solve_budget.max(injected);
     let mut solver_opts = options.solver.clone();
     let mut quality = SolveQuality::Full;
     match budget {

@@ -9,7 +9,6 @@
 //! target performance — the solver fixes that.
 
 use crate::problem::{AdminConstraint, Layout, LayoutProblem};
-use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 
 /// Why no initial layout could be constructed.
 #[derive(Clone, Debug, PartialEq)]
@@ -19,35 +18,6 @@ pub enum InitialLayoutError {
         /// The object that could not be placed.
         object: usize,
     },
-}
-
-impl ToJson for InitialLayoutError {
-    fn to_json(&self) -> Json {
-        match *self {
-            InitialLayoutError::NoFit { object } => json::variant(
-                "NoFit",
-                Json::Obj(vec![("object".to_string(), object.to_json())]),
-            ),
-        }
-    }
-}
-
-impl FromJson for InitialLayoutError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match json::untag(v)? {
-            ("NoFit", payload) => {
-                let object = payload
-                    .field("object")
-                    .ok_or_else(|| JsonError::missing_field("object"))?;
-                Ok(InitialLayoutError::NoFit {
-                    object: usize::from_json(object)?,
-                })
-            }
-            (other, _) => Err(JsonError::new(format!(
-                "unknown InitialLayoutError variant: {other:?}"
-            ))),
-        }
-    }
 }
 
 impl std::fmt::Display for InitialLayoutError {

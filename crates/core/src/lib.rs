@@ -54,4 +54,4 @@ pub use initial::{initial_layout, InitialLayoutError};
 pub use optimizer::{solve_multistart, solve_nlp, MultistartError, NlpOutcome, SolverOptions};
 pub use problem::{AdminConstraint, Layout, LayoutProblem};
 pub use regularize::{regularize, regularize_with, RegularizeError};
-pub use stage::{CacheMark, CacheStats, Stage, StageCache, STAGE_NAMES};
+pub use stage::{CacheMark, CacheStats, Stage, StageCache};

@@ -55,7 +55,6 @@ impl Default for SolverOptions {
                     ..PgOptions::default()
                 },
                 outer_iters: 4,
-                ..AugLagOptions::default()
             },
             objective: ObjectiveKind::MinMax,
         }

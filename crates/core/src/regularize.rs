@@ -42,7 +42,6 @@
 use crate::eval::{weighted_max, EvalEngine, ObjectiveKind};
 use crate::problem::{AdminConstraint, Layout, LayoutProblem, EPS};
 use std::cmp::Ordering;
-use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 
 /// Regularization failure (paper §4.3's "manual intervention" case).
 #[derive(Clone, Debug, PartialEq)]
@@ -59,38 +58,6 @@ pub enum RegularizeError {
         /// The first such object.
         object: usize,
     },
-}
-
-impl ToJson for RegularizeError {
-    fn to_json(&self) -> Json {
-        let (name, object) = match *self {
-            RegularizeError::DeadEnd { object } => ("DeadEnd", object),
-            RegularizeError::NonFinite { object } => ("NonFinite", object),
-        };
-        json::variant(
-            name,
-            Json::Obj(vec![("object".to_string(), object.to_json())]),
-        )
-    }
-}
-
-impl FromJson for RegularizeError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (name, payload) = json::untag(v)?;
-        let variant = match name {
-            "DeadEnd" => |object| RegularizeError::DeadEnd { object },
-            "NonFinite" => |object| RegularizeError::NonFinite { object },
-            other => {
-                return Err(JsonError::new(format!(
-                    "unknown RegularizeError variant: {other:?}"
-                )))
-            }
-        };
-        let object = payload
-            .field("object")
-            .ok_or_else(|| JsonError::missing_field("object"))?;
-        Ok(variant(usize::from_json(object)?))
-    }
 }
 
 impl std::fmt::Display for RegularizeError {
@@ -562,18 +529,6 @@ mod tests {
         let solver = Layout::from_rows(vec![vec![0.0, 1.0], vec![0.5, 0.5]]);
         let err = regularize(&p, &solver).unwrap_err();
         assert_eq!(err, RegularizeError::NonFinite { object: 1 });
-    }
-
-    #[test]
-    fn errors_round_trip_through_json() {
-        use wasla_simlib::json::{from_str, to_string};
-        for err in [
-            RegularizeError::DeadEnd { object: 3 },
-            RegularizeError::NonFinite { object: 7 },
-        ] {
-            let back: RegularizeError = from_str(&to_string(&err)).unwrap();
-            assert_eq!(back, err);
-        }
     }
 
     #[test]

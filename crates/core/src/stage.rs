@@ -2,36 +2,24 @@
 //!
 //! The paper's methodology is a fixed sequence of transformations —
 //! trace the workload, fit Rome descriptions, calibrate target models,
-//! solve the NLP, regularize, place — and several of those stages are
+//! solve the NLP, regularize, place — and two of those stages are
 //! *pure functions of identifiable inputs*: a calibration table depends
-//! only on the device spec and the grid; a fitted workload set depends
-//! only on the trace and the object inventory. This module gives the
-//! pipeline layers a common vocabulary for that structure:
+//! only on the device spec, the grid and the seed; a fitted workload
+//! set depends only on the trace and the object inventory. This module
+//! holds what the layers share about that structure:
 //!
-//! * [`Stage`] — a named, typed transformation with an optional
-//!   content-hash cache key;
+//! * [`Stage`] — a typed transformation from an input to an output
+//!   that can fail; the facade crate implements it for the trace,
+//!   solve, regularize and place stages;
 //! * [`StageCache`] — a keyed memo table with hit/miss accounting,
 //!   used by sessions to skip recomputation when the same inputs recur
-//!   across requests.
-//!
-//! The concrete stages live next to the things they wrap (the facade
-//! crate wires trace/fit/calibrate/solve/regularize/place together);
-//! this crate only defines the shared contract so that every layer
-//! agrees on stage names and caching semantics.
+//!   across requests (the session derives the fit and calibration
+//!   keys).
 
 use std::sync::Arc;
 
-/// Canonical stage names, in pipeline order.
-pub const STAGE_NAMES: [&str; 6] = ["trace", "fit", "calibrate", "solve", "regularize", "place"];
-
-/// One pipeline stage: a named transformation from `Input` to
-/// `Output` that can fail with `Error`.
-///
-/// A stage that is a pure function of hashable inputs advertises a
-/// [`cache_key`](Stage::cache_key); sessions use it to memoize the
-/// stage's output in a [`StageCache`]. Stages whose output depends on
-/// ambient state (e.g. the trace stage, which runs a simulation whose
-/// cost *is* the measurement) return `None` and always run.
+/// One pipeline stage: a transformation from `Input` to `Output` that
+/// can fail with `Error`.
 pub trait Stage {
     /// What the stage consumes.
     type Input;
@@ -40,17 +28,8 @@ pub trait Stage {
     /// How the stage fails.
     type Error;
 
-    /// The stage's canonical name (one of [`STAGE_NAMES`]).
-    fn name(&self) -> &'static str;
-
     /// Runs the transformation.
     fn run(&self, input: &Self::Input) -> Result<Self::Output, Self::Error>;
-
-    /// A content hash identifying the output for the given input, or
-    /// `None` when the stage is not cacheable.
-    fn cache_key(&self, _input: &Self::Input) -> Option<u64> {
-        None
-    }
 }
 
 /// Hit/miss counters for one [`StageCache`].
@@ -365,13 +344,5 @@ mod tests {
         assert!(Arc::ptr_eq(&shared.entries()[2].1, &a_values[2]));
         // a: one hit, one miss; b: one miss.
         assert_eq!(shared.stats(), CacheStats { hits: 1, misses: 2 });
-    }
-
-    #[test]
-    fn stage_names_cover_the_pipeline() {
-        assert_eq!(
-            STAGE_NAMES,
-            ["trace", "fit", "calibrate", "solve", "regularize", "place"]
-        );
     }
 }

@@ -48,67 +48,6 @@ pub enum PlacementError {
     ShapeMismatch,
 }
 
-impl ToJson for PlacementError {
-    fn to_json(&self) -> Json {
-        match *self {
-            PlacementError::BadRow { object, sum } => json::variant(
-                "BadRow",
-                Json::Obj(vec![
-                    ("object".to_string(), object.to_json()),
-                    ("sum".to_string(), sum.to_json()),
-                ]),
-            ),
-            PlacementError::OverCapacity {
-                target,
-                assigned,
-                capacity,
-            } => json::variant(
-                "OverCapacity",
-                Json::Obj(vec![
-                    ("target".to_string(), target.to_json()),
-                    ("assigned".to_string(), assigned.to_json()),
-                    ("capacity".to_string(), capacity.to_json()),
-                ]),
-            ),
-            PlacementError::ShapeMismatch => Json::Str("ShapeMismatch".to_string()),
-        }
-    }
-}
-
-impl FromJson for PlacementError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Json::Str(s) = v {
-            return if s == "ShapeMismatch" {
-                Ok(PlacementError::ShapeMismatch)
-            } else {
-                Err(JsonError::new(format!(
-                    "unknown PlacementError variant: {s:?}"
-                )))
-            };
-        }
-        let (tag, payload) = json::untag(v)?;
-        let get = |name: &str| {
-            payload
-                .field(name)
-                .ok_or_else(|| JsonError::missing_field(name))
-        };
-        match tag {
-            "BadRow" => Ok(PlacementError::BadRow {
-                object: usize::from_json(get("object")?)?,
-                sum: f64::from_json(get("sum")?)?,
-            }),
-            "OverCapacity" => Ok(PlacementError::OverCapacity {
-                target: usize::from_json(get("target")?)?,
-                assigned: u64::from_json(get("assigned")?)?,
-                capacity: u64::from_json(get("capacity")?)?,
-            }),
-            other => Err(JsonError::new(format!(
-                "unknown PlacementError variant: {other:?}"
-            ))),
-        }
-    }
-}
-
 impl std::fmt::Display for PlacementError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

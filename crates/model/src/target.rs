@@ -19,7 +19,7 @@
 
 use crate::calibrate::{calibrate_device, check_capacity, CalibrationGrid, ColumnDemand};
 use crate::table::{CostGrad, CostModel, TableModel};
-use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
+use wasla_simlib::json::{FromJson, Json, JsonError, ToJson};
 use wasla_storage::{IoKind, TargetConfig, Tier};
 
 /// Why a target could not be modeled.
@@ -46,57 +46,6 @@ pub enum ModelError {
         /// The smallest capacity the grid can calibrate, in bytes.
         floor: u64,
     },
-}
-
-impl ToJson for ModelError {
-    fn to_json(&self) -> Json {
-        let field = |name: &str, value: Json| (name.to_string(), value);
-        let (tag, fields) = match self {
-            ModelError::NoMembers { target } => {
-                ("NoMembers", vec![field("target", target.to_json())])
-            }
-            ModelError::HeterogeneousRaid { target } => {
-                ("HeterogeneousRaid", vec![field("target", target.to_json())])
-            }
-            ModelError::BelowCalibrationFloor {
-                target,
-                capacity,
-                floor,
-            } => (
-                "BelowCalibrationFloor",
-                vec![
-                    field("target", target.to_json()),
-                    field("capacity", capacity.to_json()),
-                    field("floor", floor.to_json()),
-                ],
-            ),
-        };
-        json::variant(tag, Json::Obj(fields))
-    }
-}
-
-impl FromJson for ModelError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, payload) = json::untag(v)?;
-        let field = |name: &str| {
-            payload
-                .field(name)
-                .ok_or_else(|| JsonError::missing_field(name))
-        };
-        let target = String::from_json(field("target")?)?;
-        match tag {
-            "NoMembers" => Ok(ModelError::NoMembers { target }),
-            "HeterogeneousRaid" => Ok(ModelError::HeterogeneousRaid { target }),
-            "BelowCalibrationFloor" => Ok(ModelError::BelowCalibrationFloor {
-                target,
-                capacity: u64::from_json(field("capacity")?)?,
-                floor: u64::from_json(field("floor")?)?,
-            }),
-            other => Err(JsonError::new(format!(
-                "unknown ModelError variant: {other:?}"
-            ))),
-        }
-    }
 }
 
 impl std::fmt::Display for ModelError {
@@ -560,27 +509,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn model_error_json_round_trip() {
-        use wasla_simlib::json::{from_str, to_string};
-        for err in [
-            ModelError::NoMembers {
-                target: "t0".to_string(),
-            },
-            ModelError::HeterogeneousRaid {
-                target: "t1".to_string(),
-            },
-            ModelError::BelowCalibrationFloor {
-                target: "t2".to_string(),
-                capacity: 100_000,
-                floor: 524_288,
-            },
-        ] {
-            let back: ModelError = from_str(&to_string(&err)).unwrap();
-            assert_eq!(back, err);
         }
     }
 }

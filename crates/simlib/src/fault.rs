@@ -108,7 +108,11 @@ impl DeviceFault {
 
 /// An injected solver-budget exhaustion: which rung of the fallback
 /// chain (auglag → pg → rate-greedy seed) the solve is forced down to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// Variants are declared in severity order, so the derived `Ord` ranks
+/// a cheaper (more constrained) solve higher, and `Option::max` of two
+/// budgets is the tighter one (`None`, no budget, ranks lowest).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SolverBudget {
     /// Keep the configured engine but cut its iteration budget; the
     /// anytime best-so-far iterate is returned.
@@ -314,6 +318,16 @@ mod tests {
             assert!(count > 0, "{name} never fired over {n} keys");
             assert!((count as u64) < n, "{name} fired for every key");
         }
+    }
+
+    #[test]
+    fn solver_budgets_order_by_severity() {
+        use SolverBudget::*;
+        assert!(Tight < PgOnly && PgOnly < GreedyOnly);
+        // `Option::max` is the tighter budget; no budget ranks lowest.
+        assert_eq!(None.max(Some(Tight)), Some(Tight));
+        assert_eq!(Some(GreedyOnly).max(Some(PgOnly)), Some(GreedyOnly));
+        assert_eq!(Some(Tight).max(None), Some(Tight));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`par`] — a deterministic scoped-thread pool with an ordered
 //!   [`par::par_map`]; the advisor's embarrassingly-parallel layers
 //!   (multi-start solving, calibration, sweeps) all route through it.
-//! * [`stats`] — online statistics accumulators (mean/variance,
-//!   time-weighted averages for utilization, latency histograms).
+//! * [`stats`] — online statistics accumulators (mean/variance and
+//!   time-weighted averages for utilization).
 //!
 //! Determinism is a hard requirement: every experiment in the paper
 //! reproduction must be re-runnable bit-for-bit from a seed, so all
@@ -31,5 +31,5 @@ pub mod time;
 
 pub use events::EventQueue;
 pub use rng::SimRng;
-pub use stats::{Histogram, OnlineStats, TimeWeighted};
+pub use stats::{OnlineStats, TimeWeighted};
 pub use time::SimTime;

@@ -217,96 +217,6 @@ impl_json_struct!(TimeWeighted {
     started
 });
 
-/// A latency histogram with logarithmic buckets, from 1 µs to ~1000 s.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    /// Bucket k counts values in [base * 2^k, base * 2^(k+1)).
-    counts: Vec<u64>,
-    base: f64,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    const BUCKETS: usize = 30;
-
-    /// A histogram with base bucket 1 µs.
-    pub fn new() -> Self {
-        Histogram {
-            counts: vec![0; Self::BUCKETS],
-            base: 1e-6,
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records a value (seconds).
-    pub fn record(&mut self, value: f64) {
-        self.total += 1;
-        if value < self.base {
-            self.underflow += 1;
-            return;
-        }
-        let k = (value / self.base).log2() as usize;
-        if k >= Self::BUCKETS {
-            self.overflow += 1;
-        } else {
-            self.counts[k] += 1;
-        }
-    }
-
-    /// Total recorded values.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate quantile `q in \[0,1\]` (bucket upper bound), or None
-    /// if the histogram is empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(self.base);
-        }
-        for (k, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(self.base * 2f64.powi(k as i32 + 1));
-            }
-        }
-        Some(f64::INFINITY)
-    }
-
-    /// Merges another histogram.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.total += other.total;
-    }
-}
-
-impl_json_struct!(Histogram {
-    counts,
-    base,
-    underflow,
-    overflow,
-    total
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,32 +284,5 @@ mod tests {
         let m = tw.mean_until(SimTime::from_secs(7.0));
         assert!((m - 2.0).abs() < 1e-12);
         assert_eq!(TimeWeighted::new().mean_until(SimTime::from_secs(1.0)), 0.0);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new();
-        for _ in 0..90 {
-            h.record(1e-3); // 1 ms
-        }
-        for _ in 0..10 {
-            h.record(1.0); // 1 s
-        }
-        assert_eq!(h.count(), 100);
-        let p50 = h.quantile(0.5).unwrap();
-        assert!(p50 < 1e-2, "p50 {p50}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p99 > 0.5, "p99 {p99}");
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1e-3);
-        b.record(1e-3);
-        b.record(2.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
     }
 }

@@ -25,6 +25,15 @@ pub struct Constraint<'a> {
     pub grad: GradFn<'a>,
 }
 
+/// Initial penalty ρ.
+const RHO0: f64 = 10.0;
+
+/// Penalty growth factor when violation does not shrink enough.
+const RHO_GROWTH: f64 = 4.0;
+
+/// Constraint tolerance: max violation below this counts feasible.
+const FEAS_TOL: f64 = 1e-6;
+
 /// Options for the augmented-Lagrangian outer loop.
 #[derive(Clone, Debug)]
 pub struct AugLagOptions {
@@ -32,12 +41,6 @@ pub struct AugLagOptions {
     pub inner: PgOptions,
     /// Outer iterations (multiplier updates).
     pub outer_iters: usize,
-    /// Initial penalty ρ.
-    pub rho0: f64,
-    /// Penalty growth factor when violation does not shrink enough.
-    pub rho_growth: f64,
-    /// Constraint tolerance: max violation below this counts feasible.
-    pub feas_tol: f64,
 }
 
 impl Default for AugLagOptions {
@@ -45,9 +48,6 @@ impl Default for AugLagOptions {
         AugLagOptions {
             inner: PgOptions::default(),
             outer_iters: 10,
-            rho0: 10.0,
-            rho_growth: 4.0,
-            feas_tol: 1e-6,
         }
     }
 }
@@ -72,7 +72,7 @@ where
     }
     let k = constraints.len();
     let mut lambda = vec![0.0f64; k];
-    let mut rho = opts.rho0;
+    let mut rho = RHO0;
     let mut x = x0.to_vec();
     let mut best: Option<PgResult> = None;
     let mut prev_violation = f64::INFINITY;
@@ -124,21 +124,21 @@ where
             x: x.clone(),
             value: fx,
             iters: result.iters,
-            converged: result.converged && violation <= opts.feas_tol,
+            converged: result.converged && violation <= FEAS_TOL,
         };
         let improves = match &best {
             None => true,
-            Some(b) => violation <= opts.feas_tol && (fx < b.value || !b.converged),
+            Some(b) => violation <= FEAS_TOL && (fx < b.value || !b.converged),
         };
         if improves {
             best = Some(record);
         }
-        if violation <= opts.feas_tol {
+        if violation <= FEAS_TOL {
             if result.converged {
                 break;
             }
         } else if violation > 0.5 * prev_violation {
-            rho *= opts.rho_growth;
+            rho *= RHO_GROWTH;
         }
         prev_violation = violation;
     }

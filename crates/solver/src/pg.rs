@@ -36,7 +36,16 @@
 //! `x`). So when the first trial is rejected and its projected point is
 //! `x` itself (`dist2 == 0`), no shorter step can descend: the search
 //! stops there as converged, after one trial evaluation, instead of
-//! halving `max_backtracks` more times to reach the same verdict.
+//! halving `MAX_BACKTRACKS` more times to reach the same verdict.
+
+/// Armijo sufficient-decrease coefficient.
+const ARMIJO_C: f64 = 1e-4;
+
+/// Factor each backtracking step shrinks the trial step by.
+const BACKTRACK: f64 = 0.5;
+
+/// Maximum backtracking halvings per iteration.
+const MAX_BACKTRACKS: usize = 30;
 
 /// Options for [`minimize`].
 #[derive(Clone, Debug)]
@@ -49,12 +58,6 @@ pub struct PgOptions {
     /// trial step (the spectral step and its fallback alike; see the
     /// module docs for why the cap stays).
     pub step0: f64,
-    /// Armijo sufficient-decrease coefficient.
-    pub armijo_c: f64,
-    /// Backtracking factor.
-    pub backtrack: f64,
-    /// Maximum backtracking halvings per iteration.
-    pub max_backtracks: usize,
 }
 
 impl Default for PgOptions {
@@ -63,9 +66,6 @@ impl Default for PgOptions {
             max_iters: 200,
             tol: 1e-6,
             step0: 1.0,
-            armijo_c: 1e-4,
-            backtrack: 0.5,
-            max_backtracks: 30,
         }
     }
 }
@@ -151,7 +151,7 @@ where
             Some(last) => spectral_step(&x, &prev_x, &g, &prev_g, last, opts.step0),
         };
         let mut accepted = false;
-        for trial in 0..=opts.max_backtracks {
+        for trial in 0..=MAX_BACKTRACKS {
             for i in 0..n {
                 candidate[i] = x[i] - step * g[i];
             }
@@ -164,7 +164,7 @@ where
                 .zip(&x)
                 .map(|(a, b)| (a - b) * (a - b))
                 .sum();
-            if fc <= fx - opts.armijo_c / step.max(1e-18) * dist2 && fc < fx {
+            if fc <= fx - ARMIJO_C / step.max(1e-18) * dist2 && fc < fx {
                 let improvement = (fx - fc) / fx.abs().max(1e-18);
                 prev_x.copy_from_slice(&x);
                 prev_g.copy_from_slice(&g);
@@ -182,7 +182,7 @@ where
                 // it leaves it at no step: stationary.
                 break;
             }
-            step *= opts.backtrack;
+            step *= BACKTRACK;
         }
         if !accepted {
             // No descent direction found: (approximate) stationarity.
@@ -317,7 +317,7 @@ mod tests {
     fn stationary_start_stops_immediately() {
         // Start at the constrained optimum: the first trial projects
         // back onto the start, so the search stops there after one
-        // trial evaluation instead of halving `max_backtracks` times.
+        // trial evaluation instead of halving `MAX_BACKTRACKS` times.
         let c = [1.0, 2.0];
         let calls = Cell::new(0usize);
         let f = |x: &[f64]| {
@@ -341,7 +341,7 @@ mod tests {
 
     /// The step rule this module replaced, kept as the oracle: every
     /// search restarts at `step0` and halves until Armijo holds, and a
-    /// failed search always spends all `max_backtracks` halvings.
+    /// failed search always spends all `MAX_BACKTRACKS` halvings.
     fn minimize_fixed_step<F, G, P>(
         f: F,
         grad: G,
@@ -367,7 +367,7 @@ mod tests {
             grad(&x, &mut g);
             let mut step = opts.step0;
             let mut accepted = false;
-            for _ in 0..=opts.max_backtracks {
+            for _ in 0..=MAX_BACKTRACKS {
                 for i in 0..n {
                     candidate[i] = x[i] - step * g[i];
                 }
@@ -378,7 +378,7 @@ mod tests {
                     .zip(&x)
                     .map(|(a, b)| (a - b) * (a - b))
                     .sum();
-                if fc <= fx - opts.armijo_c / step.max(1e-18) * dist2 && fc < fx {
+                if fc <= fx - ARMIJO_C / step.max(1e-18) * dist2 && fc < fx {
                     let improvement = (fx - fc) / fx.abs().max(1e-18);
                     x.copy_from_slice(&candidate);
                     fx = fc;
@@ -388,7 +388,7 @@ mod tests {
                     }
                     break;
                 }
-                step *= opts.backtrack;
+                step *= BACKTRACK;
             }
             if !accepted {
                 converged = true;

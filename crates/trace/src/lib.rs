@@ -24,7 +24,6 @@
 //! fits bit-identically to one pass over its records.
 
 use oplog::{OpLog, OpRecord};
-use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 use wasla_storage::IoKind;
 use wasla_workload::WorkloadSpec;
 
@@ -57,62 +56,6 @@ pub enum FitError {
         /// The pane limit.
         max: u64,
     },
-}
-
-impl ToJson for FitError {
-    fn to_json(&self) -> Json {
-        match *self {
-            FitError::ShapeMismatch { names, sizes } => json::variant(
-                "ShapeMismatch",
-                Json::Obj(vec![
-                    ("names".to_string(), names.to_json()),
-                    ("sizes".to_string(), sizes.to_json()),
-                ]),
-            ),
-            FitError::StreamOutOfRange { stream, objects } => json::variant(
-                "StreamOutOfRange",
-                Json::Obj(vec![
-                    ("stream".to_string(), stream.to_json()),
-                    ("objects".to_string(), objects.to_json()),
-                ]),
-            ),
-            FitError::TooManyPanes { panes, max } => json::variant(
-                "TooManyPanes",
-                Json::Obj(vec![
-                    ("panes".to_string(), panes.to_json()),
-                    ("max".to_string(), max.to_json()),
-                ]),
-            ),
-        }
-    }
-}
-
-impl FromJson for FitError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let field = |payload: &Json, name: &str| -> Result<Json, JsonError> {
-            payload
-                .field(name)
-                .cloned()
-                .ok_or_else(|| JsonError::missing_field(name))
-        };
-        match json::untag(v)? {
-            ("ShapeMismatch", payload) => Ok(FitError::ShapeMismatch {
-                names: usize::from_json(&field(payload, "names")?)?,
-                sizes: usize::from_json(&field(payload, "sizes")?)?,
-            }),
-            ("StreamOutOfRange", payload) => Ok(FitError::StreamOutOfRange {
-                stream: u32::from_json(&field(payload, "stream")?)?,
-                objects: usize::from_json(&field(payload, "objects")?)?,
-            }),
-            ("TooManyPanes", payload) => Ok(FitError::TooManyPanes {
-                panes: u64::from_json(&field(payload, "panes")?)?,
-                max: u64::from_json(&field(payload, "max")?)?,
-            }),
-            (other, _) => Err(JsonError::new(format!(
-                "unknown FitError variant: {other:?}"
-            ))),
-        }
-    }
 }
 
 impl std::fmt::Display for FitError {
@@ -477,25 +420,6 @@ mod tests {
         );
         let err2 = fit_duty_cycles(&log, 2, 1.0).unwrap_err();
         assert_eq!(err, err2);
-    }
-
-    #[test]
-    fn fit_error_json_round_trip() {
-        use wasla_simlib::json::{from_str, to_string};
-        for err in [
-            FitError::ShapeMismatch { names: 3, sizes: 5 },
-            FitError::StreamOutOfRange {
-                stream: 9,
-                objects: 4,
-            },
-            FitError::TooManyPanes {
-                panes: 1 << 20,
-                max: oplog::MAX_PANES,
-            },
-        ] {
-            let back: FitError = from_str(&to_string(&err)).unwrap();
-            assert_eq!(back, err);
-        }
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! [`OpLog::to_tsv`] writes only v2. The reader picks the format from
 //! the header line and still reads v1 logs ([`FORMAT_HEADER_V1`]),
 //! whose times are decimal in the shortest round-trip form of
-//! [`json::format_f64`]; std `f64` parsing reads them back to the same
-//! `f64`s. Only the time-field decoder depends on the version: both
+//! [`json::format_f64`](wasla_simlib::json::format_f64); std `f64`
+//! parsing reads them back to the same `f64`s. Only the time-field decoder depends on the version: both
 //! formats share one line cursor, one reference line parser, the
 //! line-length limit, the typed errors and the salvage rules.
 //!
@@ -57,7 +57,6 @@
 
 use crate::{build_spec, observe, Accum, FitConfig, FitError};
 use wasla_simlib::impl_json_struct;
-use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
 use wasla_simlib::SimTime;
 use wasla_storage::IoKind;
 use wasla_workload::WorkloadSet;
@@ -190,93 +189,6 @@ impl std::fmt::Display for OpLogError {
 }
 
 impl std::error::Error for OpLogError {}
-
-impl ToJson for OpLogError {
-    fn to_json(&self) -> Json {
-        let obj = |fields: Vec<(&str, Json)>| {
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
-        match *self {
-            OpLogError::MissingHeader => json::variant("MissingHeader", Json::Null),
-            OpLogError::Truncated { line, fields } => json::variant(
-                "Truncated",
-                obj(vec![("line", line.to_json()), ("fields", fields.to_json())]),
-            ),
-            OpLogError::BadField { line, field } => json::variant(
-                "BadField",
-                obj(vec![
-                    ("line", line.to_json()),
-                    ("field", field.to_string().to_json()),
-                ]),
-            ),
-            OpLogError::UnknownOp { line } => {
-                json::variant("UnknownOp", obj(vec![("line", line.to_json())]))
-            }
-            OpLogError::NonMonotone { line } => {
-                json::variant("NonMonotone", obj(vec![("line", line.to_json())]))
-            }
-            OpLogError::Overlong { line, len } => json::variant(
-                "Overlong",
-                obj(vec![("line", line.to_json()), ("len", len.to_json())]),
-            ),
-        }
-    }
-}
-
-impl FromJson for OpLogError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let field = |payload: &Json, name: &str| -> Result<Json, JsonError> {
-            payload
-                .field(name)
-                .cloned()
-                .ok_or_else(|| JsonError::missing_field(name))
-        };
-        let line = |payload: &Json| -> Result<usize, JsonError> {
-            usize::from_json(&field(payload, "line")?)
-        };
-        match json::untag(v)? {
-            ("MissingHeader", _) => Ok(OpLogError::MissingHeader),
-            ("Truncated", payload) => Ok(OpLogError::Truncated {
-                line: line(payload)?,
-                fields: usize::from_json(&field(payload, "fields")?)?,
-            }),
-            ("BadField", payload) => Ok(OpLogError::BadField {
-                line: line(payload)?,
-                field: canonical_field(&String::from_json(&field(payload, "field")?)?),
-            }),
-            ("UnknownOp", payload) => Ok(OpLogError::UnknownOp {
-                line: line(payload)?,
-            }),
-            ("NonMonotone", payload) => Ok(OpLogError::NonMonotone {
-                line: line(payload)?,
-            }),
-            ("Overlong", payload) => Ok(OpLogError::Overlong {
-                line: line(payload)?,
-                len: usize::from_json(&field(payload, "len")?)?,
-            }),
-            (other, _) => Err(JsonError::new(format!(
-                "unknown OpLogError variant: {other:?}"
-            ))),
-        }
-    }
-}
-
-/// Maps a deserialized field name back onto the static name the parser
-/// uses, so the error round-trips through JSON without leaking an
-/// allocation into the `&'static str` slot.
-fn canonical_field(name: &str) -> &'static str {
-    for known in ["stream", "offset", "len", "issue", "complete"] {
-        if name == known {
-            return known;
-        }
-    }
-    "unknown"
-}
 
 /// What the lossy reader salvaged from a damaged op-log.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -1028,6 +940,9 @@ pub fn windowed_workloads(
     }
     Ok(snapshots)
 }
+
+#[cfg(test)]
+use wasla_simlib::json;
 
 #[cfg(test)]
 #[path = "../tests/support/v1_writer.rs"]
@@ -1950,25 +1865,6 @@ mod tests {
                 salvage.first_error,
                 Some(OpLogError::NonMonotone { line: 7 })
             );
-        }
-    }
-
-    #[test]
-    fn oplog_error_json_round_trip() {
-        use wasla_simlib::json::{from_str, to_string};
-        for err in [
-            OpLogError::MissingHeader,
-            OpLogError::Truncated { line: 3, fields: 2 },
-            OpLogError::BadField {
-                line: 4,
-                field: "issue",
-            },
-            OpLogError::UnknownOp { line: 5 },
-            OpLogError::NonMonotone { line: 6 },
-            OpLogError::Overlong { line: 7, len: 999 },
-        ] {
-            let back: OpLogError = from_str(&to_string(&err)).unwrap();
-            assert_eq!(back, err);
         }
     }
 

@@ -9,14 +9,15 @@
 //! `wasla::session`, and the `wasla-advisor` binary returns one
 //! `Result` type instead of panicking.
 //!
-//! The hierarchy follows the house error pattern: hand-rolled enum,
-//! `Display`/`Error`/`From` impls, and JSON round-tripping through the
-//! in-tree `json` module (externally-tagged variants).
+//! The hierarchy follows the house error pattern: hand-rolled enum
+//! with `Display`/`Error`/`From` impls. Errors are reported, never
+//! serialized: the CLI prints the `Display` text and exits with
+//! [`WaslaError::exit_code`].
 
 use wasla_core::AdvisorError;
 use wasla_exec::{EngineError, PlacementError};
 use wasla_model::ModelError;
-use wasla_simlib::json::{self, FromJson, Json, JsonError, ToJson};
+use wasla_simlib::json::JsonError;
 use wasla_trace::oplog::OpLogError;
 use wasla_trace::FitError;
 
@@ -137,134 +138,6 @@ impl From<JsonError> for WaslaError {
     }
 }
 
-impl ToJson for WaslaError {
-    fn to_json(&self) -> Json {
-        match self {
-            WaslaError::Advisor(e) => json::variant("Advisor", e.to_json()),
-            WaslaError::Placement(e) => json::variant("Placement", e.to_json()),
-            WaslaError::Engine(e) => {
-                let inner = match e {
-                    EngineError::Unbounded => json::variant("Unbounded", Json::Null),
-                    EngineError::DeadStep { slot } => json::variant("DeadStep", slot.to_json()),
-                    EngineError::DeadQuery { slot } => json::variant("DeadQuery", slot.to_json()),
-                    EngineError::UnknownObject { workload, template } => json::variant(
-                        "UnknownObject",
-                        Json::Obj(vec![
-                            ("workload".to_string(), workload.to_json()),
-                            ("template".to_string(), template.to_json()),
-                        ]),
-                    ),
-                };
-                json::variant("Engine", inner)
-            }
-            WaslaError::Fault { attempts, detail } => json::variant(
-                "Fault",
-                Json::Obj(vec![
-                    ("attempts".to_string(), attempts.to_json()),
-                    ("detail".to_string(), detail.to_json()),
-                ]),
-            ),
-            WaslaError::Fit(e) => json::variant("Fit", e.to_json()),
-            WaslaError::OpLog(e) => json::variant("OpLog", e.to_json()),
-            WaslaError::Model(e) => json::variant("Model", e.to_json()),
-            WaslaError::Json(e) => json::variant("Json", e.message().to_json()),
-            WaslaError::Io { path, detail } => json::variant(
-                "Io",
-                Json::Obj(vec![
-                    ("path".to_string(), path.to_json()),
-                    ("detail".to_string(), detail.to_json()),
-                ]),
-            ),
-            WaslaError::Overloaded { position, capacity } => json::variant(
-                "Overloaded",
-                Json::Obj(vec![
-                    ("position".to_string(), position.to_json()),
-                    ("capacity".to_string(), capacity.to_json()),
-                ]),
-            ),
-            WaslaError::Usage(msg) => json::variant("Usage", msg.to_json()),
-            WaslaError::Internal(msg) => json::variant("Internal", msg.to_json()),
-        }
-    }
-}
-
-impl FromJson for WaslaError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match json::untag(v)? {
-            ("Advisor", payload) => AdvisorError::from_json(payload).map(WaslaError::Advisor),
-            ("Placement", payload) => PlacementError::from_json(payload).map(WaslaError::Placement),
-            ("Engine", payload) => {
-                let (kind, inner) = json::untag(payload)?;
-                let slot = || usize::from_json(inner);
-                match kind {
-                    "Unbounded" => Ok(WaslaError::Engine(EngineError::Unbounded)),
-                    "DeadStep" => Ok(WaslaError::Engine(EngineError::DeadStep { slot: slot()? })),
-                    "DeadQuery" => Ok(WaslaError::Engine(EngineError::DeadQuery { slot: slot()? })),
-                    "UnknownObject" => {
-                        let index = |name: &str| {
-                            inner
-                                .field(name)
-                                .ok_or_else(|| JsonError::missing_field(name))
-                                .and_then(usize::from_json)
-                        };
-                        Ok(WaslaError::Engine(EngineError::UnknownObject {
-                            workload: index("workload")?,
-                            template: index("template")?,
-                        }))
-                    }
-                    other => Err(JsonError::new(format!(
-                        "unknown EngineError variant: {other:?}"
-                    ))),
-                }
-            }
-            ("Fault", payload) => {
-                let get = |name: &str| {
-                    payload
-                        .field(name)
-                        .ok_or_else(|| JsonError::missing_field(name))
-                };
-                Ok(WaslaError::Fault {
-                    attempts: u32::from_json(get("attempts")?)?,
-                    detail: String::from_json(get("detail")?)?,
-                })
-            }
-            ("Fit", payload) => FitError::from_json(payload).map(WaslaError::Fit),
-            ("OpLog", payload) => OpLogError::from_json(payload).map(WaslaError::OpLog),
-            ("Model", payload) => ModelError::from_json(payload).map(WaslaError::Model),
-            ("Json", payload) => {
-                String::from_json(payload).map(|m| WaslaError::Json(JsonError::new(m)))
-            }
-            ("Io", payload) => {
-                let get = |name: &str| {
-                    payload
-                        .field(name)
-                        .ok_or_else(|| JsonError::missing_field(name))
-                };
-                Ok(WaslaError::Io {
-                    path: String::from_json(get("path")?)?,
-                    detail: String::from_json(get("detail")?)?,
-                })
-            }
-            ("Overloaded", payload) => {
-                let get = |name: &str| {
-                    payload
-                        .field(name)
-                        .ok_or_else(|| JsonError::missing_field(name))
-                };
-                Ok(WaslaError::Overloaded {
-                    position: usize::from_json(get("position")?)?,
-                    capacity: usize::from_json(get("capacity")?)?,
-                })
-            }
-            ("Usage", payload) => String::from_json(payload).map(WaslaError::Usage),
-            ("Internal", payload) => String::from_json(payload).map(WaslaError::Internal),
-            (other, _) => Err(JsonError::new(format!(
-                "unknown WaslaError variant: {other:?}"
-            ))),
-        }
-    }
-}
-
 impl std::fmt::Display for WaslaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -306,61 +179,7 @@ impl std::error::Error for WaslaError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wasla_core::{InitialLayoutError, RegularizeError};
-
-    #[test]
-    fn json_round_trip_all_variants() {
-        use wasla_simlib::json::{from_str, to_string};
-        let cases = vec![
-            WaslaError::Advisor(AdvisorError::InvalidProblem("bad".into())),
-            WaslaError::Advisor(AdvisorError::Initial(InitialLayoutError::NoFit {
-                object: 3,
-            })),
-            WaslaError::Advisor(AdvisorError::Regularize(RegularizeError::DeadEnd {
-                object: 2,
-            })),
-            WaslaError::Advisor(AdvisorError::Regularize(RegularizeError::NonFinite {
-                object: 1,
-            })),
-            WaslaError::Placement(PlacementError::ShapeMismatch),
-            WaslaError::Engine(EngineError::DeadStep { slot: 5 }),
-            WaslaError::Engine(EngineError::DeadQuery { slot: 0 }),
-            WaslaError::Engine(EngineError::Unbounded),
-            WaslaError::Engine(EngineError::UnknownObject {
-                workload: 1,
-                template: 4,
-            }),
-            WaslaError::Fault {
-                attempts: 2,
-                detail: "injected request fault".into(),
-            },
-            WaslaError::Fit(FitError::ShapeMismatch { names: 2, sizes: 3 }),
-            WaslaError::OpLog(OpLogError::MissingHeader),
-            WaslaError::OpLog(OpLogError::Truncated { line: 4, fields: 3 }),
-            WaslaError::OpLog(OpLogError::NonMonotone { line: 9 }),
-            WaslaError::Model(ModelError::NoMembers { target: "t".into() }),
-            WaslaError::Model(ModelError::BelowCalibrationFloor {
-                target: "t".into(),
-                capacity: 100_000,
-                floor: 524_288,
-            }),
-            WaslaError::Json(JsonError::new("unexpected token")),
-            WaslaError::Io {
-                path: "/tmp/x".into(),
-                detail: "denied".into(),
-            },
-            WaslaError::Overloaded {
-                position: 9,
-                capacity: 8,
-            },
-            WaslaError::Usage("missing --trace".into()),
-            WaslaError::Internal("no trace captured".into()),
-        ];
-        for err in cases {
-            let back: WaslaError = from_str(&to_string(&err)).unwrap();
-            assert_eq!(back, err);
-        }
-    }
+    use wasla_core::RegularizeError;
 
     #[test]
     fn exit_codes_partition_failure_classes() {

@@ -1,17 +1,31 @@
 //! Sessioned advising: memoized stages and the batch service loop.
 //!
-//! [`AdvisorSession`] runs the staged pipeline (see
-//! [`stages`](crate::stages)) while memoizing the outputs of the pure
-//! stages in [`StageCache`]s:
+//! [`AdvisorSession`] runs the advise pipeline — trace, fit,
+//! calibrate, solve, regularize — while memoizing the outputs of the
+//! two pure stages in [`StageCache`]s. Each cache key is FNV-1a over
+//! canonical JSON and raw fields:
 //!
-//! * calibration tables, keyed by `(DeviceSpec, CalibrationGrid,
-//!   seed)` content hash — the dominant cost of a cold advise. The
-//!   advise path asks only for the (size, run) columns its fitted
-//!   workloads can reach and extends a cached table when a later
-//!   problem reaches further; [`AdvisorSession::models_for`], the
-//!   batch prewarm and the daemon ask for whole tables;
-//! * fitted workload sets, keyed by `(op-log content hash, fit config,
-//!   object inventory)`.
+//! * calibration tables, keyed by `(DeviceSpec JSON, CalibrationGrid
+//!   JSON, seed)`: a table is a pure function of the device, the grid
+//!   and the measurement seed. Calibration is the dominant cost of a
+//!   cold advise. The advise path asks only for the (size, run)
+//!   columns its fitted workloads can reach and extends a cached table
+//!   when a later problem reaches further;
+//!   [`AdvisorSession::models_for`], the batch prewarm and the daemon
+//!   ask for whole tables;
+//! * fitted workload sets, keyed by `(OpLog::trace_content_hash,
+//!   FitConfig fields, object names, object sizes, objective id)`: a
+//!   fitted set is a pure function of the op-log and the object
+//!   inventory. The objective id partitions the cache per layout
+//!   objective, so a warm session answering for one objective never
+//!   serves another (warm ≡ cold holds per objective). A fault-damaged
+//!   log is keyed the same way by its damaged content hash
+//!   ([`OpLog::trace_content_hash_damaged`]).
+//!
+//! Trace, solve and regularize are not cached: the trace stage runs a
+//! simulation whose cost *is* the measurement, and the solve chain is
+//! re-run per request (its inputs embed freshly fitted workloads and
+//! per-request seeds).
 //!
 //! A warm session advising over a scenario whose device types it has
 //! already calibrated skips recalibration entirely and produces a
@@ -32,15 +46,12 @@ use crate::persist;
 use crate::pipeline::{
     assemble_problem, calibration_demands, AdviseConfig, AdviseOutcome, DegradedNote, Scenario,
 };
-use crate::stages::{
-    CalibrateInput, CalibrateStage, FitInput, FitStage, RegularizeInput, RegularizeStage,
-    SolveStage, TraceInput, TraceStage,
-};
+use crate::stages::{TraceInput, TraceStage};
 use std::path::PathBuf;
 use std::sync::Arc;
 use wasla_core::{
-    CacheMark, CacheStats, LayoutProblem, ObjectiveKind, Recommendation, SolveQuality, Stage,
-    StageCache,
+    regularize_stage, solve_stage, CacheMark, CacheStats, LayoutProblem, ObjectiveKind,
+    Recommendation, SolveQuality, Stage, StageCache,
 };
 use wasla_exec::DeviceEvent;
 use wasla_model::{
@@ -48,9 +59,10 @@ use wasla_model::{
     TargetCostModel,
 };
 use wasla_simlib::fault::{self, SolverBudget};
+use wasla_simlib::hash::{hash_json, Fnv64};
 use wasla_simlib::par;
 use wasla_storage::{DeviceSpec, TargetConfig};
-use wasla_trace::oplog::{OpLog, OpLogSalvage};
+use wasla_trace::oplog::{fit_oplog_streamed, OpLog, OpLogSalvage};
 use wasla_trace::{FitConfig, FitError};
 use wasla_workload::{DeadlineClass, SqlWorkload, WorkloadSet};
 
@@ -71,6 +83,40 @@ pub struct SessionStats {
 pub(crate) fn fault_keep(log: &OpLog) -> Option<usize> {
     let tf = fault::plan()?.trace_fault(log.trace_content_hash())?;
     Some(((log.len() as f64) * tf.keep_fraction) as usize)
+}
+
+/// The calibration cache key of `(spec, grid, seed)`.
+fn calibration_key(spec: &DeviceSpec, grid: &CalibrationGrid, seed: u64) -> u64 {
+    Fnv64::new()
+        .write_u64(hash_json(spec))
+        .write_u64(hash_json(grid))
+        .write_u64(seed)
+        .finish()
+}
+
+/// The fit cache key of an op-log known by its content hash: the one
+/// key scheme for clean logs ([`OpLog::trace_content_hash`]) and
+/// fault-damaged prefixes ([`OpLog::trace_content_hash_damaged`]).
+fn fit_key(
+    trace_hash: u64,
+    names: &[String],
+    sizes: &[u64],
+    config: &FitConfig,
+    objective: ObjectiveKind,
+) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(trace_hash)
+        .write_f64(config.window_s)
+        .write_u64(config.gap_tolerance)
+        .write_u64(names.len() as u64);
+    for name in names {
+        h.write_str(name);
+    }
+    for &size in sizes {
+        h.write_u64(size);
+    }
+    h.write_str(objective.name());
+    h.finish()
 }
 
 /// The inputs behind a calibration cache key: what measures the rest
@@ -173,17 +219,13 @@ impl AdvisorSession {
         demand: &ColumnDemand,
     ) -> Result<TableModel, WaslaError> {
         let spec = TargetCostModel::calibratable_spec(config, grid)?;
-        let stage = CalibrateStage { grid };
-        let input = CalibrateInput { spec, seed };
-        let key = stage
-            .cache_key(&input)
-            .ok_or_else(|| WaslaError::Internal("calibrate stage must be cacheable".to_string()))?;
+        let key = calibration_key(spec, grid, seed);
         let table = self
             .calibrations
             .get_or_update_with(
                 key,
                 |table| table.covers(demand),
-                |cached| stage.columns(&input, demand, cached),
+                |cached| calibrate_columns(spec, grid, seed, demand, cached),
             )
             .clone();
         if !table.is_complete() && !self.sources.iter().any(|(k, _)| *k == key) {
@@ -262,19 +304,11 @@ impl AdvisorSession {
         config: &FitConfig,
         objective: ObjectiveKind,
     ) -> Result<WorkloadSet, WaslaError> {
-        let stage = FitStage { config, objective };
-        let input = FitInput {
-            trace,
-            names,
-            sizes,
-        };
-        let key = stage
-            .cache_key(&input)
-            .ok_or_else(|| WaslaError::Internal("fit stage must be cacheable".to_string()))?;
+        let key = fit_key(trace.trace_content_hash(), names, sizes, config, objective);
         if let Some(cached) = self.fits.get(key) {
             return Ok(cached.clone());
         }
-        let fitted = stage.run(&input)?;
+        let fitted = fit_oplog_streamed(trace, names, sizes, config)?;
         self.fits.insert(key, fitted.clone());
         Ok(fitted)
     }
@@ -299,8 +333,13 @@ impl AdvisorSession {
         objective: ObjectiveKind,
     ) -> Result<(WorkloadSet, Option<OpLogSalvage>), WaslaError> {
         let keep = keep.min(log.len());
-        let stage = FitStage { config, objective };
-        let key = stage.key_for_hash(log.trace_content_hash_damaged(keep), names, sizes);
+        let key = fit_key(
+            log.trace_content_hash_damaged(keep),
+            names,
+            sizes,
+            config,
+            objective,
+        );
         let fitted = match self.fits.get(key) {
             Some(cached) => cached.clone(),
             None => {
@@ -311,12 +350,7 @@ impl AdvisorSession {
                     }
                     .into());
                 }
-                let prefix = log.prefix(keep);
-                let fitted = stage.run(&FitInput {
-                    trace: &prefix,
-                    names,
-                    sizes,
-                })?;
+                let fitted = fit_oplog_streamed(&log.prefix(keep), names, sizes, config)?;
                 self.fits.insert(key, fitted.clone());
                 fitted
             }
@@ -379,17 +413,8 @@ impl AdvisorSession {
         note_calibration_faults(scenario, &mut degraded)?;
         let problem =
             assemble_problem(scenario, fitted.clone(), models, config.constraints.clone());
-        let solve = SolveStage {
-            options: &config.advisor,
-        };
-        let solved = solve.run(&problem)?;
-        let finish = RegularizeStage {
-            options: &config.advisor,
-        };
-        let recommendation = finish.run(&RegularizeInput {
-            problem: &problem,
-            solved,
-        })?;
+        let solved = solve_stage(&problem, &config.advisor)?;
+        let recommendation = regularize_stage(&problem, &config.advisor, solved)?;
         if recommendation.quality.degraded() {
             degraded.push(DegradedNote::SolverDegraded {
                 quality: recommendation.quality,
@@ -607,23 +632,6 @@ impl BatchPolicy {
             .saturating_mul(1u64 << attempt.min(16))
             .clamp(1, self.backoff_cap.max(1));
         slot + par::task_seed(request_key, attempt as u64 + 1) % slot
-    }
-}
-
-/// The tighter (cheaper-solve) of two budgets.
-fn tighter(a: Option<SolverBudget>, b: Option<SolverBudget>) -> Option<SolverBudget> {
-    fn rank(x: Option<SolverBudget>) -> u8 {
-        match x {
-            None => 0,
-            Some(SolverBudget::Tight) => 1,
-            Some(SolverBudget::PgOnly) => 2,
-            Some(SolverBudget::GreedyOnly) => 3,
-        }
-    }
-    if rank(a) >= rank(b) {
-        a
-    } else {
-        b
     }
 }
 
@@ -967,7 +975,7 @@ impl Service {
                 } else {
                     request.deadline.and_then(|c| deadline_budget(c, attempt))
                 };
-                config.advisor.solve_budget = tighter(config.advisor.solve_budget, budget);
+                config.advisor.solve_budget = config.advisor.solve_budget.max(budget);
                 outcome = Some(local.advise(&request.scenario, &request.workloads, &config));
                 break;
             }
@@ -1036,6 +1044,98 @@ mod tests {
             });
         }
         (log, vec!["A".into(), "B".into()], vec![1 << 30, 1 << 30])
+    }
+
+    #[test]
+    fn calibrate_cache_key_separates_spec_grid_and_seed() {
+        use wasla_storage::{DiskParams, SsdParams};
+        let grid_a = CalibrationGrid::coarse();
+        let grid_b = CalibrationGrid::default();
+        let disk = DeviceSpec::Disk(DiskParams::scsi_15k(1 << 30));
+        let ssd = DeviceSpec::Ssd(SsdParams::sata_gen1(1 << 30));
+        let base = calibration_key(&disk, &grid_a, 7);
+        assert_eq!(
+            base,
+            calibration_key(&disk, &grid_a, 7),
+            "key must be stable"
+        );
+        assert_ne!(
+            base,
+            calibration_key(&disk, &grid_b, 7),
+            "grid must be in the key"
+        );
+        assert_ne!(
+            base,
+            calibration_key(&ssd, &grid_a, 7),
+            "spec must be in the key"
+        );
+        assert_ne!(
+            base,
+            calibration_key(&disk, &grid_a, 8),
+            "seed must be in the key"
+        );
+    }
+
+    #[test]
+    fn fit_cache_key_tracks_trace_and_inventory() {
+        let record = |offset: u64| OpRecord {
+            kind: IoKind::Read,
+            stream: 0,
+            offset,
+            len: 8192,
+            issue: SimTime::from_secs(0.5),
+            complete: SimTime::from_secs(0.5),
+        };
+        let mut trace_a = OpLog::new();
+        trace_a.push(record(0));
+        let mut trace_b = OpLog::new();
+        trace_b.push(record(8192));
+        let config = FitConfig::default();
+        let names = ["obj".to_string()];
+        let key = |trace: &OpLog, sizes: &[u64], objective: ObjectiveKind| {
+            fit_key(
+                trace.trace_content_hash(),
+                &names,
+                sizes,
+                &config,
+                objective,
+            )
+        };
+        let minmax = ObjectiveKind::MinMax;
+        let base = key(&trace_a, &[1 << 20], minmax);
+        assert_eq!(base, key(&trace_a, &[1 << 20], minmax));
+        assert_ne!(
+            base,
+            key(&trace_b, &[1 << 20], minmax),
+            "trace must be in the key"
+        );
+        assert_ne!(
+            base,
+            key(&trace_a, &[2 << 20], minmax),
+            "inventory must be in the key"
+        );
+        // The objective id partitions the cache: each objective's warm
+        // path only ever sees entries its own cold path wrote.
+        for objective in [ObjectiveKind::ProvisioningCost, ObjectiveKind::WearBlend] {
+            assert_ne!(
+                base,
+                key(&trace_a, &[1 << 20], objective),
+                "objective {} must be in the key",
+                objective.name()
+            );
+        }
+        // A damaged hash that keeps every record is the clean hash, so
+        // the salvage path's keys live in the same cache.
+        assert_eq!(
+            base,
+            fit_key(
+                trace_a.trace_content_hash_damaged(trace_a.len()),
+                &names,
+                &[1 << 20],
+                &config,
+                minmax
+            )
+        );
     }
 
     #[test]

@@ -256,8 +256,6 @@ fn undersized_target_member_is_a_typed_model_error() {
         .err()
         .expect("session calibration should fail");
     assert_eq!(err, WaslaError::Model(expected));
-    let back: WaslaError = json::from_str(&json::to_string(&err)).unwrap();
-    assert_eq!(back, err);
     assert_eq!(err.exit_code(), 1);
 
     let dir = std::env::temp_dir().join(format!("wasla-tiny-target-{}", std::process::id()));
