@@ -168,15 +168,18 @@ fi
 step "reporting ratchet (errors carry no JSON codec; no retired wrappers)"
 # Errors are reported through `Display` and the CLI's exit codes and
 # are never serialized, so no error enum carries a `ToJson`/`FromJson`
-# pair. The session derives the fit and calibration cache keys itself
-# and calls the fit and calibrate layers directly; the one solve-budget
-# order is `SolverBudget`'s derived `Ord`; the latency histogram had no
-# caller. Fail if a codec for an error type or a retired name
-# reappears under crates/*/src.
+# pair. The session derives the calibration cache key itself and calls
+# the fit and calibrate layers directly; fits are not cached at all (a
+# key over the op-log costs more than the fit it would save), so no fit
+# key, fit snapshot, prefix-fit cache path or damaged-log hash remains;
+# the one solve-budget order is `SolverBudget`'s derived `Ord`; the
+# latency histogram had no caller. Fail if a codec for an error type or
+# a retired name reappears under crates/*/src.
 if grep -RnE 'impl (ToJson|FromJson) for \w*Error' crates/*/src \
-    || grep -RnwE 'FitStage|CalibrateStage|FitInput|CalibrateInput|STAGE_NAMES|budget_rank|Histogram' crates/*/src; then
+    || grep -RnwE 'FitStage|CalibrateStage|FitInput|CalibrateInput|STAGE_NAMES|budget_rank|Histogram' crates/*/src \
+    || grep -RnwE 'fit_key|fits_cache|FITS_FILE|fit_prefix|trace_content_hash_damaged|get_or_insert_with' crates/*/src; then
     echo "error: an error-type JSON codec or a retired name reappeared under crates/*/src (see matches above)" >&2
-    echo "report errors through Display and exit codes; key the session caches in session.rs" >&2
+    echo "report errors through Display and exit codes; key the calibration cache in session.rs; fit op-logs uncached" >&2
     exit 1
 fi
 

@@ -1,7 +1,7 @@
 //! Benchmarks for the sessioned advise pipeline: what does a warm
 //! [`AdvisorSession`] actually buy over a cold one?
 //!
-//! The session memoizes calibration tables and workload fits (see
+//! The session memoizes calibration tables (see
 //! DESIGN.md §Staged advisor pipeline). On a scenario whose device
 //! types are already calibrated, a warm advise skips the dominant
 //! cost of the cold path entirely, so `advise_warm` should beat

@@ -2,19 +2,17 @@
 //!
 //! The paper's methodology is a fixed sequence of transformations —
 //! trace the workload, fit Rome descriptions, calibrate target models,
-//! solve the NLP, regularize, place — and two of those stages are
-//! *pure functions of identifiable inputs*: a calibration table depends
-//! only on the device spec, the grid and the seed; a fitted workload
-//! set depends only on the trace and the object inventory. This module
-//! holds what the layers share about that structure:
+//! solve the NLP, regularize, place. Calibration is the expensive stage
+//! that is a *pure function of identifiable inputs*: a table depends
+//! only on the device spec, the grid and the seed. This module holds
+//! what the layers share about that structure:
 //!
 //! * [`Stage`] — a typed transformation from an input to an output
 //!   that can fail; the facade crate implements it for the trace,
 //!   solve, regularize and place stages;
 //! * [`StageCache`] — a keyed memo table with hit/miss accounting,
-//!   used by sessions to skip recomputation when the same inputs recur
-//!   across requests (the session derives the fit and calibration
-//!   keys).
+//!   used by sessions to skip recalibration when the same inputs recur
+//!   across requests (the session derives the calibration keys).
 
 use std::sync::Arc;
 
@@ -121,32 +119,10 @@ impl<V> StageCache<V> {
         self.stats
     }
 
-    /// Looks up a key without touching the counters (snapshot reads).
-    pub fn peek(&self, key: u64) -> Option<&V> {
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.as_ref())
-    }
-
-    /// Looks up a key, recording a hit or miss.
-    pub fn get(&mut self, key: u64) -> Option<&V> {
-        if self.entries.iter().any(|(k, _)| *k == key) {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        self.peek(key)
-    }
-
-    /// Inserts an output unless the key is already present (first
+    /// Appends an output unless the key is already present (first
     /// write wins, so replaying a batch in request order is stable).
-    pub fn insert(&mut self, key: u64, value: V) {
-        self.insert_shared(key, Arc::new(value));
-    }
-
     fn insert_shared(&mut self, key: u64, value: Arc<V>) {
-        if self.peek(key).is_none() {
+        if !self.entries.iter().any(|(k, _)| *k == key) {
             self.entries.push((key, value));
         }
     }
@@ -200,12 +176,6 @@ impl<V> StageCache<V> {
         }
     }
 
-    /// Returns the cached output for `key`, computing and caching it
-    /// on a miss.
-    pub fn get_or_insert_with(&mut self, key: u64, compute: impl FnOnce() -> V) -> &V {
-        self.get_or_update_with(key, |_| true, |_| compute())
-    }
-
     /// Returns the cached output for `key` if `fresh` accepts it (a
     /// hit). Otherwise (a miss) computes `update` from whatever is
     /// cached under `key` and stores the result in that entry's place,
@@ -241,16 +211,30 @@ impl<V> StageCache<V> {
 mod tests {
     use super::*;
 
+    /// The value cached under `key`, read without touching the
+    /// counters.
+    fn value<V>(c: &StageCache<V>, key: u64) -> Option<&V> {
+        c.entries()
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.as_ref())
+    }
+
+    /// Caches `value` under `key` when the key is new (a miss).
+    fn put<V>(c: &mut StageCache<V>, key: u64, value: V) {
+        c.get_or_update_with(key, |_| true, |_| value);
+    }
+
     #[test]
     fn cache_counts_hits_and_misses() {
         let mut c: StageCache<u32> = StageCache::new();
         assert!(c.is_empty());
-        assert_eq!(c.get(1), None);
-        c.insert(1, 10);
-        assert_eq!(c.get(1), Some(&10));
-        assert_eq!(c.get(2), None);
+        assert_eq!(*c.get_or_update_with(1, |_| true, |_| 10), 10);
+        assert_eq!(*c.get_or_update_with(1, |_| true, |_| unreachable!()), 10);
+        assert_eq!(*c.get_or_update_with(2, |_| true, |_| 20), 20);
         assert_eq!(c.stats(), CacheStats { hits: 1, misses: 2 });
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.stats().lookups(), 3);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
@@ -258,10 +242,14 @@ mod tests {
         let mut c: StageCache<u32> = StageCache::new();
         let mut calls = 0;
         for _ in 0..3 {
-            let v = *c.get_or_insert_with(7, || {
-                calls += 1;
-                42
-            });
+            let v = *c.get_or_update_with(
+                7,
+                |_| true,
+                |_| {
+                    calls += 1;
+                    42
+                },
+            );
             assert_eq!(v, 42);
         }
         assert_eq!(calls, 1);
@@ -270,9 +258,8 @@ mod tests {
 
     #[test]
     fn get_or_update_replaces_stale_entries_in_place() {
-        let mut c: StageCache<Vec<u32>> = StageCache::new();
-        c.insert(1, vec![1]);
-        c.insert(2, vec![2]);
+        let mut c: StageCache<Vec<u32>> =
+            StageCache::from_entries(vec![(1, vec![1]), (2, vec![2])]);
         let before = c.clone();
         // Fresh: a hit, nothing computed.
         let v = c.get_or_update_with(1, |v| v.contains(&1), |_| unreachable!());
@@ -302,36 +289,35 @@ mod tests {
         assert_eq!(c.stats(), CacheStats { hits: 1, misses: 2 });
         // The replaced value is a new allocation; clones taken before
         // keep the old one.
-        assert_eq!(before.peek(1), Some(&vec![1]));
+        assert_eq!(value(&before, 1), Some(&vec![1]));
     }
 
     #[test]
     fn insert_is_first_write_wins() {
         let mut c: StageCache<u32> = StageCache::new();
-        c.insert(1, 10);
-        c.insert(1, 99);
-        assert_eq!(c.peek(1), Some(&10));
-        // peek leaves the counters alone.
+        c.insert_shared(1, Arc::new(10));
+        c.insert_shared(1, Arc::new(99));
+        assert_eq!(value(&c, 1), Some(&10));
+        assert_eq!(c.len(), 1);
+        // A plain append counts nothing.
         assert_eq!(c.stats(), CacheStats::default());
     }
 
     #[test]
     fn clones_share_values_and_absorb_merges_appends_first_write_wins() {
-        let mut shared: StageCache<String> = StageCache::new();
-        shared.insert(1, "one".to_string());
-        shared.insert(2, "two".to_string());
+        let mut shared: StageCache<String> =
+            StageCache::from_entries(vec![(1, "one".to_string()), (2, "two".to_string())]);
         let mark = shared.mark();
         let mut a = shared.clone();
         let mut b = shared.clone();
         assert!(Arc::ptr_eq(&a.entries()[0].1, &shared.entries()[0].1));
         assert!(Arc::ptr_eq(&b.entries()[1].1, &shared.entries()[1].1));
 
-        assert_eq!(a.get(1).map(String::as_str), Some("one"));
-        a.get_or_insert_with(3, || "three (a)".to_string());
-        a.insert(4, "four".to_string());
-        assert_eq!(b.get(5), None);
-        b.insert(5, "five".to_string());
-        b.insert(3, "three (b)".to_string());
+        assert_eq!(a.get_or_update_with(1, |_| true, |_| unreachable!()), "one");
+        put(&mut a, 3, "three (a)".to_string());
+        put(&mut a, 4, "four".to_string());
+        put(&mut b, 5, "five".to_string());
+        put(&mut b, 3, "three (b)".to_string());
         let a_values: Vec<Arc<String>> = a.entries().iter().map(|(_, v)| v.clone()).collect();
 
         shared.absorb(a, mark);
@@ -339,10 +325,10 @@ mod tests {
         let keys: Vec<u64> = shared.entries().iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, [1, 2, 3, 4, 5]);
         // First write wins: worker a merged first, so its value stays.
-        assert_eq!(shared.peek(3).map(String::as_str), Some("three (a)"));
+        assert_eq!(value(&shared, 3).map(String::as_str), Some("three (a)"));
         // Merged values are the workers' own allocations, not copies.
         assert!(Arc::ptr_eq(&shared.entries()[2].1, &a_values[2]));
-        // a: one hit, one miss; b: one miss.
-        assert_eq!(shared.stats(), CacheStats { hits: 1, misses: 2 });
+        // a: one hit, two misses; b: two misses.
+        assert_eq!(shared.stats(), CacheStats { hits: 1, misses: 4 });
     }
 }

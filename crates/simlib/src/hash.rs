@@ -1,9 +1,9 @@
 //! Content hashing for stage-cache keys.
 //!
-//! The staged advisor pipeline memoizes expensive stage outputs
-//! (calibration tables, workload fits) keyed by the *content* of their
-//! inputs, so a batch of advise requests over shared hardware reuses
-//! work instead of recomputing it. Keys must be stable across runs and
+//! The staged advisor pipeline memoizes its expensive stage output
+//! (calibration tables) keyed by the *content* of its inputs, so a
+//! batch of advise requests over shared hardware reuses work instead of
+//! recomputing it. Keys must be stable across runs and
 //! processes — `std::collections::hash_map::DefaultHasher` is
 //! explicitly randomized, so this module provides a fixed FNV-1a
 //! 64-bit hasher instead.

@@ -289,38 +289,18 @@ impl OpLog {
     }
 
     /// A stable 64-bit content hash over every record's fit-relevant
-    /// fields (issue time, stream, direction, offset, length), for use
-    /// as a stage-cache key and as the fault plan's trace roll. Hashes
-    /// the raw fields directly (not a JSON rendering) so keying a
-    /// session cache stays cheap next to the fitting work it guards.
-    /// Completion times are not hashed: the fit never reads them.
+    /// fields (issue time, stream, direction, offset, length): the
+    /// identity the fault plan's trace roll is drawn from. It hashes
+    /// the raw fields directly, not a JSON rendering. Completion times
+    /// are not hashed: the fit never reads them. One pass costs several
+    /// times a fit of the same log, so it keys nothing on the advise
+    /// path.
     pub fn trace_content_hash(&self) -> u64 {
         let mut h = wasla_simlib::hash::Fnv64::new();
         h.write_u64(self.records.len() as u64);
         for r in &self.records {
             h.write_f64(r.issue.as_secs());
             h.write_u64(r.stream as u64);
-            h.write_u64(match r.kind {
-                IoKind::Read => 0,
-                IoKind::Write => 1,
-            });
-            h.write_u64(r.offset);
-            h.write_u64(r.len);
-        }
-        h.finish()
-    }
-
-    /// [`OpLog::trace_content_hash`] with every record past the first
-    /// `keep` rewritten to stream `u32::MAX` — the torn tail fault
-    /// injection produces. Keys the fit of a damaged log's valid
-    /// prefix without materializing the damaged copy.
-    pub fn trace_content_hash_damaged(&self, keep: usize) -> u64 {
-        let mut h = wasla_simlib::hash::Fnv64::new();
-        h.write_u64(self.records.len() as u64);
-        for (i, r) in self.records.iter().enumerate() {
-            let stream = if i < keep { r.stream } else { u32::MAX };
-            h.write_f64(r.issue.as_secs());
-            h.write_u64(stream as u64);
             h.write_u64(match r.kind {
                 IoKind::Read => 0,
                 IoKind::Write => 1,
@@ -1129,7 +1109,7 @@ mod tests {
 
     #[test]
     fn trace_content_hash_matches_materialized_trace() {
-        // The key persisted fit caches and fault seeds depend on: FNV
+        // The identity fault seeds roll against: FNV
         // over the record count, then each record's (issue, stream,
         // direction, offset, len) — completion times excluded.
         let reference = |log: &OpLog| {
@@ -1150,28 +1130,6 @@ mod tests {
         let mut late = log.clone();
         late.set_complete(3, SimTime::from_secs(99.0));
         assert_eq!(late.trace_content_hash(), log.trace_content_hash());
-    }
-
-    #[test]
-    fn damaged_trace_content_hash_matches_materialized_damage() {
-        let log = sample_log(40);
-        for keep in [0, 17, 40] {
-            let mut damaged = OpLog::new();
-            for (i, rec) in log.records().iter().enumerate() {
-                let mut rec = *rec;
-                if i >= keep {
-                    rec.stream = u32::MAX;
-                }
-                damaged.push(rec);
-            }
-            assert_eq!(
-                log.trace_content_hash_damaged(keep),
-                damaged.trace_content_hash(),
-                "keep={keep}"
-            );
-        }
-        assert_eq!(log.trace_content_hash_damaged(40), log.trace_content_hash());
-        assert_ne!(log.trace_content_hash_damaged(17), log.trace_content_hash());
     }
 
     #[test]

@@ -51,8 +51,8 @@
 //!   and budgeted incremental migration (`--budget` voluntary bytes
 //!   per tick; evacuations off targets failed via `--fail` are always
 //!   admitted). With `--cache-dir` the controller checkpoint persists
-//!   next to the stage caches, so a restarted daemon resumes where it
-//!   left off.
+//!   next to the calibration cache, so a restarted daemon resumes where
+//!   it left off.
 //! * `stress` drives the fleet-scale multi-tenant stress scenario:
 //!   thousands of synthetic tenants (seeded, zipf-skewed — see
 //!   `wasla::workload::synth`) advised in batches under an explicit
@@ -60,8 +60,8 @@
 //!   stats + per-slot decision log) goes to stdout — byte-identical at
 //!   any `WASLA_THREADS` — and wall-clock throughput goes to stderr.
 //! * `demo` runs the built-in TPC-H-like scenario end-to-end. With
-//!   `--cache-dir`, the advisor session persists its calibration and
-//!   fit caches there (crash-safe, versioned, checksummed): a rerun
+//!   `--cache-dir`, the advisor session persists its calibration
+//!   cache there (crash-safe, versioned, checksummed): a rerun
 //!   starts warm, a corrupt cache file is quarantined and rebuilt, and
 //!   a quarantine that cannot be written maps to the I/O exit code.
 //!

@@ -34,7 +34,7 @@
 //!   and rolls the controller state forward.
 //!
 //! The controller state ([`ControllerState`]) checkpoints through
-//! [`persist`](crate::persist) next to the stage caches: a restarted
+//! [`persist`](crate::persist) next to the calibration cache: a restarted
 //! daemon resumes at `next_tick` and reproduces the remaining
 //! decisions byte-for-byte (restart-warm ≡ cold). A corrupt checkpoint
 //! is quarantined and the controller restarts cold — never a panic.

@@ -44,8 +44,8 @@
 //! recalibrates the same device types again and again. Hold a
 //! [`session::Service`] instead: its [`advise_batch`]
 //! (`session::Service::advise_batch`) loop memoizes calibration
-//! tables and workload fits across requests and fans the batch over
-//! the deterministic thread pool.
+//! tables across requests and fans the batch over the deterministic
+//! thread pool.
 //!
 //! ```
 //! use wasla::pipeline::{AdviseConfig, Scenario};

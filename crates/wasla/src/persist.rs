@@ -1,9 +1,8 @@
-//! Crash-safe persistence for advisor-session stage caches.
+//! Crash-safe persistence for the advisor session's calibration cache.
 //!
 //! A [`Service`](crate::session::Service) opened on a cache directory
-//! restores its calibration and fit caches from two JSON files
-//! (`calibrations.json`, `fits.json`), each a versioned, checksummed
-//! snapshot:
+//! restores its calibration tables from one JSON file,
+//! `calibrations.json`, a versioned, checksummed snapshot:
 //!
 //! ```text
 //! { "version": 1,
@@ -30,6 +29,9 @@
 //! * **Whole tables only** — a calibration the advise path measured on
 //!   demand is completed in the copy written, so `calibrations.json`
 //!   holds the same bytes whatever demands the session served.
+//! * **Fits are not persisted** — a `fits.json` that an older build
+//!   left in the directory is never read, so it is ignored rather than
+//!   quarantined.
 //!
 //! The only hard error is failing to move damage out of the way: if
 //! the quarantine rename itself fails (e.g. the quarantine path is
@@ -52,34 +54,29 @@ pub const CACHE_VERSION: u64 = 1;
 /// File name of the calibration-table snapshot inside a cache dir.
 pub const CALIBRATIONS_FILE: &str = "calibrations.json";
 
-/// File name of the workload-fit snapshot inside a cache dir.
-pub const FITS_FILE: &str = "fits.json";
-
 /// File name of the daemon controller checkpoint inside a cache dir.
 pub const CONTROLLER_FILE: &str = "controller.json";
 
-/// Saves both session caches into `dir` (created if missing), each
-/// with an atomic tmp-file-then-rename write.
+/// Saves the session's calibration cache into `dir` (created if
+/// missing) with an atomic tmp-file-then-rename write.
 pub fn save_session(dir: &Path, session: &AdvisorSession) -> Result<(), WaslaError> {
     std::fs::create_dir_all(dir).map_err(|e| WaslaError::io(dir.display().to_string(), &e))?;
     let calibrations = session.complete_calibrations();
-    save_cache(dir, CALIBRATIONS_FILE, "calibrations", &calibrations)?;
-    save_cache(dir, FITS_FILE, "fits", session.fits_cache().entries())
+    save_cache(dir, CALIBRATIONS_FILE, "calibrations", &calibrations)
 }
 
-/// Loads a session from `dir`. Missing files mean cold caches; bad
-/// files are quarantined and reported. Only a failing quarantine
+/// Loads a session from `dir`. A missing file means a cold cache; a
+/// bad one is quarantined and reported. Only a failing quarantine
 /// rename is an error.
 pub fn load_session(dir: &Path) -> Result<(AdvisorSession, Vec<DegradedNote>), WaslaError> {
     let mut notes = Vec::new();
     let calibrations = load_cache(dir, CALIBRATIONS_FILE, "calibrations", &mut notes)?;
-    let fits = load_cache(dir, FITS_FILE, "fits", &mut notes)?;
-    Ok((AdvisorSession::from_caches(calibrations, fits), notes))
+    Ok((AdvisorSession::from_calibrations(calibrations), notes))
 }
 
 /// Saves a daemon controller checkpoint into `dir` (created if
 /// missing) under the same version/kind/checksum discipline as the
-/// stage caches; the checksum covers the canonical rendering of the
+/// calibration snapshot; the checksum covers the canonical rendering of the
 /// `state` field. Atomic tmp-file-then-rename write.
 pub fn save_controller(
     dir: &Path,
@@ -271,9 +268,9 @@ mod tests {
     #[test]
     fn cache_round_trips_through_disk() {
         let dir = scratch_dir("roundtrip");
-        let mut cache: StageCache<u64> = StageCache::new();
-        cache.insert(u64::MAX, 1); // extreme keys must survive JSON
-        cache.insert(0x1234_5678_9abc_def0, 2);
+        // Extreme keys must survive JSON.
+        let cache: StageCache<u64> =
+            StageCache::from_entries(vec![(u64::MAX, 1), (0x1234_5678_9abc_def0, 2)]);
         save_cache(&dir, "test.json", "test", cache.entries()).unwrap();
         let mut notes = Vec::new();
         let back: StageCache<u64> = load_cache(&dir, "test.json", "test", &mut notes).unwrap();
@@ -296,8 +293,7 @@ mod tests {
     #[test]
     fn damage_is_quarantined_and_rebuilt_cold() {
         let dir = scratch_dir("damage");
-        let mut cache: StageCache<u64> = StageCache::new();
-        cache.insert(1, 10);
+        let cache: StageCache<u64> = StageCache::from_entries(vec![(1, 10)]);
         let cases: Vec<(&str, String)> = vec![
             ("garbage", "{not json".to_string()),
             (

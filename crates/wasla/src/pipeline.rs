@@ -21,9 +21,8 @@
 //! [`AdvisorSession`](crate::session::AdvisorSession), so one-shot
 //! calls and sessioned calls share one code path and produce
 //! byte-identical recommendations. Callers advising repeatedly over
-//! shared device types or traces should hold a session (or a
-//! [`Service`](crate::session::Service)) to reuse calibration tables
-//! and workload fits.
+//! shared device types should hold a session (or a
+//! [`Service`](crate::session::Service)) to reuse calibration tables.
 
 use crate::error::WaslaError;
 use crate::session::AdvisorSession;
@@ -548,7 +547,7 @@ pub fn build_problem(
 ///
 /// This is the cold path: each call runs on a fresh
 /// [`AdvisorSession`], so nothing is reused across calls. Hold a
-/// session yourself to share calibration tables and workload fits.
+/// session yourself to share calibration tables.
 pub fn advise(
     scenario: &Scenario,
     workloads: &[SqlWorkload],

@@ -6,8 +6,8 @@
 //! [`WaslaError`]. [`AdvisorSession`](crate::session::AdvisorSession)
 //! runs the trace stage through [`TraceStage`] and calls the other
 //! layers directly; the end-to-end benchmark composes its traced pass
-//! from these wrappers. Fit and calibrate, the two stages the session
-//! memoizes, have no wrapper: the session owns their cache keys.
+//! from these wrappers. Fit and calibrate have no wrapper: the session
+//! calls them directly and owns the calibration cache key.
 
 use crate::error::WaslaError;
 use crate::pipeline::{self, RunSettings, Scenario, LVM_STRIPE};

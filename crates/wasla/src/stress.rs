@@ -238,8 +238,8 @@ pub fn run_stress(opts: &StressOptions) -> Result<StressOutcome, WaslaError> {
     run_stress_with(&mut service, opts)
 }
 
-/// Runs the stress scenario against an existing service (warm caches
-/// carry across ticks and across calls).
+/// Runs the stress scenario against an existing service (its warm
+/// calibration cache carries across ticks and across calls).
 pub fn run_stress_with(
     service: &mut Service,
     opts: &StressOptions,

@@ -14,9 +14,9 @@
 //! including through a persist/reopen cycle.
 //!
 //! A second test pins the session a batch service is left with —
-//! cache keys in insertion order, hit/miss counters and persisted
-//! bytes — so the worker-cache merge stays first-write-wins in request
-//! order.
+//! calibration keys in insertion order, hit/miss counters and
+//! persisted bytes — so the worker-cache merge stays first-write-wins
+//! in request order.
 //!
 //! Both tests mutate process-wide environment variables
 //! (`WASLA_THREADS`, the fault plan), so they serialize on
@@ -24,7 +24,7 @@
 
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use wasla::persist::{CALIBRATIONS_FILE, FITS_FILE};
+use wasla::persist::CALIBRATIONS_FILE;
 use wasla::pipeline::{AdviseConfig, AdviseOutcome, Scenario};
 use wasla::simlib::fault::{self, FaultPlan};
 use wasla::simlib::hash::Fnv64;
@@ -265,7 +265,6 @@ fn session_after_ticks(threads: usize) -> String {
     std::env::remove_var("WASLA_THREADS");
     let stats = service.session().stats();
     let (calibration_keys, calibration_bytes) = persisted(&dir.join(CALIBRATIONS_FILE));
-    let (fit_keys, fit_bytes) = persisted(&dir.join(FITS_FILE));
     let _ = std::fs::remove_dir_all(&dir);
     let hex = |keys: &[u64]| {
         keys.iter()
@@ -274,13 +273,9 @@ fn session_after_ticks(threads: usize) -> String {
             .join(" ")
     };
     format!(
-        "calibration keys: {}\nfit keys: {}\ncalibration: {:?}\nfit: {:?}\nfits_cached: {}\n\
-         calibrations.json: {calibration_bytes:#018x}\nfits.json: {fit_bytes:#018x}\n",
+        "calibration keys: {}\ncalibration: {:?}\ncalibrations.json: {calibration_bytes:#018x}\n",
         hex(&calibration_keys),
-        hex(&fit_keys),
         stats.calibration,
-        stats.fit,
-        service.session().fits_cached(),
     )
 }
 
@@ -288,13 +283,8 @@ fn session_after_ticks(threads: usize) -> String {
 /// not move a key, a counter or a persisted byte.
 const SESSION_AFTER_TICKS: &str = "\
 calibration keys: 0x4ddbdc0e6185080b
-fit keys: 0xc472e147f08de293 0xf3050994a728dbde 0xaaf766d17900da41 0x9e89b44c70476ba9 \
-0x7ce19120ee9e8c62 0x4980af1ad93fafd3
 calibration: CacheStats { hits: 191, misses: 1 }
-fit: CacheStats { hits: 5, misses: 7 }
-fits_cached: 6
 calibrations.json: 0xda795f5521954bb5
-fits.json: 0x132abbdec364dfd5
 ";
 
 #[test]
